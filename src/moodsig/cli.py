@@ -41,6 +41,7 @@ from .tasks import (
     SCORE_TASK,
     STATE_TASK,
     Instrument,
+    ProbabilityPoint,
     TaskConfig,
     run_classification,
     run_score_prediction,
@@ -81,7 +82,8 @@ def ingest(path):
     whose span is shorter than 20 weeks."""
     weeks_of = {}
     group_of = {}
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports add
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -152,6 +154,28 @@ def write_cohort(cohort, path):
                 writer.writerow([rec.id, rec.group.name, obs.week, obs.asrm, obs.qids])
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+# what each annotated RunConfig type accepts; an int is accepted as a float
+_TYPE_CHECKS = {
+    "None": lambda v: v is None,
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "float": _is_number,
+    "tuple[str, ...]": lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v),
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+    "tuple[float, float]": lambda v: (
+        isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v))
+    ),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Cross-command run settings; everything except `output` is hashed."""
@@ -173,9 +197,19 @@ class RunConfig:
     synth_weeks: int = 51
     spectrum_source: str = "classify"
     resolution: int = 200
-    bandwidth: float | None = None
+    bandwidth: float | tuple[float, float] | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = f.type.split(" | ")
+            if not any(_TYPE_CHECKS[k](value) for k in kinds):
+                raise ValueError(f"config {f.name} must be {f.type}, got {value!r}")
+            # ints become floats, so 1 and 1.0 hash alike
+            if "float" in kinds and _is_int(value):
+                object.__setattr__(self, f.name, float(value))
+            elif "tuple[float, float]" in kinds and isinstance(value, tuple):
+                object.__setattr__(self, f.name, tuple(float(v) for v in value))
         if self.instrument is not None and self.instrument not in ("ASRM", "QIDS"):
             raise ValueError(f"instrument must be ASRM or QIDS, got {self.instrument!r}")
         if self.groups is not None:
@@ -194,8 +228,20 @@ def config_hash(cfg):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _split_list(key, text, cast):
+    try:
+        return [cast(part.strip()) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(
+            f"{key}: cannot read {text!r} as comma-separated {cast.__name__} values"
+        ) from None
+
+
 def load_config(args):
-    """Merge defaults, the JSON config file, and flag overrides (flags win)."""
+    """Merge defaults, the JSON config file, and flag overrides (flags win).
+
+    `groups`, `synth_sizes` and `bandwidth` may be comma-separated strings
+    or lists; a one-value bandwidth stays a scalar."""
     data = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -209,16 +255,15 @@ def load_config(args):
         value = getattr(args, f.name, None)
         if value is not None:
             data[f.name] = value
-    if isinstance(data.get("groups"), str):
-        data["groups"] = [g.strip() for g in data["groups"].split(",") if g.strip()]
-    if data.get("groups") is not None:
-        data["groups"] = tuple(data["groups"])
-    if isinstance(data.get("synth_sizes"), str):
-        data["synth_sizes"] = [s.strip() for s in data["synth_sizes"].split(",")]
-    if data.get("synth_sizes") is not None:
-        data["synth_sizes"] = tuple(int(s) for s in data["synth_sizes"])
-    if data.get("instrument") is not None:
-        data["instrument"] = str(data["instrument"]).upper()
+    for key, cast in (("groups", str), ("synth_sizes", int), ("bandwidth", float)):
+        if isinstance(data.get(key), str):
+            data[key] = _split_list(key, data[key], cast)
+        if isinstance(data.get(key), list):
+            data[key] = tuple(data[key])
+    if isinstance(data.get("bandwidth"), tuple) and len(data["bandwidth"]) == 1:
+        data["bandwidth"] = data["bandwidth"][0]
+    if isinstance(data.get("instrument"), str):
+        data["instrument"] = data["instrument"].upper()
     return RunConfig(**data)
 
 
@@ -248,7 +293,7 @@ def _prepare_run(cfg, command):
     return run_dir, run_hash
 
 
-def _stamp(cfg, command, run_hash):
+def _stamp(command, run_hash):
     return {
         "tool": TOOL,
         "version": __version__,
@@ -264,10 +309,22 @@ def _write_json(path, doc):
 
 
 def _write_meta(run_dir, cfg, command, run_hash, extra=None):
-    doc = _stamp(cfg, command, run_hash)
+    doc = _stamp(command, run_hash)
     doc["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     doc.update(extra or {})
     _write_json(run_dir / "meta.json", doc)
+
+
+def _write_points_tsv(path, run_hash, comments, columns, rows):
+    """A stamped TSV: `# key<TAB>value` lines, a header, then one line per
+    `(label, ..., vector)` row with each vector entry written by repr."""
+    lines = [f"# tool\t{TOOL}\t{__version__}", f"# config_hash\t{run_hash}"]
+    lines += [f"# {key}\t{value}" for key, value in comments]
+    lines.append("\t".join(columns))
+    for *labels, vector in rows:
+        lines.append("\t".join([*labels, *(repr(float(v)) for v in vector)]))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _require_input(cfg, command):
@@ -276,15 +333,8 @@ def _require_input(cfg, command):
     return ingest(cfg.input)
 
 
-def _report_doc(cfg, command, run_hash, report, **extra):
-    doc = _stamp(cfg, command, run_hash)
-    doc["report"] = report_to_dict(report)
-    doc.update(extra)
-    return doc
-
-
-def cmd_synth(cfg):
-    run_dir, run_hash = _prepare_run(cfg, "synth")
+def cmd_synth(cfg, command):
+    run_dir, run_hash = _prepare_run(cfg, command)
     spec = CohortSpec(sizes=cfg.synth_sizes, weeks=cfg.synth_weeks, seed=cfg.seed)
     cohort = generate_cohort(spec)
     csv_path = run_dir / "cohort.csv"
@@ -292,7 +342,7 @@ def cmd_synth(cfg):
     _write_meta(
         run_dir,
         cfg,
-        "synth",
+        command,
         run_hash,
         {"participants": len(cohort.records), "weeks": cfg.synth_weeks},
     )
@@ -300,33 +350,26 @@ def cmd_synth(cfg):
     return 0
 
 
-def cmd_classify(cfg):
-    cohort = _require_input(cfg, "classify")
-    run_dir, run_hash = _prepare_run(cfg, "classify")
+def cmd_classify(cfg, command):
+    cohort = _require_input(cfg, command)
+    run_dir, run_hash = _prepare_run(cfg, command)
     result = run_classification(cohort, _task_config(cfg, CLASSIFY_TASK))
-    _write_json(
-        run_dir / "report_mrsf.json",
-        _report_doc(cfg, "classify", run_hash, result.mrsf_report, model="mrsf"),
+    for model, report in (("mrsf", result.mrsf_report), ("naive", result.naive_report)):
+        doc = _stamp(command, run_hash)
+        doc["report"] = report_to_dict(report)
+        doc["model"] = model
+        _write_json(run_dir / f"report_{model}.json", doc)
+    _write_points_tsv(
+        run_dir / "loo_points.tsv",
+        run_hash,
+        [],
+        ["participant_id", "group"] + [f"p_{g.name.lower()}" for g in Group],
+        [(p.participant_id, p.group.name, p.probs) for p in result.loo_points],
     )
-    _write_json(
-        run_dir / "report_naive.json",
-        _report_doc(cfg, "classify", run_hash, result.naive_report, model="naive"),
-    )
-    prob_cols = "\t".join(f"p_{g.name.lower()}" for g in Group)
-    lines = [
-        f"# tool\t{TOOL}\t{__version__}",
-        f"# config_hash\t{run_hash}",
-        f"participant_id\tgroup\t{prob_cols}",
-    ]
-    for point in result.loo_points:
-        probs = "\t".join(repr(float(v)) for v in point.probs)
-        lines.append(f"{point.participant_id}\t{point.group.name}\t{probs}")
-    with open(run_dir / "loo_points.tsv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
     _write_meta(
         run_dir,
         cfg,
-        "classify",
+        command,
         run_hash,
         {
             "n_train": result.n_train,
@@ -341,163 +384,100 @@ def cmd_classify(cfg):
     return 0
 
 
-def cmd_predict_state(cfg):
-    cohort = _require_input(cfg, "predict-state")
-    run_dir, run_hash = _prepare_run(cfg, "predict-state")
-    results = run_state_prediction(cohort, _task_config(cfg, STATE_TASK))
-    doc = _stamp(cfg, "predict-state", run_hash)
-    doc["results"] = [
-        {
+def cmd_predict(cfg, command):
+    """predict-state and predict-score: one reports.json with the MRSF and
+    naive reports side by side per group x instrument, plus the severity
+    report for scores."""
+    score = command == "predict-score"
+    cohort = _require_input(cfg, command)
+    run_dir, run_hash = _prepare_run(cfg, command)
+    if score:
+        results = run_score_prediction(cohort, _task_config(cfg, SCORE_TASK))
+    else:
+        results = run_state_prediction(cohort, _task_config(cfg, STATE_TASK))
+    doc = _stamp(command, run_hash)
+    doc["results"] = []
+    for r in results:
+        reports = {"mrsf": r.mrsf_report, "naive": r.naive_report}
+        if score:
+            reports["severity"] = r.severity_report
+            summary = f"mrsf mae {r.mrsf_report.mae:.3f}, naive mae {r.naive_report.mae:.3f}"
+        else:
+            summary = (f"mrsf {r.mrsf_report.accuracy_mean:.3f}, "
+                       f"naive {r.naive_report.accuracy_mean:.3f}")
+        doc["results"].append({
             "group": r.group.name,
             "instrument": r.instrument.name,
             "n_train": r.n_train,
             "n_test": r.n_test,
-            "mrsf": report_to_dict(r.mrsf_report),
-            "naive": report_to_dict(r.naive_report),
-        }
-        for r in results
-    ]
+            **{name: report_to_dict(rep) for name, rep in reports.items()},
+        })
+        print(f"{command} {r.group.name}/{r.instrument.name}: {summary}")
     _write_json(run_dir / "reports.json", doc)
-    _write_meta(
-        run_dir, cfg, "predict-state", run_hash, {"exclusions": list(cohort.exclusions)}
-    )
-    for r in results:
-        print(
-            f"predict-state {r.group.name}/{r.instrument.name}: "
-            f"mrsf {r.mrsf_report.accuracy_mean:.3f}, "
-            f"naive {r.naive_report.accuracy_mean:.3f}"
-        )
+    _write_meta(run_dir, cfg, command, run_hash, {"exclusions": list(cohort.exclusions)})
     print(f"wrote {run_dir / 'reports.json'}")
     return 0
 
 
-def cmd_predict_score(cfg):
-    cohort = _require_input(cfg, "predict-score")
-    run_dir, run_hash = _prepare_run(cfg, "predict-score")
-    results = run_score_prediction(cohort, _task_config(cfg, SCORE_TASK))
-    doc = _stamp(cfg, "predict-score", run_hash)
-    doc["results"] = [
-        {
-            "group": r.group.name,
-            "instrument": r.instrument.name,
-            "n_train": r.n_train,
-            "n_test": r.n_test,
-            "mrsf": report_to_dict(r.mrsf_report),
-            "naive": report_to_dict(r.naive_report),
-            "severity": report_to_dict(r.severity_report),
-        }
-        for r in results
-    ]
-    _write_json(run_dir / "reports.json", doc)
-    _write_meta(
-        run_dir, cfg, "predict-score", run_hash, {"exclusions": list(cohort.exclusions)}
-    )
-    for r in results:
-        print(
-            f"predict-score {r.group.name}/{r.instrument.name}: "
-            f"mrsf mae {r.mrsf_report.mae:.3f}, naive mae {r.naive_report.mae:.3f}"
-        )
-    print(f"wrote {run_dir / 'reports.json'}")
-    return 0
-
-
-def _emit_group_plot(run_dir, name, vectors, labels, vertex_labels, cfg, run_hash, meta):
-    points = [simplex_project(v) for v in vectors]
-    grid = kde2d(points, bandwidth=cfg.bandwidth, resolution=cfg.resolution)
-    return emit_plot(
-        grid,
-        points,
-        run_dir / name,
-        point_labels=labels,
-        vertex_labels=vertex_labels,
-        metadata={"tool": TOOL, "version": __version__, "config_hash": run_hash, **meta},
-    )
-
-
-def cmd_spectrum(cfg):
-    cohort = _require_input(cfg, "spectrum")
-    run_dir, run_hash = _prepare_run(cfg, "spectrum")
-    tcfg_groups = _task_config(cfg, STATE_TASK).group_list
-    written = []
-    rows = []
-    if cfg.spectrum_source == "classify":
+def cmd_spectrum(cfg, command):
+    cohort = _require_input(cfg, command)
+    run_dir, run_hash = _prepare_run(cfg, command)
+    tcfg = _task_config(cfg, STATE_TASK)
+    source = cfg.spectrum_source
+    # one plot per (group, instrument or None, points), in file order
+    plot_sets = []
+    vertex_labels = STATE_VERTEX_LABELS
+    if source == "classify":
         result = run_classification(cohort, _task_config(cfg, CLASSIFY_TASK))
         vertex_labels = tuple(g.name for g in Group)
-        for g in tcfg_groups:
-            pts = [p for p in result.loo_points if p.group == g]
-            rows += [(p.participant_id, g.name, "", p.probs) for p in pts]
-            written += _emit_group_plot(
-                run_dir,
-                f"spectrum_classify_{g.name}",
-                [p.probs for p in pts],
-                [g.name] * len(pts),
-                vertex_labels,
-                cfg,
-                run_hash,
-                {"source": "classify", "group": g.name},
-            )
-    elif cfg.spectrum_source == "state":
-        rollouts = run_state_rollout(cohort, _task_config(cfg, STATE_TASK))
-        for rollout in rollouts:
-            for g in tcfg_groups:
+        for g in tcfg.group_list:
+            plot_sets.append((g, None, [p for p in result.loo_points if p.group == g]))
+    elif source == "state":
+        for rollout in run_state_rollout(cohort, tcfg):
+            for g in tcfg.group_list:
                 pts = [p for p in rollout.points if p.group == g]
-                rows += [
-                    (p.participant_id, g.name, rollout.instrument.name, p.probs)
-                    for p in pts
-                ]
-                written += _emit_group_plot(
-                    run_dir,
-                    f"spectrum_state_{g.name}_{rollout.instrument.name}",
-                    [p.probs for p in pts],
-                    [g.name] * len(pts),
-                    STATE_VERTEX_LABELS,
-                    cfg,
-                    run_hash,
-                    {
-                        "source": "state",
-                        "group": g.name,
-                        "instrument": rollout.instrument.name,
-                    },
-                )
+                plot_sets.append((g, rollout.instrument, pts))
     else:
-        tcfg = _task_config(cfg, STATE_TASK)
         for instrument in tcfg.instruments:
-            for g in tcfg_groups:
-                recs = cohort.by_group(g)
-                vectors = [true_proportions(r, instrument) for r in recs]
-                rows += [
-                    (r.id, g.name, instrument.name, v) for r, v in zip(recs, vectors)
+            for g in tcfg.group_list:
+                pts = [
+                    ProbabilityPoint(r.id, g, true_proportions(r, instrument))
+                    for r in cohort.by_group(g)
                 ]
-                written += _emit_group_plot(
-                    run_dir,
-                    f"spectrum_true_{g.name}_{instrument.name}",
-                    vectors,
-                    [g.name] * len(vectors),
-                    STATE_VERTEX_LABELS,
-                    cfg,
-                    run_hash,
-                    {"source": "true", "group": g.name, "instrument": instrument.name},
-                )
-    lines = [
-        f"# tool\t{TOOL}\t{__version__}",
-        f"# config_hash\t{run_hash}",
-        f"# source\t{cfg.spectrum_source}",
-        "participant_id\tgroup\tinstrument\tp0\tp1\tp2",
-    ]
-    for pid, gname, iname, probs in rows:
-        vals = "\t".join(repr(float(v)) for v in probs)
-        lines.append(f"{pid}\t{gname}\t{iname}\t{vals}")
-    with open(run_dir / "points.tsv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+                plot_sets.append((g, instrument, pts))
+    written, rows = [], []
+    for g, instrument, pts in plot_sets:
+        meta = {"source": source, "group": g.name}
+        if instrument is not None:
+            meta["instrument"] = instrument.name
+        points = [simplex_project(p.probs) for p in pts]
+        grid = kde2d(points, bandwidth=cfg.bandwidth, resolution=cfg.resolution)
+        written += emit_plot(
+            grid,
+            points,
+            # spectrum_<source>_<group>[_<instrument>]
+            run_dir / "_".join(["spectrum", *meta.values()]),
+            point_labels=[g.name] * len(points),
+            vertex_labels=vertex_labels,
+            metadata={"tool": TOOL, "version": __version__, "config_hash": run_hash, **meta},
+        )
+        rows += [(p.participant_id, g.name, meta.get("instrument", ""), p.probs) for p in pts]
+    _write_points_tsv(
+        run_dir / "points.tsv",
+        run_hash,
+        [("source", source)],
+        ["participant_id", "group", "instrument", "p0", "p1", "p2"],
+        rows,
+    )
     written.append(str(run_dir / "points.tsv"))
     _write_meta(
         run_dir,
         cfg,
-        "spectrum",
+        command,
         run_hash,
-        {"source": cfg.spectrum_source, "files": sorted(Path(p).name for p in written)},
+        {"source": source, "files": sorted(Path(p).name for p in written)},
     )
-    print(f"spectrum ({cfg.spectrum_source}): wrote {len(written)} files -> {run_dir}")
+    print(f"spectrum ({source}): wrote {len(written)} files -> {run_dir}")
     return 0
 
 
@@ -570,7 +550,7 @@ def build_parser():
         help="probability vectors to plot",
     )
     sp.add_argument("--resolution", type=int)
-    sp.add_argument("--bandwidth", type=float)
+    sp.add_argument("--bandwidth", help="hx or hx,hy (default Scott's rule)")
 
     sp = sub.add_parser("sig", help="print the signature of a CSV of points")
     sp.add_argument("--points", required=True, help="CSV, one point per row")
@@ -581,8 +561,8 @@ def build_parser():
 COMMANDS = {
     "synth": cmd_synth,
     "classify": cmd_classify,
-    "predict-state": cmd_predict_state,
-    "predict-score": cmd_predict_score,
+    "predict-state": cmd_predict,
+    "predict-score": cmd_predict,
     "spectrum": cmd_spectrum,
 }
 
@@ -593,7 +573,7 @@ def main(argv=None):
     try:
         if args.command == "sig":
             return cmd_sig(args)
-        return COMMANDS[args.command](load_config(args))
+        return COMMANDS[args.command](load_config(args), args.command)
     except (ValueError, OSError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 1

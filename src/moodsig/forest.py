@@ -9,7 +9,6 @@ are immutable; each tree draws from its own generator seeded by
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,8 +16,6 @@ import numpy as np
 
 CLASSIFY = "classify"
 REGRESS = "regress"
-
-SERIAL_FORMAT = "moodsig.tree_ensemble/1"
 
 
 @dataclass(frozen=True)
@@ -259,57 +256,4 @@ def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
         config=config,
         seed=seed,
         trees=tuple(trees),
-    )
-
-
-def to_json(ensemble):
-    """Serialize to a versioned JSON string with stable key order."""
-    doc = {
-        "format": SERIAL_FORMAT,
-        "mode": ensemble.mode,
-        "feature_count": ensemble.feature_count,
-        "n_classes": ensemble.n_classes,
-        "seed": ensemble.seed,
-        "config": {
-            "n_trees": ensemble.config.n_trees,
-            "max_depth": ensemble.config.max_depth,
-            "min_leaf": ensemble.config.min_leaf,
-            "features_per_split": ensemble.config.features_per_split,
-        },
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in ensemble.trees
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def from_json(text):
-    """Load an ensemble serialized by to_json."""
-    doc = json.loads(text)
-    if doc.get("format") != SERIAL_FORMAT:
-        raise ValueError(f"unsupported ensemble format {doc.get('format')!r}")
-    trees = tuple(
-        _Tree(
-            feature=np.asarray(t["feature"], dtype=np.int32),
-            threshold=np.asarray(t["threshold"], dtype=np.float64),
-            left=np.asarray(t["left"], dtype=np.int32),
-            right=np.asarray(t["right"], dtype=np.int32),
-            value=np.asarray(t["value"], dtype=np.float64),
-        )
-        for t in doc["trees"]
-    )
-    return TreeEnsemble(
-        mode=doc["mode"],
-        feature_count=doc["feature_count"],
-        n_classes=doc["n_classes"],
-        config=ForestConfig(**doc["config"]),
-        seed=doc["seed"],
-        trees=trees,
     )

@@ -3,7 +3,6 @@ mean absolute error, and bootstrap resampling summaries."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,33 +184,3 @@ def report_to_dict(report):
         else [clean(float(a)) for a in report.auc],
         "mae": clean(report.mae),
     }
-
-
-def report_from_dict(doc):
-    if doc.get("format") != REPORT_FORMAT:
-        raise ValueError(f"unsupported report format {doc.get('format')!r}")
-
-    def unclean(v):
-        return float("nan") if v is None else v
-
-    return EvalReport(
-        accuracy_mean=unclean(doc["accuracy_mean"]),
-        accuracy_std=unclean(doc["accuracy_std"]),
-        bootstrap_samples=doc["bootstrap_samples"],
-        confusion=None if doc["confusion"] is None
-        else np.asarray(doc["confusion"], dtype=np.int64),
-        f1=None if doc["f1"] is None else np.asarray(doc["f1"], dtype=float),
-        roc=None if doc["roc"] is None
-        else tuple(np.asarray(c, dtype=float).reshape(-1, 2) for c in doc["roc"]),
-        auc=None if doc["auc"] is None
-        else np.array([unclean(a) for a in doc["auc"]], dtype=float),
-        mae=doc["mae"],
-    )
-
-
-def report_to_json(report):
-    return json.dumps(report_to_dict(report), sort_keys=True, separators=(",", ":"))
-
-
-def report_from_json(text):
-    return report_from_dict(json.loads(text))

@@ -282,47 +282,6 @@ def _plot_text(grid, points, point_labels, vertex_labels, metadata):
     return "\n".join(lines) + "\n"
 
 
-def read_plot_text(path):
-    """Parse a `<base>.txt` spectrum file back into plain arrays."""
-    out = {"thresholds": {}, "contours": [], "points": [], "meta": {}}
-    density_rows, inside_rows = {}, {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            tag = parts[0]
-            if tag == "format":
-                if parts[1] != TEXT_FORMAT:
-                    raise ValueError(f"unsupported spectrum format {parts[1]!r}")
-            elif tag == "meta":
-                out["meta"][parts[1]] = parts[2]
-            elif tag == "vertices":
-                out["vertices"] = tuple(parts[1:])
-            elif tag == "bandwidth":
-                out["bandwidth"] = (float(parts[1]), float(parts[2]))
-            elif tag in ("xs", "ys"):
-                out[tag] = np.array([float(v) for v in parts[2:]])
-            elif tag == "threshold":
-                out["thresholds"][float(parts[1])] = float(parts[2])
-            elif tag == "density":
-                density_rows[int(parts[1])] = [float(v) for v in parts[2:]]
-            elif tag == "inside":
-                inside_rows[int(parts[1])] = [bool(int(v)) for v in parts[2:]]
-            elif tag == "contour":
-                k = int(parts[2])
-                vals = [float(v) for v in parts[3 : 3 + 2 * k]]
-                out["contours"].append(
-                    (float(parts[1]), np.array(vals).reshape(k, 2))
-                )
-            elif tag == "point":
-                vals = [float(v) for v in parts[2:7]]
-                out["points"].append(
-                    (parts[1], np.array(vals[:3]), np.array(vals[3:5]))
-                )
-    out["density"] = np.array([density_rows[i] for i in sorted(density_rows)])
-    out["inside"] = np.array([inside_rows[i] for i in sorted(inside_rows)])
-    return out
-
-
 _SVG_W, _SVG_H, _MARGIN = 720, 660, 48
 
 

@@ -228,23 +228,17 @@ def run_classification(cohort, config):
     )
 
 
-def _sliding_instances(record, window_length):
-    return [
-        (record.weeks[s : s + window_length], record.weeks[s + window_length])
-        for s in range(record.n_weeks - window_length)
-    ]
-
-
 def _prediction_features(records, config):
-    """Per participant: MRSF matrix, naive matrix, and target observations
-    for every sliding (window, next week) instance."""
+    """The sliding-window feature table: per participant, the MRSF matrix,
+    the naive matrix and the next-week target observations, where row `s`
+    is the window starting at week index `s`."""
+    wl = config.window_length
     feats = []
     for rec in records:
-        inst = _sliding_instances(rec, config.window_length)
-        X_m = np.array([mrsf(w, config.signature_level) for w, _ in inst])
-        X_n = np.array([naive_features(w) for w, _ in inst])
-        targets = [t for _, t in inst]
-        feats.append((X_m, X_n, targets))
+        windows = [rec.weeks[s : s + wl] for s in range(rec.n_weeks - wl)]
+        X_m = np.array([mrsf(w, config.signature_level) for w in windows])
+        X_n = np.array([naive_features(w) for w in windows])
+        feats.append((X_m, X_n, rec.weeks[wl:]))
     return feats
 
 
@@ -258,47 +252,87 @@ def _group_records(cohort, config, min_weeks):
     return out
 
 
+def _paired_forests(cohort, config, seeds, targets, mode, n_classes=None):
+    """The skeleton of both prediction tasks, so that the feature map is the
+    only variable between the MRSF and the naive model.
+
+    Per group: the feature table and a participant split seeded by
+    `(seed, seeds[0], group)`, so no participant contributes windows to both
+    sides. Per instrument: `targets(observations, instrument)` gives one
+    participant's window targets and the mask of windows kept. Yields
+    `(group, instrument, y_train, y_test, fitted)`, where `fitted` yields
+    `(model, X_test)` for the MRSF and then the naive features, each forest
+    fit on the same rows with seed `(seed, seeds[1], group)`; consume it
+    before taking the next item."""
+    split_ns, fit_ns = seeds
+    by_group = _group_records(cohort, config, config.window_length + 1)
+    for g, recs in by_group.items():
+        feats = _prediction_features(recs, config)
+        split_rng = np.random.default_rng((config.seed, split_ns, g.index))
+        tr, te = _split_indices(len(recs), config.split_fraction, split_rng)
+        for instrument in config.instruments:
+            y, keep = zip(*(targets(obs, instrument) for _, _, obs in feats))
+            y_train = np.concatenate([y[i][keep[i]] for i in tr])
+            y_test = np.concatenate([y[i][keep[i]] for i in te])
+            if len(y_train) < 2 or len(y_test) < 1:
+                raise InsufficientDataError(
+                    f"group {g.name} lacks next-week {instrument.name} targets "
+                    "on one side of the split"
+                )
+
+            def stack(col, side):
+                return np.vstack([feats[i][col][keep[i]] for i in side])
+
+            # lazy, so each forest is fit when the caller takes it and is
+            # freed when the caller moves on
+            fitted = (
+                (fit(stack(col, tr), y_train, mode, config.forest,
+                     seed=(config.seed, fit_ns, g.index), n_classes=n_classes),
+                 stack(col, te))
+                for col in (0, 1)
+            )
+            yield g, instrument, y_train, y_test, fitted
+
+
+def _state_targets(observations, instrument):
+    labels = np.array([state_label(instrument.score_of(t), instrument) for t in observations])
+    return labels, np.ones(len(labels), dtype=bool)
+
+
+def _score_targets(observations, instrument):
+    # only windows whose next-week response is present are kept
+    scores = np.array([instrument.score_of(t) for t in observations], dtype=float)
+    return scores, np.array([not t.is_missing for t in observations])
+
+
 def run_state_prediction(cohort, config):
     """Per-group 3-class forests predicting the next week's state label from
     each sliding window; participants are split 70/30 so no participant
     contributes instances to both sides."""
     results = []
-    by_group = _group_records(cohort, config, config.window_length + 1)
-    for g, recs in by_group.items():
-        feats = _prediction_features(recs, config)
-        split_rng = np.random.default_rng((config.seed, 201, g.index))
-        tr, te = _split_indices(len(recs), config.split_fraction, split_rng)
-        for instrument in config.instruments:
-            labels = [
-                np.array([state_label(instrument.score_of(t), instrument) for t in targets])
-                for _, _, targets in feats
-            ]
-            y_train = np.concatenate([labels[i] for i in tr])
-            y_test = np.concatenate([labels[i] for i in te])
-            reports = []
-            for col in (0, 1):
-                X_train = np.vstack([feats[i][col] for i in tr])
-                X_test = np.vstack([feats[i][col] for i in te])
-                model = fit(X_train, y_train, CLASSIFY, config.forest,
-                            seed=(config.seed, 202, g.index), n_classes=3)
-                probs = model.predict_proba(X_test)
-                reports.append(
-                    evaluate_classification(
-                        y_test, probs.argmax(axis=1), probs=probs, n_classes=3,
-                        n_resamples=config.bootstrap_samples,
-                        seed=(config.seed, 203, g.index),
-                    )
-                )
-            results.append(
-                StatePredictionResult(
-                    group=g,
-                    instrument=instrument,
-                    mrsf_report=reports[0],
-                    naive_report=reports[1],
-                    n_train=len(y_train),
-                    n_test=len(y_test),
+    for g, instrument, y_train, y_test, fitted in _paired_forests(
+        cohort, config, (201, 202), _state_targets, CLASSIFY, n_classes=3
+    ):
+        reports = []
+        for model, X_test in fitted:
+            probs = model.predict_proba(X_test)
+            reports.append(
+                evaluate_classification(
+                    y_test, probs.argmax(axis=1), probs=probs, n_classes=3,
+                    n_resamples=config.bootstrap_samples,
+                    seed=(config.seed, 203, g.index),
                 )
             )
+        results.append(
+            StatePredictionResult(
+                group=g,
+                instrument=instrument,
+                mrsf_report=reports[0],
+                naive_report=reports[1],
+                n_train=len(y_train),
+                n_test=len(y_test),
+            )
+        )
     return tuple(results)
 
 
@@ -307,64 +341,43 @@ def run_score_prediction(cohort, config):
     where that response is present; predictions are clipped to the
     instrument range; the severity report buckets the MRSF predictions."""
     results = []
-    by_group = _group_records(cohort, config, config.window_length + 1)
-    for g, recs in by_group.items():
-        feats = _prediction_features(recs, config)
-        split_rng = np.random.default_rng((config.seed, 301, g.index))
-        tr, te = _split_indices(len(recs), config.split_fraction, split_rng)
-        for instrument in config.instruments:
-            masks = [
-                np.array([not t.is_missing for t in targets])
-                for _, _, targets in feats
-            ]
-            scores = [
-                np.array([instrument.score_of(t) for t in targets], dtype=float)
-                for _, _, targets in feats
-            ]
-            y_train = np.concatenate([scores[i][masks[i]] for i in tr])
-            y_test = np.concatenate([scores[i][masks[i]] for i in te])
-            if len(y_train) < 2 or len(y_test) < 1:
-                raise InsufficientDataError(
-                    f"group {g.name} lacks present next-week responses"
-                )
-            preds = []
-            reports = []
-            for col in (0, 1):
-                X_train = np.vstack([feats[i][col][masks[i]] for i in tr])
-                X_test = np.vstack([feats[i][col][masks[i]] for i in te])
-                model = fit(X_train, y_train, REGRESS, config.forest,
-                            seed=(config.seed, 302, g.index))
-                pred = np.clip(model.predict(X_test), 0, instrument.max_score)
-                preds.append(pred)
-                reports.append(
-                    evaluate_regression(
-                        y_test, pred, n_resamples=config.bootstrap_samples,
-                        seed=(config.seed, 303, g.index),
-                    )
-                )
-            bucket_true = np.array(
-                [severity_bucket(int(s), instrument) for s in y_test]
-            )
-            bucket_pred = np.array(
-                [severity_bucket(int(np.rint(p)), instrument) for p in preds[0]]
-            )
-            severity = evaluate_classification(
-                bucket_true, bucket_pred, probs=None, n_classes=5,
-                n_resamples=config.bootstrap_samples,
-                seed=(config.seed, 304, g.index),
-            )
-            severity = replace(severity, mae=mae(bucket_true, bucket_pred))
-            results.append(
-                ScorePredictionResult(
-                    group=g,
-                    instrument=instrument,
-                    mrsf_report=reports[0],
-                    naive_report=reports[1],
-                    severity_report=severity,
-                    n_train=len(y_train),
-                    n_test=len(y_test),
+    for g, instrument, y_train, y_test, fitted in _paired_forests(
+        cohort, config, (301, 302), _score_targets, REGRESS
+    ):
+        preds = []
+        reports = []
+        for model, X_test in fitted:
+            pred = np.clip(model.predict(X_test), 0, instrument.max_score)
+            preds.append(pred)
+            reports.append(
+                evaluate_regression(
+                    y_test, pred, n_resamples=config.bootstrap_samples,
+                    seed=(config.seed, 303, g.index),
                 )
             )
+        bucket_true = np.array(
+            [severity_bucket(int(s), instrument) for s in y_test]
+        )
+        bucket_pred = np.array(
+            [severity_bucket(int(np.rint(p)), instrument) for p in preds[0]]
+        )
+        severity = evaluate_classification(
+            bucket_true, bucket_pred, probs=None, n_classes=5,
+            n_resamples=config.bootstrap_samples,
+            seed=(config.seed, 304, g.index),
+        )
+        severity = replace(severity, mae=mae(bucket_true, bucket_pred))
+        results.append(
+            ScorePredictionResult(
+                group=g,
+                instrument=instrument,
+                mrsf_report=reports[0],
+                naive_report=reports[1],
+                severity_report=severity,
+                n_train=len(y_train),
+                n_test=len(y_test),
+            )
+        )
     return tuple(results)
 
 
@@ -373,59 +386,45 @@ def rollout_eligible(record, window_length=10, horizon=5):
     return record.n_weeks - window_length > horizon
 
 
-def rollout_states(record, model, instrument, signature_level=2,
-                   window_length=10, horizon=5):
-    """Predict the last `horizon` next-week states from their sliding
-    windows and return the frequency vector over the three state labels."""
-    if not rollout_eligible(record, window_length, horizon):
-        raise InsufficientDataError(
-            f"participant {record.id} has {record.n_weeks} weeks; "
-            f"needs > {horizon} windows of {window_length}"
-        )
-    feats = []
-    for t in range(record.n_weeks - horizon, record.n_weeks):
-        window = record.weeks[t - window_length : t]
-        feats.append(mrsf(window, signature_level))
-    labels = model.predict(np.array(feats))
-    counts = np.bincount(labels.astype(int), minlength=3)
-    return counts / horizon
-
-
 def run_state_rollout(cohort, config, horizon=5):
     """For each eligible participant, train a per-participant model on one
     random (window, next week) instance from every other same-group
-    participant, then predict the participant's last `horizon` states."""
+    participant, then predict the participant's last `horizon` states and
+    return their frequencies over the three state labels."""
     wl = config.window_length
+    # built once per group and shared by both instruments
+    tables = {g: _prediction_features(cohort.by_group(g), config)
+              for g in config.group_list}
     results = []
     for instrument in config.instruments:
         points, skipped = [], []
-        for g in config.group_list:
+        for g, feats in tables.items():
             recs = cohort.by_group(g)
-            donors = [r for r in recs if r.n_weeks >= wl + 1]
             for i, rec in enumerate(recs):
                 if not rollout_eligible(rec, wl, horizon):
                     skipped.append(
                         (rec.id, f"needs > {horizon} windows of {wl} weeks")
                     )
                     continue
-                rest = [r for r in donors if r.id != rec.id]
+                rest = [
+                    k for k, r in enumerate(recs) if r.n_weeks >= wl + 1 and r.id != rec.id
+                ]
                 if not rest:
                     skipped.append((rec.id, "no other eligible participants in group"))
                     continue
                 X, y = [], []
-                for j, donor in enumerate(rest):
+                for j, k in enumerate(rest):
                     rng = np.random.default_rng((config.seed, 401, g.index, i, j))
-                    start = int(rng.integers(0, donor.n_weeks - wl))
-                    window = donor.weeks[start : start + wl]
-                    target = donor.weeks[start + wl]
-                    X.append(mrsf(window, config.signature_level))
-                    y.append(state_label(instrument.score_of(target), instrument))
+                    X_m, _, targets = feats[k]
+                    start = int(rng.integers(0, len(targets)))
+                    X.append(X_m[start])
+                    y.append(state_label(instrument.score_of(targets[start]), instrument))
                 model = fit(
                     np.array(X), np.array(y, dtype=int), CLASSIFY, config.forest,
                     seed=(config.seed, 402, g.index, i), n_classes=3,
                 )
-                probs = rollout_states(rec, model, instrument,
-                                       config.signature_level, wl, horizon)
+                labels = model.predict(feats[i][0][-horizon:])
+                probs = np.bincount(labels.astype(int), minlength=3) / horizon
                 points.append(ProbabilityPoint(rec.id, g, probs))
         results.append(
             RolloutResult(instrument=instrument, points=tuple(points),

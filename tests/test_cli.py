@@ -4,6 +4,7 @@ import json
 import logging
 
 import pytest
+from oracles import read_plot_text
 
 from moodsig.cli import (
     RunConfig,
@@ -16,7 +17,6 @@ from moodsig.cli import (
 )
 from moodsig.encode import MISSING, Group
 from moodsig.errors import CohortValidationError, CsvParseError
-from moodsig.spectrum import read_plot_text
 from moodsig.synth import CohortSpec, generate_cohort
 
 HEADER = "participant_id,group,week,asrm,qids"
@@ -145,13 +145,52 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(args)
 
 
+def test_bom_prefixed_csv_round_trips(tmp_path):
+    cohort = generate_cohort(CohortSpec(sizes=(3, 3, 3), weeks=24, seed=12))
+    path = tmp_path / "cohort.csv"
+    write_cohort(cohort, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert ingest(path) == cohort
+
+
 def test_run_config_validation():
-    with pytest.raises(ValueError, match="instrument"):
-        RunConfig(instrument="WRONG")
-    with pytest.raises(ValueError, match="unknown groups"):
-        RunConfig(groups=("BD", "ZZ"))
-    with pytest.raises(ValueError, match="spectrum_source"):
-        RunConfig(spectrum_source="other")
+    cases = [
+        ({"instrument": "WRONG"}, "instrument"),
+        ({"groups": ("BD", "ZZ")}, "unknown groups"),
+        ({"spectrum_source": "other"}, "spectrum_source"),
+        ({"n_trees": 2.5}, "n_trees"),
+        ({"seed": "3"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"window_length": 10.0}, "window_length"),
+        ({"groups": ["BD"]}, "groups"),
+        ({"synth_sizes": (4, "4", 4)}, "synth_sizes"),
+        ({"bandwidth": (0.1, 0.2, 0.3)}, "bandwidth"),
+        ({"input": 5}, "input"),
+    ]
+    for kwargs, match in cases:
+        with pytest.raises(ValueError, match=match):
+            RunConfig(**kwargs)
+
+
+def test_run_config_numbers_hash_like_flags(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"split_fraction": 1, "bandwidth": [1, 0.5]}))
+    from_file = load_config(build_parser().parse_args(["spectrum", "-c", str(cfg_path)]))
+    from_flags = load_config(build_parser().parse_args(
+        ["spectrum", "--split-fraction", "1", "--bandwidth", "1,0.5"]))
+    assert from_file == from_flags
+    assert from_file.bandwidth == (1.0, 0.5)
+    assert config_hash(from_file) == config_hash(from_flags)
+    single = load_config(build_parser().parse_args(["spectrum", "--bandwidth", "0.05"]))
+    assert single.bandwidth == 0.05
+
+
+def test_config_type_error_is_a_clean_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"n_trees": 2.5}))
+    assert main(["synth", "-c", str(cfg_path), "-o", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("moodsig: error:") and "n_trees" in err
 
 
 def _synth_csv(tmp_path, seed=7):
@@ -260,6 +299,21 @@ def test_spectrum_true_source_writes_stamped_plots(tmp_path):
         assert row[1] in {"BD", "HC", "BPD"}
         assert row[2] in {"ASRM", "QIDS"}
         assert sum(float(v) for v in row[3:]) == pytest.approx(1.0)
+
+
+def test_spectrum_accepts_bandwidth_pair(tmp_path):
+    csv_path = _synth_csv(tmp_path)
+    out = tmp_path / "runs"
+    rc = main(
+        ["spectrum", "--input", str(csv_path), "--source", "true",
+         "--resolution", "32", "--bandwidth", "0.05,0.08", "-o", str(out)]
+    )
+    assert rc == 0
+    (run_dir,) = out.glob("spectrum-*")
+    parsed = read_plot_text(run_dir / "spectrum_true_HC_QIDS.txt")
+    assert parsed["bandwidth"] == (0.05, 0.08)
+    meta = json.loads((run_dir / "meta.json").read_text())
+    assert meta["config"]["bandwidth"] == [0.05, 0.08]
 
 
 def test_sig_command_prints_signature(tmp_path, capsys):

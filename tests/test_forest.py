@@ -11,8 +11,6 @@ from moodsig.forest import (
     TreeEnsemble,
     _Tree,
     fit,
-    from_json,
-    to_json,
 )
 
 
@@ -24,6 +22,13 @@ def _leaf_tree(value):
         right=np.array([-1], dtype=np.int32),
         value=np.array([value], dtype=np.float64),
     )
+
+
+def _tree_arrays(model):
+    return [
+        [getattr(t, name).tolist() for name in ("feature", "threshold", "left", "right", "value")]
+        for t in model.trees
+    ]
 
 
 def _toy_clusters(rng, n_per, centers, spread=0.6):
@@ -52,7 +57,7 @@ class TestFit:
         X, y = _toy_clusters(rng, 15, [(0, 0), (2, 2), (0, 3)])
         a = fit(X, y, CLASSIFY, ForestConfig(n_trees=12), seed=9)
         b = fit(X, y, CLASSIFY, ForestConfig(n_trees=12), seed=9)
-        assert to_json(a) == to_json(b)
+        assert _tree_arrays(a) == _tree_arrays(b)
         probe = rng.normal(size=(20, 2))
         np.testing.assert_array_equal(a.predict_proba(probe), b.predict_proba(probe))
 
@@ -61,7 +66,7 @@ class TestFit:
         X, y = _toy_clusters(rng, 20, [(0, 0), (1.5, 1.5)])
         a = fit(X, y, CLASSIFY, ForestConfig(n_trees=10), seed=0)
         b = fit(X, y, CLASSIFY, ForestConfig(n_trees=10), seed=1)
-        assert to_json(a) != to_json(b)
+        assert _tree_arrays(a) != _tree_arrays(b)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -172,30 +177,6 @@ class TestInvariants:
         ref = reference_predict(X, y, "regress", probe, n_trees=10, seed=23)
         agree = (np.abs(ours - ref) < 1e-9).mean()
         assert agree >= 0.9
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(19)
-        X, y = _toy_clusters(rng, 15, [(0, 0), (2, 2)])
-        model = fit(X, y, CLASSIFY, ForestConfig(n_trees=8, max_depth=4), seed=31)
-        clone = from_json(to_json(model))
-        assert clone.config == model.config
-        probe = rng.normal(size=(25, 2))
-        np.testing.assert_array_equal(model.predict_proba(probe), clone.predict_proba(probe))
-        assert to_json(clone) == to_json(model)
-
-    def test_regressor_round_trip(self):
-        rng = np.random.default_rng(20)
-        X = rng.normal(size=(30, 2))
-        y = X[:, 0] * 2.0
-        model = fit(X, y, REGRESS, ForestConfig(n_trees=5), seed=1)
-        clone = from_json(to_json(model))
-        np.testing.assert_array_equal(model.predict(X), clone.predict(X))
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            from_json('{"format": "moodsig.tree_ensemble/999", "trees": []}')
 
 
 @settings(max_examples=15, deadline=None)

@@ -12,8 +12,7 @@ from moodsig.metrics import (
     evaluate_regression,
     f1_per_class,
     mae,
-    report_from_json,
-    report_to_json,
+    report_to_dict,
     roc_ovr,
 )
 
@@ -211,17 +210,17 @@ class TestReports:
         assert np.isnan(rep.accuracy_mean)
         assert rep.mae >= 0.0
 
-    def test_json_round_trip(self):
-        rep = self._classification_report()
-        clone = report_from_json(report_to_json(rep))
-        assert report_to_json(clone) == report_to_json(rep)
-        np.testing.assert_array_equal(clone.confusion, rep.confusion)
-        np.testing.assert_array_equal(clone.f1, rep.f1)
-        for a, b in zip(clone.roc, rep.roc):
-            np.testing.assert_array_equal(a, b)
-
-    def test_regression_json_round_trip(self):
+    def test_report_dict_writes_nan_as_null(self):
         rep = evaluate_regression([1.0, 2.0], [1.5, 2.5], n_resamples=2, seed=1)
-        clone = report_from_json(report_to_json(rep))
-        assert np.isnan(clone.accuracy_mean)
-        assert clone.mae == rep.mae
+        doc = report_to_dict(rep)
+        assert doc["accuracy_mean"] is None and doc["accuracy_std"] is None
+        assert doc["mae"] == rep.mae
+        assert doc["confusion"] is None and doc["roc"] is None
+
+    def test_report_dict_holds_classification_arrays(self):
+        rep = self._classification_report()
+        doc = report_to_dict(rep)
+        assert doc["confusion"] == rep.confusion.tolist()
+        assert doc["f1"] == rep.f1.tolist()
+        assert doc["roc"] == [c.tolist() for c in rep.roc]
+        assert doc["mae"] is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import read_plot_text
 
 from moodsig.encode import MISSING, Group, ParticipantRecord, WeeklyObservation
 from moodsig.errors import InsufficientDataError
@@ -13,7 +14,6 @@ from moodsig.spectrum import (
     contour_mass_fraction,
     emit_plot,
     kde2d,
-    read_plot_text,
     simplex_project,
     true_proportions,
 )

@@ -4,7 +4,7 @@ import pytest
 from moodsig.encode import MISSING, Cohort, Group, ParticipantRecord, WeeklyObservation
 from moodsig.errors import InsufficientDataError
 from moodsig.forest import ForestConfig
-from moodsig.metrics import report_to_json
+from moodsig.metrics import report_to_dict
 from moodsig.synth import CohortSpec, GroupParams, generate_cohort
 from moodsig.tasks import (
     Instrument,
@@ -122,8 +122,8 @@ class TestClassification:
         cfg = TaskConfig(task="classify", seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
         a = run_classification(small_cohort, cfg)
         b = run_classification(small_cohort, cfg)
-        assert report_to_json(a.mrsf_report) == report_to_json(b.mrsf_report)
-        assert report_to_json(a.naive_report) == report_to_json(b.naive_report)
+        assert report_to_dict(a.mrsf_report) == report_to_dict(b.mrsf_report)
+        assert report_to_dict(a.naive_report) == report_to_dict(b.naive_report)
         for pa, pb in zip(a.loo_points, b.loo_points):
             np.testing.assert_array_equal(pa.probs, pb.probs)
 
@@ -203,8 +203,8 @@ class TestScorePrediction:
                          groups=(Group.HC,))
         a = run_score_prediction(small_cohort, cfg)
         b = run_score_prediction(small_cohort, cfg)
-        assert report_to_json(a[0].mrsf_report) == report_to_json(b[0].mrsf_report)
-        assert report_to_json(a[0].severity_report) == report_to_json(b[0].severity_report)
+        assert report_to_dict(a[0].mrsf_report) == report_to_dict(b[0].mrsf_report)
+        assert report_to_dict(a[0].severity_report) == report_to_dict(b[0].severity_report)
 
 
 class TestRollout:
