@@ -162,7 +162,8 @@ def _is_number(value):
     return _is_int(value) or isinstance(value, float)
 
 
-# what each annotated RunConfig type accepts; an int is accepted as a float
+# what each RunConfig annotation (a string, under `from __future__ import
+# annotations`) accepts; an int is accepted as a float
 _TYPE_CHECKS = {
     "None": lambda v: v is None,
     "str": lambda v: isinstance(v, str),

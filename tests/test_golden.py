@@ -6,6 +6,11 @@ run with a recorded one, so an unintended output change between two
 versions of the code fails here. The commands run inside a temporary
 directory with relative paths, because the config hash covers `input`.
 
+The digests were recorded with CPython 3.11 and numpy 2.4.6 on x86-64.
+Another numpy build or CPU may round the last digit of a float differently
+(vectorised `exp` in the KDE, summation order in the signatures), which
+changes a digest without a change in the code.
+
 After a deliberate output change, re-record with
 `PYTHONPATH=src python tests/test_golden.py` and say why in CHANGES.md.
 """
