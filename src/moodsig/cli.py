@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -33,7 +34,7 @@ from .encode import (
 from .errors import CohortValidationError, CsvParseError
 from .forest import ForestConfig
 from .metrics import report_to_dict
-from .sigcore import stream_signature
+from .sigcore import MAX_LEVEL, stream_signature
 from .spectrum import emit_plot, kde2d, simplex_project, true_proportions
 from .synth import CohortSpec, generate_cohort
 from .tasks import (
@@ -52,6 +53,9 @@ from .tasks import (
 TOOL = "moodsig"
 CSV_HEADER = ["participant_id", "group", "week", "asrm", "qids"]
 MIN_WEEKS = 20
+# a week number above this is rejected: ingest materialises every week of
+# a participant's span, so this cap bounds its memory
+MAX_WEEK = 10_000
 STATE_VERTEX_LABELS = ("NoAnswer", "Normal", "Elevated")
 
 log = logging.getLogger(TOOL)
@@ -82,8 +86,17 @@ def ingest(path):
     whose span is shorter than 20 weeks."""
     weeks_of = {}
     group_of = {}
-    # utf-8-sig drops the byte-order mark that spreadsheet exports add
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(
+            data.count(b"\n", 0, exc.start) + 1,
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}",
+        ) from None
+    # drop the byte-order mark that spreadsheet exports add
+    with io.StringIO(text.removeprefix("\ufeff"), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -112,6 +125,8 @@ def ingest(path):
             week = _parse_int(wtxt, "week", path, lineno)
             if week < 0:
                 raise CsvParseError(lineno, f"{path}: negative week {week}")
+            if week > MAX_WEEK:
+                raise CsvParseError(lineno, f"{path}: week {week} above {MAX_WEEK}")
             asrm = _parse_int(atxt, "asrm", path, lineno)
             qids = _parse_int(qtxt, "qids", path, lineno)
             _check_score(asrm, ASRM_MAX, "asrm", path, lineno)
@@ -221,6 +236,16 @@ class RunConfig:
             raise ValueError(f"unknown spectrum_source {self.spectrum_source!r}")
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
+        if not 1 <= self.signature_level <= MAX_LEVEL:
+            raise ValueError(
+                f"signature_level must be 1..{MAX_LEVEL}, got {self.signature_level}"
+            )
+        if self.bandwidth is not None:
+            pair = self.bandwidth if isinstance(self.bandwidth, tuple) else (self.bandwidth,)
+            if not all(0 < h < float("inf") for h in pair):
+                raise ValueError(
+                    f"bandwidth must be positive and finite, got {self.bandwidth!r}"
+                )
 
 
 def config_hash(cfg):
@@ -352,9 +377,10 @@ def cmd_synth(cfg, command):
 
 
 def cmd_classify(cfg, command):
+    tcfg = _task_config(cfg, CLASSIFY_TASK)
     cohort = _require_input(cfg, command)
     run_dir, run_hash = _prepare_run(cfg, command)
-    result = run_classification(cohort, _task_config(cfg, CLASSIFY_TASK))
+    result = run_classification(cohort, tcfg)
     for model, report in (("mrsf", result.mrsf_report), ("naive", result.naive_report)):
         doc = _stamp(command, run_hash)
         doc["report"] = report_to_dict(report)
@@ -390,12 +416,10 @@ def cmd_predict(cfg, command):
     naive reports side by side per group x instrument, plus the severity
     report for scores."""
     score = command == "predict-score"
+    tcfg = _task_config(cfg, SCORE_TASK if score else STATE_TASK)
     cohort = _require_input(cfg, command)
     run_dir, run_hash = _prepare_run(cfg, command)
-    if score:
-        results = run_score_prediction(cohort, _task_config(cfg, SCORE_TASK))
-    else:
-        results = run_state_prediction(cohort, _task_config(cfg, STATE_TASK))
+    results = (run_score_prediction if score else run_state_prediction)(cohort, tcfg)
     doc = _stamp(command, run_hash)
     doc["results"] = []
     for r in results:
@@ -421,9 +445,9 @@ def cmd_predict(cfg, command):
 
 
 def cmd_spectrum(cfg, command):
+    tcfg = _task_config(cfg, STATE_TASK)
     cohort = _require_input(cfg, command)
     run_dir, run_hash = _prepare_run(cfg, command)
-    tcfg = _task_config(cfg, STATE_TASK)
     source = cfg.spectrum_source
     # one plot per (group, instrument or None, points), in file order
     plot_sets = []
@@ -483,6 +507,8 @@ def cmd_spectrum(cfg, command):
 
 
 def cmd_sig(args):
+    if not 1 <= args.level <= MAX_LEVEL:
+        raise ValueError(f"--level must be 1..{MAX_LEVEL}, got {args.level}")
     points = np.loadtxt(args.points, delimiter=",", ndmin=2)
     signature = stream_signature(points, args.level)
     d = signature.dimension

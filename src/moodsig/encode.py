@@ -71,6 +71,25 @@ class Cohort:
         return tuple(r for r in self.records if r.group == group)
 
 
+def _scores(weeks: Sequence[WeeklyObservation]) -> np.ndarray:
+    return np.array([[obs.asrm, obs.qids] for obs in weeks], dtype=float).reshape(-1, 2)
+
+
+def _fill(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # feed_forward_fill over raw scores of shape (..., n, 2)
+    n = raw.shape[-2]
+    valid = raw != MISSING
+    week = np.arange(n)[:, None]
+    # the latest valid week at or before t, or -1 in a leading gap
+    source = np.maximum.accumulate(np.where(valid, week, -1), axis=-2)
+    first_valid = np.argmax(valid, axis=-2)[..., None, :]
+    source = np.where(source < 0, first_valid, source)
+    filled = np.take_along_axis(raw, source, axis=-2)
+    filled = np.where(valid.any(axis=-2, keepdims=True), filled, 0.0)
+    missing_count = np.cumsum((~valid).any(axis=-1), axis=-1)
+    return filled, missing_count
+
+
 def feed_forward_fill(
     window: Sequence[WeeklyObservation],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -82,28 +101,9 @@ def feed_forward_fill(
     observation (zero increments, so signature-neutral); an entirely missing
     window is filled with 0.
     """
-    n = len(window)
-    if n < 1:
+    if len(window) < 1:
         raise InsufficientDataError("window must contain at least one week")
-    raw = np.array([[obs.asrm, obs.qids] for obs in window], dtype=float)
-    missing_week = np.array([obs.is_missing for obs in window])
-    filled = raw.copy()
-    for col in range(2):
-        last = None
-        for t in range(n):
-            if filled[t, col] == MISSING:
-                if last is not None:
-                    filled[t, col] = last
-            else:
-                last = filled[t, col]
-        if last is None:
-            filled[:, col] = 0.0
-        else:
-            # back-fill the leading gap from the first valid value
-            first_valid = int(np.argmax(raw[:, col] != MISSING))
-            filled[:first_valid, col] = filled[first_valid, col]
-    missing_count = np.cumsum(missing_week).astype(int)
-    return filled, missing_count
+    return _fill(_scores(window))
 
 
 def normalize_and_cumulate(
@@ -115,34 +115,57 @@ def normalize_and_cumulate(
     and the cumulative miss count by the window length, then summed over time
     with a zero basepoint row prepended.  Row t is the running sum of scaled
     rows 1..t, so level-1 signature terms equal the total scaled mass.
+    Leading batch axes carry through: ``(..., n, 2)`` scores and ``(..., n)``
+    counts give ``(..., n+1, 3)`` paths.
     """
     filled = np.asarray(filled, dtype=float)
     missing_count = np.asarray(missing_count, dtype=float)
-    n = filled.shape[0]
-    if n == 0 or window_length < 1:
+    if filled.ndim < 2 or filled.shape[-1] != 2 or missing_count.shape != filled.shape[:-1]:
+        raise ValueError("filled must be (..., n, 2) and missing_count (..., n)")
+    if filled.shape[-2] == 0 or window_length < 1:
         raise InsufficientDataError("cannot encode an empty window")
-    if filled.shape != (n, 2) or missing_count.shape != (n,):
-        raise ValueError("filled must be (n, 2) and missing_count (n,)")
-    scaled = np.column_stack(
-        [filled[:, 0] / ASRM_MAX, filled[:, 1] / QIDS_MAX, missing_count / window_length]
+    scaled = np.stack(
+        [filled[..., 0] / ASRM_MAX, filled[..., 1] / QIDS_MAX,
+         missing_count / window_length],
+        axis=-1,
     )
-    path = np.zeros((n + 1, 3))
-    path[1:] = np.cumsum(scaled, axis=0)
+    path = np.zeros(scaled.shape[:-2] + (scaled.shape[-2] + 1, 3))
+    path[..., 1:, :] = np.cumsum(scaled, axis=-2)
     return path
 
 
-def mrsf(window: Sequence[WeeklyObservation], level: int = 2) -> np.ndarray:
+def mrsf(
+    window: Sequence[WeeklyObservation],
+    level: int = 2,
+    window_length: int | None = None,
+) -> np.ndarray:
     """Missing-response-incorporated signature features of one window.
 
     The flattened truncated signature of the filled, normalized, cumulated
     3-channel path, with the constant level-0 term dropped; length is
     sum(3**k for k = 1..level), i.e. 12 at level 2.
+
+    Sliding form: with ``window_length`` set, ``window`` is a run of weeks
+    and the result has one row per window of ``window_length`` consecutive
+    weeks, where row s equals ``mrsf(window[s:s + window_length], level)``
+    exactly.  Every window is encoded at once and all their signatures come
+    from one stacked ``stream_signature`` call; fewer weeks than
+    ``window_length`` give a (0, length) table.
     """
-    if len(window) < 2:
+    raw = _scores(window)
+    wl = len(raw) if window_length is None else window_length
+    if wl < 2:
         raise InsufficientDataError("need at least 2 weeks for signature features")
-    filled, missing_count = feed_forward_fill(window)
-    path = normalize_and_cumulate(filled, missing_count, len(window))
-    return stream_signature(path, level).flatten()
+    if window_length is None:
+        windows = raw[None]
+    elif len(raw) < wl:
+        windows = np.empty((0, wl, 2))
+    else:
+        # (n_windows, 2, wl) view -> (n_windows, wl, 2)
+        windows = np.lib.stride_tricks.sliding_window_view(raw, wl, axis=0).swapaxes(-1, -2)
+    path = normalize_and_cumulate(*_fill(windows), wl)
+    features = stream_signature(path, level).flatten()
+    return features[0] if window_length is None else features
 
 
 def naive_features(window: Sequence[WeeklyObservation]) -> np.ndarray:

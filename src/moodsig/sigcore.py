@@ -9,6 +9,13 @@ For a straight-line segment the signature is the tensor exponential of the
 increment, and signatures multiply over path concatenation via the graded
 (truncated) tensor product.  Signatures of point streams are computed as the
 left-to-right product of per-segment exponentials.
+
+Every operation broadcasts over leading batch axes: level k of a signature
+has shape ``batch + (d**k,)``, so a ``(B, n, d)`` stack of point streams
+gives B signatures in one fold over its n - 1 segments.  Batch shape ``()``
+is a single signature.  The arithmetic per signature does not depend on the
+batch: each coefficient is the same products summed in the same order, so a
+stacked result equals the one-path results bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +26,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError
+
+
+MAX_LEVEL = 5
+"""Highest truncation level the command line accepts (`signature_level`,
+`sig --level`).  Level p of a d-channel path holds d**p coefficients per
+signature; a sliding-window table of 3-channel MRSF rows holds
+sum(3**k for k = 1..p) per window, 363 at level 5."""
 
 
 def sig_length(dimension: int, level: int) -> int:
@@ -40,8 +54,9 @@ def flat_index(word: Sequence[int], dimension: int) -> int:
 class TruncatedSignature:
     """Graded coefficient container for signature levels 0..level in dimension d.
 
-    ``levels[k]`` is a float array of length ``dimension**k``; ``levels[0]``
-    is the scalar 1.  Instances are treated as immutable values.
+    ``levels[k]`` is a float array of shape ``batch + (dimension**k,)``, the
+    same leading batch shape on every level; ``levels[0]`` holds the scalar
+    1.  Instances are treated as immutable values.
     """
 
     dimension: int
@@ -53,27 +68,48 @@ class TruncatedSignature:
             raise ValueError("dimension and level must be positive")
         if len(self.levels) != self.level + 1:
             raise ValueError("expected one array per level 0..p")
+        batch = self.batch_shape
         for k, arr in enumerate(self.levels):
-            if arr.shape != (self.dimension**k,):
-                raise ValueError(f"level {k} must have {self.dimension ** k} coefficients")
+            if arr.shape != batch + (self.dimension**k,):
+                raise ValueError(
+                    f"level {k} must have shape {batch} + ({self.dimension ** k},), "
+                    f"got {arr.shape}"
+                )
 
-    def coefficient(self, word: Sequence[int]) -> float:
-        """Coefficient of the given word; the empty word yields the scalar 1."""
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.levels[0].shape[:-1]
+
+    def coefficient(self, word: Sequence[int]):
+        """Coefficient of the given word; the empty word yields the scalar 1.
+
+        A float for one signature, an array of the batch shape for a stack.
+        """
         k = len(word)
         if k > self.level:
             raise ValueError(f"word longer than truncation level {self.level}")
-        return float(self.levels[k][flat_index(word, self.dimension)])
+        value = self.levels[k][..., flat_index(word, self.dimension)]
+        return float(value) if value.ndim == 0 else value
 
     def flatten(self, include_scalar: bool = False) -> np.ndarray:
-        """Concatenate levels into one vector, by default dropping the constant 1."""
+        """Concatenate levels along the last axis, by default dropping the constant 1."""
         start = 0 if include_scalar else 1
-        return np.concatenate([self.levels[k] for k in range(start, self.level + 1)])
+        return np.concatenate([self.levels[k] for k in range(start, self.level + 1)], axis=-1)
 
 
-def identity_signature(dimension: int, level: int) -> TruncatedSignature:
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron of the last axes, batched: entry i * len(b) + j is a[i] * b[j]
+    shape = a.shape[:-1] + (a.shape[-1] * b.shape[-1],)
+    return (a[..., :, None] * b[..., None, :]).reshape(shape)
+
+
+def identity_signature(
+    dimension: int, level: int, batch: tuple[int, ...] = ()
+) -> TruncatedSignature:
     """Signature of a constant path: 1 at level 0, zeros above."""
     levels = tuple(
-        np.ones(1) if k == 0 else np.zeros(dimension**k) for k in range(level + 1)
+        np.ones(batch + (1,)) if k == 0 else np.zeros(batch + (dimension**k,))
+        for k in range(level + 1)
     )
     return TruncatedSignature(dimension, level, levels)
 
@@ -83,18 +119,19 @@ def segment_signature(increment: Iterable[float], level: int) -> TruncatedSignat
 
     Level k equals the k-fold tensor power of the increment divided by k!,
     i.e. the coefficient of (i1, ..., ik) is inc[i1] * ... * inc[ik] / k!.
+    An increment of shape ``batch + (d,)`` gives a stack of signatures.
     """
     inc = np.asarray(increment, dtype=float)
-    if inc.ndim != 1 or inc.size < 1:
-        raise ValueError("increment must be a 1-D vector")
+    if inc.ndim < 1 or inc.shape[-1] < 1:
+        raise ValueError("increment must have a non-empty last axis")
     if not np.all(np.isfinite(inc)):
         raise ValueError("increment must be finite")
     if level < 1:
         raise ValueError("level must be >= 1")
-    levels = [np.ones(1)]
+    levels = [np.ones(inc.shape[:-1] + (1,))]
     for k in range(1, level + 1):
-        levels.append(np.kron(levels[-1], inc) / k)
-    return TruncatedSignature(inc.size, level, tuple(levels))
+        levels.append(_outer(levels[-1], inc) / k)
+    return TruncatedSignature(inc.shape[-1], level, tuple(levels))
 
 
 def chen_product(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
@@ -103,14 +140,17 @@ def chen_product(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSigna
     The coefficient of word w in the product is the sum over splittings
     w = uv of a's coefficient of u times b's coefficient of v.  This is the
     multiplication under which signatures compose over path concatenation.
+    Stacks multiply entry by entry and must share their batch shape.
     """
     if a.dimension != b.dimension or a.level != b.level:
         raise ValueError("operands must share dimension and level")
+    if a.batch_shape != b.batch_shape:
+        raise ValueError(f"batch shapes differ: {a.batch_shape} and {b.batch_shape}")
     levels = []
     for n in range(a.level + 1):
-        total = np.zeros(a.dimension**n)
+        total = np.zeros(a.batch_shape + (a.dimension**n,))
         for i in range(n + 1):
-            total += np.kron(a.levels[i], b.levels[n - i])
+            total += _outer(a.levels[i], b.levels[n - i])
         levels.append(total)
     return TruncatedSignature(a.dimension, a.level, tuple(levels))
 
@@ -120,15 +160,18 @@ def stream_signature(points: Iterable[Iterable[float]], level: int) -> Truncated
 
     Computed as the left-to-right Chen product of the segment exponentials of
     consecutive increments.  Level 1 therefore equals last point - first point.
+    Points of shape ``batch + (n, d)`` give the batch of n-point streams'
+    signatures, one Chen product per segment for the whole stack.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be an (n, d) array")
-    if pts.shape[0] < 2:
+    if pts.ndim < 2:
+        raise ValueError("points must be an (n, d) array, or a stack of them")
+    if pts.shape[-2] < 2:
         raise InsufficientDataError("need at least 2 points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    sig = identity_signature(pts.shape[1], level)
-    for inc in np.diff(pts, axis=0):
-        sig = chen_product(sig, segment_signature(inc, level))
+    sig = identity_signature(pts.shape[-1], level, pts.shape[:-2])
+    increments = np.diff(pts, axis=-2)
+    for t in range(increments.shape[-2]):
+        sig = chen_product(sig, segment_signature(increments[..., t, :], level))
     return sig

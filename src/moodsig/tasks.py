@@ -231,13 +231,16 @@ def run_classification(cohort, config):
 def _prediction_features(records, config):
     """The sliding-window feature table: per participant, the MRSF matrix,
     the naive matrix and the next-week target observations, where row `s`
-    is the window starting at week index `s`."""
+    is the window starting at week index `s`. Every window with a next week
+    is kept, so a record of at most `window_length` weeks gets empty
+    matrices. The MRSF rows come from one sliding `mrsf` call per record."""
     wl = config.window_length
     feats = []
     for rec in records:
-        windows = [rec.weeks[s : s + wl] for s in range(rec.n_weeks - wl)]
-        X_m = np.array([mrsf(w, config.signature_level) for w in windows])
-        X_n = np.array([naive_features(w) for w in windows])
+        X_m = mrsf(rec.weeks[:-1], config.signature_level, wl)
+        X_n = np.array(
+            [naive_features(rec.weeks[s : s + wl]) for s in range(len(X_m))]
+        ).reshape(-1, 2)
         feats.append((X_m, X_n, rec.weeks[wl:]))
     return feats
 

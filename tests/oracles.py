@@ -1,8 +1,11 @@
 """Independent oracles used by the test suite.
 
 `read_plot_text` parses a spectrum `.txt` twin back into arrays, so tests
-can check what `emit_plot` wrote against the grid it was given. The
-signature oracle integrates the iterated integrals directly on a fine
+can check what `emit_plot` wrote against the grid it was given.
+`kron_signature_flat` and `loop_fill` are the one-window loops that the
+batched signature kernel and the vectorised gap filling replaced, kept as
+their bit-exact references. The Riemann signature oracle
+integrates the iterated integrals directly on a fine
 uniform grid along the piecewise-linear path, one word at a time, without
 touching the tensor-exponential / Chen-product code path it is checking.
 """
@@ -14,6 +17,50 @@ from itertools import product
 import numpy as np
 
 from moodsig.spectrum import TEXT_FORMAT
+
+
+def loop_fill(window, missing=-1):
+    """Feed-forward fill of one window's (asrm, qids) scores, one column and
+    one week at a time, with leading gaps back-filled and all-missing
+    columns set to 0; plus the running count of weeks missing either score."""
+    raw = np.array([[o.asrm, o.qids] for o in window], dtype=float)
+    filled = raw.copy()
+    for col in range(2):
+        last = None
+        for t in range(len(window)):
+            if filled[t, col] == missing:
+                if last is not None:
+                    filled[t, col] = last
+            else:
+                last = filled[t, col]
+        if last is None:
+            filled[:, col] = 0.0
+        else:
+            first_valid = int(np.argmax(raw[:, col] != missing))
+            filled[:first_valid, col] = filled[first_valid, col]
+    missing_week = np.array([o.asrm == missing or o.qids == missing for o in window])
+    return filled, np.cumsum(missing_week).astype(int)
+
+
+def kron_signature_flat(points, level: int) -> np.ndarray:
+    """Signature of one (n, d) point stream, levels 1..level, by the
+    per-segment loop of 1-D `np.kron` Chen products: the same products,
+    summed in the same order, as `moodsig.sigcore.stream_signature`."""
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[1]
+    sig = [np.ones(1)] + [np.zeros(d**k) for k in range(1, level + 1)]
+    for inc in np.diff(pts, axis=0):
+        seg = [np.ones(1)]
+        for k in range(1, level + 1):
+            seg.append(np.kron(seg[-1], inc) / k)
+        prod = []
+        for n in range(level + 1):
+            total = np.zeros(d**n)
+            for i in range(n + 1):
+                total += np.kron(sig[i], seg[n - i])
+            prod.append(total)
+        sig = prod
+    return np.concatenate(sig[1:])
 
 
 def riemann_signature(points, level: int, steps_per_segment: int = 2048) -> dict:

@@ -88,6 +88,7 @@ def test_span_not_row_count_decides_eligibility(tmp_path):
         ("P1,BD,-3,1,2", "negative week"),
         ("P1,BD,0,1", "fields"),
         (",BD,0,1,2", "participant_id"),
+        ("P1,BD,10001,1,2", "week 10001 above 10000"),
     ],
 )
 def test_malformed_row_reports_line_number(tmp_path, row, match):
@@ -95,6 +96,16 @@ def test_malformed_row_reports_line_number(tmp_path, row, match):
     with pytest.raises(CsvParseError, match=match) as err:
         ingest(_write_csv(tmp_path, rows))
     assert err.value.line_number == 22
+
+
+def test_non_utf8_csv_reports_path_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(("\n".join([HEADER] + _long_record("P0", "HC")) + "\n").encode()
+                     + b"P\xff1,BD,0,1,2\n")
+    with pytest.raises(CsvParseError, match="not UTF-8") as err:
+        ingest(path)
+    assert err.value.line_number == 22
+    assert str(path) in str(err.value)
 
 
 def test_bad_header_rejected(tmp_path):
@@ -328,6 +339,32 @@ def test_sig_command_prints_signature(tmp_path, capsys):
     assert float(values["2"]) == 2.0
     assert float(values["1.2"]) + float(values["2.1"]) == pytest.approx(4.0)
     assert float(values["1.2"]) - float(values["2.1"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "argv,match",
+    [
+        (["spectrum", "--source", "true", "--bandwidth", "0"], "bandwidth"),
+        (["spectrum", "--source", "true", "--bandwidth", "0.05,-1"], "bandwidth"),
+        (["classify", "--signature-level", "6"], "signature_level must be 1..5"),
+        (["predict-state", "--split-fraction", "1"], "split_fraction"),
+    ],
+)
+def test_out_of_range_settings_fail_before_any_work(tmp_path, capsys, argv, match):
+    # the input does not exist: the range check must come first
+    out = tmp_path / "runs"
+    assert main(argv + ["--input", str(tmp_path / "absent.csv"), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("moodsig: error:") and match in err
+    assert not out.exists()
+
+
+def test_sig_level_cap_is_a_clean_error(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0\n1,1\n")
+    assert main(["sig", "--points", str(pts), "--level", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("moodsig: error:") and "--level must be 1..5" in err
 
 
 def test_missing_input_is_a_clean_error(tmp_path, capsys):

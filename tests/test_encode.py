@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moodsig.encode import (
@@ -15,7 +15,7 @@ from moodsig.encode import (
     normalize_and_cumulate,
 )
 from moodsig.errors import InsufficientDataError
-from oracles import riemann_signature_flat
+from oracles import loop_fill, riemann_signature_flat
 
 
 def obs(week, asrm, qids):
@@ -65,6 +65,17 @@ class TestFeedForwardFill:
     def test_empty_window_rejected(self):
         with pytest.raises(InsufficientDataError):
             feed_forward_fill([])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-1, 20), st.integers(-1, 27)), min_size=1, max_size=20))
+def test_fill_equals_the_per_week_loop(scores):
+    # one-sided gaps too: each column is filled on its own
+    window = [obs(t, a, q) for t, (a, q) in enumerate(scores)]
+    filled, counts = feed_forward_fill(window)
+    want_filled, want_counts = loop_fill(window)
+    assert np.array_equal(filled, want_filled)
+    assert np.array_equal(counts, want_counts)
 
 
 class TestNormalizeAndCumulate:
@@ -135,6 +146,32 @@ class TestMrsf:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             mrsf([obs(0, 1, 1)])
+        with pytest.raises(InsufficientDataError):
+            mrsf([obs(t, 1, 1) for t in range(5)], 2, window_length=1)
+
+    def test_sliding_form_on_fewer_weeks_than_a_window_is_empty(self):
+        weeks = [obs(t, 3, 4) for t in range(4)]
+        assert mrsf(weeks, 2, window_length=5).shape == (0, 12)
+        assert mrsf(weeks, 3, window_length=5).shape == (0, 39)
+        assert mrsf(weeks, 2, window_length=4).shape == (1, 12)
+
+
+def _coverage_weeks():
+    # a leading gap, an interior gap and an all-missing run of 4 weeks
+    gaps = {0, 1, 4, 7, 8, 9, 10}
+    return [missing_week(t) if t in gaps else obs(t, t % 21, (3 * t) % 28) for t in range(14)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows(min_weeks=2), st.integers(2, 8), st.integers(1, 3))
+@example(_coverage_weeks(), 4, 2)
+@example(_coverage_weeks(), 2, 3)
+def test_sliding_mrsf_rows_equal_each_window_exactly(weeks, window_length, level):
+    table = mrsf(weeks, level, window_length)
+    n_windows = max(len(weeks) - window_length + 1, 0)
+    assert table.shape == (n_windows, sum(3**k for k in range(1, level + 1)))
+    for s in range(n_windows):
+        assert np.array_equal(table[s], mrsf(weeks[s : s + window_length], level))
 
 
 class TestNaiveFeatures:

@@ -13,7 +13,7 @@ from moodsig.sigcore import (
     sig_length,
     stream_signature,
 )
-from oracles import riemann_signature_flat
+from oracles import kron_signature_flat, riemann_signature_flat
 
 
 def paths(draw, max_dim=4, min_points=2, max_points=8, lo=-1.0, hi=1.0):
@@ -92,6 +92,9 @@ class TestChenProduct:
             chen_product(segment_signature([1.0], 2), segment_signature([1.0, 2.0], 2))
         with pytest.raises(ValueError):
             chen_product(segment_signature([1.0, 2.0], 2), segment_signature([1.0, 2.0], 3))
+        with pytest.raises(ValueError, match="batch shapes differ"):
+            chen_product(segment_signature(np.ones((2, 2)), 2),
+                         segment_signature(np.ones((3, 2)), 2))
 
 
 class TestStreamSignature:
@@ -131,6 +134,24 @@ class TestStreamSignature:
             got = stream_signature(pts, level=3).flatten()
             want = riemann_signature_flat(pts, 3)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.integers(2, 6))
+def test_stacked_paths_equal_each_path_exactly(data, d, level, batch, n):
+    values = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+    size = batch * n * d
+    stack = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+    stack = stack.reshape(batch, n, d)
+    stacked = stream_signature(stack, level)
+    assert stacked.batch_shape == (batch,)
+    rows = stacked.flatten()
+    assert rows.shape == (batch, sig_length(d, level))
+    assert np.array_equal(stacked.coefficient((d,)), rows[:, d - 1])
+    for b in range(batch):
+        single = stream_signature(stack[b], level).flatten()
+        assert np.array_equal(rows[b], single)
+        assert np.array_equal(single, kron_signature_flat(stack[b], level))
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,3 +218,5 @@ def test_invalid_container_shapes_rejected():
         TruncatedSignature(2, 2, (np.ones(1), np.zeros(2), np.zeros(3)))
     with pytest.raises(ValueError):
         TruncatedSignature(0, 1, (np.ones(1), np.zeros(0)))
+    with pytest.raises(ValueError, match="level 1 must have shape"):
+        TruncatedSignature(2, 1, (np.ones((3, 1)), np.zeros((2, 2))))

@@ -217,12 +217,15 @@ class TestRollout:
     def test_skip_records_reason(self):
         base = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=7))
         short = _record(Group.BD, [(2, 3)] * 15, pid="edge15")
-        cohort = Cohort(records=base.records + (short,))
+        # no sliding window with a next week: an empty feature table
+        shorter = _record(Group.BD, [(2, 3)] * 8, pid="edge8")
+        cohort = Cohort(records=base.records + (short, shorter))
         cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST,
                          instrument=Instrument.ASRM)
         result = run_state_rollout(cohort, cfg)[0]
-        assert any(pid == "edge15" for pid, _ in result.skipped)
-        assert all(p.participant_id != "edge15" for p in result.points)
+        for pid in ("edge15", "edge8"):
+            assert any(skipped == pid for skipped, _ in result.skipped)
+            assert all(p.participant_id != pid for p in result.points)
 
     def test_proportions_quantized(self, small_cohort):
         cfg = TaskConfig(task="state_predict", seed=1, forest=SMALL_FOREST,
