@@ -34,7 +34,7 @@ from .encode import (
 from .errors import CohortValidationError, CsvParseError
 from .forest import ForestConfig
 from .metrics import report_to_dict
-from .sigcore import MAX_LEVEL, stream_signature
+from .sigcore import stream_signature
 from .spectrum import emit_plot, kde2d, simplex_project, true_proportions
 from .synth import CohortSpec, generate_cohort
 from .tasks import (
@@ -56,6 +56,9 @@ MIN_WEEKS = 20
 # a week number above this is rejected: ingest materialises every week of
 # a participant's span, so this cap bounds its memory
 MAX_WEEK = 10_000
+# the highest signature_level and sig --level: level p of a d-channel path
+# has d**p coefficients, and an MRSF table row sum(3**k for k <= p), 363 at 5
+MAX_LEVEL = 5
 STATE_VERTEX_LABELS = ("NoAnswer", "Normal", "Elevated")
 
 log = logging.getLogger(TOOL)
@@ -241,8 +244,8 @@ class RunConfig:
                 f"signature_level must be 1..{MAX_LEVEL}, got {self.signature_level}"
             )
         if self.bandwidth is not None:
-            pair = self.bandwidth if isinstance(self.bandwidth, tuple) else (self.bandwidth,)
-            if not all(0 < h < float("inf") for h in pair):
+            values = self.bandwidth if isinstance(self.bandwidth, tuple) else (self.bandwidth,)
+            if not all(0 < h < float("inf") for h in values):
                 raise ValueError(
                     f"bandwidth must be positive and finite, got {self.bandwidth!r}"
                 )

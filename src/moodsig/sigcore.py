@@ -28,13 +28,6 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-MAX_LEVEL = 5
-"""Highest truncation level the command line accepts (`signature_level`,
-`sig --level`).  Level p of a d-channel path holds d**p coefficients per
-signature; a sliding-window table of 3-channel MRSF rows holds
-sum(3**k for k = 1..p) per window, 363 at level 5."""
-
-
 def sig_length(dimension: int, level: int) -> int:
     """Number of coefficients on levels 1..level (the level-0 scalar excluded)."""
     return sum(dimension**k for k in range(1, level + 1))
