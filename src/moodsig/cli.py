@@ -32,7 +32,7 @@ from .encode import (
     WeeklyObservation,
 )
 from .errors import CohortValidationError, CsvParseError
-from .forest import ForestConfig
+from .forest import ForestConfig, shutdown_pool
 from .metrics import report_to_dict
 from .sigcore import stream_signature
 from .spectrum import emit_plot, kde2d, simplex_project, true_proportions
@@ -80,6 +80,15 @@ def _check_score(value, maximum, what, path, lineno):
         )
 
 
+def _csv_rows(reader, path):
+    # what the csv module itself rejects (a field over its size limit)
+    # is reported like every other malformed row
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvParseError(reader.line_num, f"{path}: {exc}") from None
+
+
 def ingest(path):
     """Read a cohort CSV into records.
 
@@ -100,7 +109,7 @@ def ingest(path):
         ) from None
     # drop the byte-order mark that spreadsheet exports add
     with io.StringIO(text.removeprefix("\ufeff"), newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(csv.reader(fh), path)
         header = next(reader, None)
         if header is None:
             raise CsvParseError(1, f"{path}: empty file")
@@ -607,6 +616,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # reap the forest's worker processes before returning, so none
+        # outlives the command
+        shutdown_pool()
 
 
 if __name__ == "__main__":

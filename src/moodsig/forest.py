@@ -4,12 +4,16 @@ Trees are grown on bootstrap resamples with axis-aligned splits chosen by
 Gini impurity (classification) or variance reduction (regression), scanning
 ceil(sqrt(f)) randomly chosen candidate features per node. Fitted ensembles
 are immutable; each tree draws from its own generator seeded by
-(master seed, tree index) so the build order never matters.
+(master seed, tree index) so the build order never matters. That is what
+lets a fit grow contiguous ranges of trees in worker processes, one per
+CPU the process may run on, and concatenate them in index order.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,27 +113,29 @@ def _as_matrix(x, feature_count):
 def _best_split(X_cand, stats, totals, min_leaf):
     """Best (candidate index, threshold) over all positions, or None.
 
-    stats is n x s with per-row sufficient statistics: one-hot class
-    indicators (classify) or the target values (regress). The score
-    maximized is sum(left_stats^2)/n_left + sum(right_stats^2)/n_right,
-    a monotone equivalent of Gini gain and of variance reduction.
+    X_cand is n x q, one column per candidate feature. stats is n x s with
+    per-row sufficient statistics: one-hot class indicators (classify) or
+    the target values (regress). The score maximized is
+    sum(left_stats^2)/n_left + sum(right_stats^2)/n_right, a monotone
+    equivalent of Gini gain and of variance reduction.
     """
     n, q = X_cand.shape
-    order = np.argsort(X_cand, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(X_cand, order, axis=0)
-    left = np.cumsum(stats[order], axis=0)
-    left_n = np.arange(1, n + 1, dtype=np.float64)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = (left**2).sum(axis=2) / left_n
-        score += ((totals[None, None, :] - left) ** 2).sum(axis=2) / (n - left_n)
-    valid = np.zeros((n, q), dtype=bool)
-    valid[: n - 1] = sorted_vals[:-1] < sorted_vals[1:]
+    order = X_cand.argsort(axis=0, kind="stable")
+    sorted_vals = X_cand[order, np.arange(q)]
+    # only the n-1 positions with a nonempty right side are scored, so
+    # neither denominator is ever 0
+    left = np.add.accumulate(stats[order[:-1]], axis=0)
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    score = np.add.reduce(left * left, axis=2) / left_n
+    right = totals - left
+    score += np.add.reduce(right * right, axis=2) / (n - left_n)
+    valid = sorted_vals[:-1] < sorted_vals[1:]
     valid[: min_leaf - 1] = False
     valid[n - min_leaf :] = False
     if not valid.any():
         return None
-    score = np.where(valid, score, -np.inf)
-    pos, j = np.unravel_index(np.argmax(score), score.shape)
+    score[~valid] = -np.inf
+    pos, j = divmod(int(score.argmax()), q)
     thr = (sorted_vals[pos, j] + sorted_vals[pos + 1, j]) / 2.0
     if thr >= sorted_vals[pos + 1, j]:
         # fp midpoint of 1-ulp neighbors can collapse onto the upper value,
@@ -138,41 +144,47 @@ def _best_split(X_cand, stats, totals, min_leaf):
     return j, thr
 
 
-def _grow_tree(X, stats, totals_fn, leaf_fn, is_pure, cfg, n_candidates, rng):
-    n_total, f = X.shape
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(None)
-        return len(feature) - 1
-
-    stack = [(new_node(), np.arange(n_total), 0)]
+def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
+    # XT is the bootstrap sample transposed (features x rows): a node's
+    # candidate columns are one gather of whole feature rows
+    f, n_total = XT.shape
+    min_leaf, max_depth = cfg.min_leaf, cfg.max_depth
+    classify = mode == CLASSIFY
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [None]
+    stack = [(0, np.arange(n_total), 0)]
     while stack:
         node_id, idx, depth = stack.pop()
         node_stats = stats[idx]
-        value[node_id] = leaf_fn(node_stats)
+        totals = node_stats.sum(axis=0)
+        value[node_id] = totals if classify else np.array([node_stats.mean()])
         if (
-            idx.size < 2 * cfg.min_leaf
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)
-            or is_pure(node_stats)
+            idx.size < 2 * min_leaf
+            or (max_depth is not None and depth >= max_depth)
+            or (
+                np.count_nonzero(totals) <= 1
+                if classify
+                else node_stats.min() == node_stats.max()
+            )
         ):
             continue
         cand = rng.choice(f, size=n_candidates, replace=False)
-        found = _best_split(X[np.ix_(idx, cand)], node_stats, totals_fn(node_stats), cfg.min_leaf)
+        X_cand = XT[cand[:, None], idx].T
+        found = _best_split(X_cand, node_stats, totals, min_leaf)
         if found is None:
             continue
         j, thr = found
         feature[node_id] = int(cand[j])
         threshold[node_id] = thr
-        go_left = X[idx, cand[j]] <= thr
-        left[node_id] = new_node()
-        right[node_id] = new_node()
-        stack.append((left[node_id], idx[go_left], depth + 1))
-        stack.append((right[node_id], idx[~go_left], depth + 1))
+        go_left = X_cand[:, j] <= thr
+        child = len(feature)
+        left[node_id], right[node_id] = child, child + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        value += [None, None]
+        stack.append((child, idx[go_left], depth + 1))
+        stack.append((child + 1, idx[~go_left], depth + 1))
 
     return _Tree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -181,6 +193,86 @@ def _grow_tree(X, stats, totals_fn, leaf_fn, is_pure, cfg, n_candidates, rng):
         right=np.asarray(right, dtype=np.int32),
         value=np.asarray(value, dtype=np.float64),
     )
+
+
+def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids):
+    """The trees numbered tree_ids, each grown from its own (key, t)
+    generator: its bootstrap draw, then one candidate draw per node."""
+    m = XT.shape[1]
+    trees = []
+    for t in tree_ids:
+        rng = np.random.default_rng((*key, t))
+        boot = rng.integers(0, m, size=m)
+        trees.append(_grow_tree(XT[:, boot], stats[boot], mode, cfg, n_candidates, rng))
+    return trees
+
+
+# The worker pool is created by the first fit that uses more than one
+# worker and kept for later fits; shutdown_pool() ends it (cli.main calls it
+# before returning, and it runs at interpreter exit for library callers).
+_pool = None
+_pool_size = 0
+
+
+def _worker_count(n_trees):
+    # the CPUs this process may run on; without an affinity mask (not
+    # Linux) trees are grown in-process
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_trees)
+
+
+def _executor(workers):
+    global _pool, _pool_size
+    if _pool is None or _pool_size < workers:
+        shutdown_pool()
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a worker starts with numpy and this module loaded
+        # instead of importing them again. The pool forks its workers before
+        # it starts its own threads, an earlier pool's are joined, and
+        # numpy's OpenBLAS stops its own threads before a fork.
+        _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        _pool_size = workers
+    return _pool
+
+
+def shutdown_pool():
+    """Stop the tree-growing worker processes, if any, and wait for them."""
+    global _pool, _pool_size
+    pool, _pool, _pool_size = _pool, None, 0
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
+
+
+atexit.register(shutdown_pool)
+
+
+def _grow_all(XT, stats, mode, cfg, n_candidates, key):
+    # contiguous chunks of tree indices, one per worker, concatenated in
+    # index order: each tree depends only on (key, t), so the ensemble does
+    # not depend on the worker count
+    n_trees = cfg.n_trees
+    workers = _worker_count(n_trees)
+    if workers <= 1:
+        return _grow_trees(XT, stats, mode, cfg, n_candidates, key, range(n_trees))
+    from concurrent.futures.process import BrokenProcessPool
+
+    bounds = [w * n_trees // workers for w in range(workers + 1)]
+    try:
+        pool = _executor(workers)
+        futures = [
+            pool.submit(_grow_trees, XT, stats, mode, cfg, n_candidates, key, range(lo, hi))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return [tree for fut in futures for tree in fut.result()]
+    except BrokenProcessPool as exc:
+        # a broken pool refuses all further work; the next fit starts anew
+        shutdown_pool()
+        raise ChildProcessError(
+            "a tree-growing worker process exited abruptly (killed, or out of memory?)"
+        ) from exc
 
 
 def _seed_key(seed):
@@ -194,7 +286,9 @@ def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
 
     seed may be an int or a tuple of ints (a namespaced seed key). Classify
     mode expects integer labels in {0..n_classes-1} (n_classes inferred as
-    max(y)+1 when not given); regress mode expects real targets.
+    max(y)+1 when not given); regress mode expects real targets. The trees
+    are grown across the CPUs this process may run on; the result does not
+    depend on how many there are.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -211,26 +305,12 @@ def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
         if y.min() < 0 or y.max() >= n_classes:
             raise ValueError("labels out of range")
         stats_all = np.eye(n_classes)[y]
-
-        def leaf_fn(s):
-            return s.sum(axis=0)
-
-        def is_pure(s):
-            return np.count_nonzero(s.sum(axis=0)) <= 1
-
     elif mode == REGRESS:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (m,) or not np.isfinite(y).all():
             raise ValueError("regress mode needs m finite targets")
         n_classes = 0
         stats_all = y[:, None]
-
-        def leaf_fn(s):
-            return np.array([s.mean()])
-
-        def is_pure(s):
-            return s.min() == s.max()
-
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -238,17 +318,9 @@ def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
     if not 1 <= n_candidates <= f:
         raise ValueError("features_per_split out of range")
 
-    def totals_fn(s):
-        return s.sum(axis=0)
-
-    key = _seed_key(seed)
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng((*key, t))
-        boot = rng.integers(0, m, size=m)
-        trees.append(
-            _grow_tree(X[boot], stats_all[boot], totals_fn, leaf_fn, is_pure, config, n_candidates, rng)
-        )
+    trees = _grow_all(
+        np.ascontiguousarray(X.T), stats_all, mode, config, n_candidates, _seed_key(seed)
+    )
     return TreeEnsemble(
         mode=mode,
         feature_count=f,

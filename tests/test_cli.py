@@ -2,8 +2,14 @@
 
 import json
 import logging
+import multiprocessing
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import read_plot_text
 
 from moodsig.cli import (
@@ -15,7 +21,8 @@ from moodsig.cli import (
     main,
     write_cohort,
 )
-from moodsig.encode import MISSING, Group
+from moodsig import forest
+from moodsig.encode import MISSING, Cohort, Group
 from moodsig.errors import CohortValidationError, CsvParseError
 from moodsig.synth import CohortSpec, generate_cohort
 
@@ -156,6 +163,39 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(args)
 
 
+# three participants of 25 weeks each, so mutations reach record building
+_VALID_CSV = (HEADER + "\n" + "".join(
+    f"P{i % 3},{('BD', 'HC', 'BPD')[i % 3]},{i // 3},{i % 21},{i % 28}\n"
+    for i in range(75)
+)).encode()
+
+
+@st.composite
+def _mutated_csv(draw):
+    data = bytearray(_VALID_CSV)
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(data)))
+        chunk = draw(st.binary(min_size=1, max_size=4))
+        drop = draw(st.integers(0, 4))
+        data[pos : pos + drop] = chunk
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=300), _mutated_csv()))
+@example(_VALID_CSV)
+@example(HEADER.encode() + b"\n" + b"P" * 200_000 + b",BD,0,1,2\n")
+def test_ingest_returns_a_cohort_or_a_parse_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        path.write_bytes(data)
+        try:
+            cohort = ingest(path)
+        except (CsvParseError, CohortValidationError):
+            return
+    assert isinstance(cohort, Cohort)
+
+
 def test_bom_prefixed_csv_round_trips(tmp_path):
     cohort = generate_cohort(CohortSpec(sizes=(3, 3, 3), weeks=24, seed=12))
     path = tmp_path / "cohort.csv"
@@ -258,6 +298,32 @@ def test_classify_rerun_is_byte_identical(tmp_path):
     assert main(argv) == 0
     after = {p.name: p.read_bytes() for p in run_dir.iterdir()}
     assert before == after
+
+
+def test_no_forest_worker_outlives_main(tmp_path, monkeypatch):
+    csv_path = _synth_csv(tmp_path)
+    monkeypatch.setattr(forest, "_worker_count", lambda n_trees: 2)
+    argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
+            "--bootstrap-samples", "50", "-o", str(tmp_path / "runs")]
+    assert main(argv) == 0
+    assert forest._pool is None
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_forest_worker_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    csv_path = _synth_csv(tmp_path)
+    # workers forked after the patch inherit it and die on their first tree
+    forest.shutdown_pool()
+    monkeypatch.setattr(forest, "_worker_count", lambda n_trees: 2)
+    monkeypatch.setattr(forest, "_grow_tree", lambda *args: os._exit(1))
+    argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
+            "--bootstrap-samples", "50", "-o", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("moodsig: error:") and "worker" in err
+    assert "Traceback" not in err
+    assert forest._pool is None
+    assert multiprocessing.active_children() == []
 
 
 def test_predict_commands_write_reports(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forest_reference import reference_predict
+from moodsig import forest
 from moodsig.forest import (
     CLASSIFY,
     REGRESS,
@@ -177,6 +178,28 @@ class TestInvariants:
         ref = reference_predict(X, y, "regress", probe, n_trees=10, seed=23)
         agree = (np.abs(ours - ref) < 1e-9).mean()
         assert agree >= 0.9
+
+
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_trees_do_not_depend_on_worker_count(monkeypatch, mode):
+    # 1 worker grows in-process; 2 and 3 split the trees into contiguous
+    # chunks, unevenly for 5 and 7 trees, with empty chunks when there are
+    # fewer trees than workers
+    rng = np.random.default_rng(41)
+    X = rng.normal(size=(36, 5))
+    y = rng.integers(0, 3, size=36) if mode == CLASSIFY else rng.normal(size=36)
+    for n_trees in (1, 2, 5, 7):
+        fitted = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(forest, "_worker_count", lambda n, w=workers: w)
+            fitted[workers] = fit(X, y, mode, ForestConfig(n_trees=n_trees), seed=(8, n_trees))
+            if workers > 1:
+                assert forest._pool is not None
+        for workers in (2, 3):
+            assert len(fitted[workers].trees) == n_trees
+            for ours, base in zip(fitted[workers].trees, fitted[1].trees):
+                for name in ("feature", "threshold", "left", "right", "value"):
+                    assert np.array_equal(getattr(ours, name), getattr(base, name))
 
 
 @settings(max_examples=15, deadline=None)
