@@ -109,7 +109,8 @@ def ingest(path):
         ) from None
     # drop the byte-order mark that spreadsheet exports add
     with io.StringIO(text.removeprefix("\ufeff"), newline="") as fh:
-        reader = _csv_rows(csv.reader(fh), path)
+        rows = csv.reader(fh)
+        reader = _csv_rows(rows, path)
         header = next(reader, None)
         if header is None:
             raise CsvParseError(1, f"{path}: empty file")
@@ -117,7 +118,10 @@ def ingest(path):
             raise CsvParseError(
                 1, f"{path}: expected header {','.join(CSV_HEADER)}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        end = rows.line_num
+        for row in reader:
+            # a quoted field may span lines; a row is reported by its first
+            lineno, end = end + 1, rows.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(CSV_HEADER):
@@ -128,6 +132,11 @@ def ingest(path):
             pid, gname, wtxt, atxt, qtxt = (c.strip() for c in row)
             if not pid:
                 raise CsvParseError(lineno, f"{path}: empty participant_id")
+            if any(c in pid for c in "\t\r\n"):
+                # ids are written into tab-separated, line-based run files
+                raise CsvParseError(
+                    lineno, f"{path}: participant_id contains a tab or line break"
+                )
             try:
                 group = Group[gname]
             except KeyError:

@@ -6,7 +6,8 @@ ceil(sqrt(f)) randomly chosen candidate features per node. Fitted ensembles
 are immutable; each tree draws from its own generator seeded by
 (master seed, tree index) so the build order never matters. That is what
 lets a fit grow contiguous ranges of trees in worker processes, one per
-CPU the process may run on, and concatenate them in index order.
+CPU the process may run on, and concatenate them in index order, and lets
+a stream of independent fits (`fit_many`) share those workers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import atexit
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -215,11 +218,19 @@ _pool_size = 0
 
 
 def _worker_count(n_trees):
-    # the CPUs this process may run on; without an affinity mask (not
-    # Linux) trees are grown in-process
+    # the CPUs this process may run on, at most n_trees (None: a stream of
+    # several jobs, one task each); without an affinity mask (not Linux)
+    # trees are grown in-process
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), n_trees)
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if n_trees is None else min(cpus, n_trees)
+
+
+def _jobs_in_flight(workers):
+    # a job running and one queued per worker, so the workers stay busy
+    # while the consumer handles a result
+    return 2 * workers
 
 
 def _executor(workers):
@@ -249,47 +260,15 @@ def shutdown_pool():
 atexit.register(shutdown_pool)
 
 
-def _grow_all(XT, stats, mode, cfg, n_candidates, key):
-    # contiguous chunks of tree indices, one per worker, concatenated in
-    # index order: each tree depends only on (key, t), so the ensemble does
-    # not depend on the worker count
-    n_trees = cfg.n_trees
-    workers = _worker_count(n_trees)
-    if workers <= 1:
-        return _grow_trees(XT, stats, mode, cfg, n_candidates, key, range(n_trees))
-    from concurrent.futures.process import BrokenProcessPool
-
-    bounds = [w * n_trees // workers for w in range(workers + 1)]
-    try:
-        pool = _executor(workers)
-        futures = [
-            pool.submit(_grow_trees, XT, stats, mode, cfg, n_candidates, key, range(lo, hi))
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        return [tree for fut in futures for tree in fut.result()]
-    except BrokenProcessPool as exc:
-        # a broken pool refuses all further work; the next fit starts anew
-        shutdown_pool()
-        raise ChildProcessError(
-            "a tree-growing worker process exited abruptly (killed, or out of memory?)"
-        ) from exc
-
-
 def _seed_key(seed):
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
     return tuple(int(s) for s in seed)
 
 
-def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
-    """Train an ensemble; deterministic given (seed, config).
-
-    seed may be an int or a tuple of ints (a namespaced seed key). Classify
-    mode expects integer labels in {0..n_classes-1} (n_classes inferred as
-    max(y)+1 when not given); regress mode expects real targets. The trees
-    are grown across the CPUs this process may run on; the result does not
-    depend on how many there are.
-    """
+def _checked(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
+    # fit's argument checks; returns the arguments its trees are grown from
+    # (all but the tree indices) and the fields of the ensemble they make
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("X must be a matrix with at least 2 rows")
@@ -317,15 +296,112 @@ def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
     n_candidates = config.features_per_split or math.ceil(math.sqrt(f))
     if not 1 <= n_candidates <= f:
         raise ValueError("features_per_split out of range")
+    grow_args = (np.ascontiguousarray(X.T), stats_all, mode, config, n_candidates,
+                 _seed_key(seed))
+    return grow_args, dict(mode=mode, feature_count=f, n_classes=n_classes,
+                           config=config, seed=seed)
 
-    trees = _grow_all(
-        np.ascontiguousarray(X.T), stats_all, mode, config, n_candidates, _seed_key(seed)
-    )
-    return TreeEnsemble(
-        mode=mode,
-        feature_count=f,
-        n_classes=n_classes,
-        config=config,
-        seed=seed,
-        trees=tuple(trees),
-    )
+
+def _checked_jobs(jobs):
+    # the jobs' _checked results in order; a job that fails the checks, or
+    # an iterable that raises, ends the stream with that exception, which
+    # fit_many raises in the job's place
+    jobs = iter(jobs)
+    while True:
+        try:
+            job = _checked(*next(jobs))
+        except StopIteration:
+            return
+        except Exception as exc:
+            yield exc
+            return
+        yield job
+
+
+def _tree_ranges(n_trees, parts):
+    # contiguous ranges of tree indices, concatenated in index order: each
+    # tree depends only on (key, t), so the ensemble does not depend on the
+    # split
+    bounds = [p * n_trees // parts for p in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def fit_many(jobs):
+    """Fit one ensemble per job and yield them in job order.
+
+    `jobs` is an iterable of `fit` argument tuples, `(X, y, mode[, config[,
+    seed[, n_classes]]])`; each ensemble is the one `fit` returns for its
+    tuple. All the jobs' trees are grown in the one worker pool. Jobs are
+    read lazily: a few more than the ensembles already yielded, a bound set
+    by the worker count. A job that fails fit's checks raises fit's error
+    in its place, after the ensembles before it. Closing the generator
+    early cancels the jobs read ahead and waits for those already growing.
+    """
+    jobs = _checked_jobs(jobs)
+    head = list(islice(jobs, 2))
+    if not head:
+        return
+    # a lone job (fit) spreads its trees over the workers; several jobs are
+    # one task each, which keeps the workers busy without a barrier per job
+    lone = len(head) == 1 and not isinstance(head[0], Exception)
+    workers = _worker_count(head[0][1]["config"].n_trees if lone else None)
+    jobs = chain(head, jobs)
+    if workers <= 1:
+        for job in jobs:
+            if isinstance(job, Exception):
+                raise job
+            grow_args, fields = job
+            trees = _grow_trees(*grow_args, range(fields["config"].n_trees))
+            yield TreeEnsemble(**fields, trees=tuple(trees))
+        return
+
+    from concurrent.futures import wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    bound = _jobs_in_flight(workers)
+    pending = deque()  # per job read ahead: (fields, futures), or its exception
+    try:
+        pool = _executor(workers)
+        while True:
+            while len(pending) < bound and (job := next(jobs, None)) is not None:
+                if isinstance(job, Exception):
+                    pending.append(job)
+                    continue
+                grow_args, fields = job
+                ranges = _tree_ranges(fields["config"].n_trees, workers if lone else 1)
+                pending.append(
+                    (fields, [pool.submit(_grow_trees, *grow_args, r) for r in ranges])
+                )
+            if not pending:
+                return
+            job = pending.popleft()
+            if isinstance(job, Exception):
+                raise job
+            fields, futures = job
+            yield TreeEnsemble(**fields, trees=tuple(t for fut in futures for t in fut.result()))
+    except BrokenProcessPool as exc:
+        # a broken pool refuses all further work; the next fit starts anew
+        shutdown_pool()
+        raise ChildProcessError(
+            "a tree-growing worker process exited abruptly (killed, or out of memory?)"
+        ) from exc
+    finally:
+        # jobs read ahead of an error or of an abandoned stream: none is
+        # left growing
+        futures = [fut for job in pending if isinstance(job, tuple) for fut in job[1]]
+        for fut in futures:
+            fut.cancel()
+        wait(futures)
+
+
+def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
+    """Train an ensemble; deterministic given (seed, config).
+
+    seed may be an int or a tuple of ints (a namespaced seed key). Classify
+    mode expects integer labels in {0..n_classes-1} (n_classes inferred as
+    max(y)+1 when not given); regress mode expects real targets. The trees
+    are grown across the CPUs this process may run on; the result does not
+    depend on how many there are. This is the one-job case of `fit_many`.
+    """
+    (model,) = fit_many([(X, y, mode, config, seed, n_classes)])
+    return model

@@ -21,7 +21,7 @@ from .encode import (
     naive_features,
 )
 from .errors import InsufficientDataError
-from .forest import CLASSIFY, REGRESS, ForestConfig, fit
+from .forest import CLASSIFY, REGRESS, ForestConfig, fit, fit_many
 from .metrics import EvalReport, evaluate_classification, evaluate_regression, mae
 
 CLASSIFY_TASK = "classify"
@@ -210,14 +210,17 @@ def run_classification(cohort, config):
             )
         )
 
-    loo_points = []
-    for i, rec in enumerate(records):
-        keep = np.arange(len(records)) != i
-        model = fit(X_mrsf[keep], y[keep], CLASSIFY, config.forest,
-                    seed=(config.seed, 106, i), n_classes=3)
-        loo_points.append(
-            ProbabilityPoint(rec.id, rec.group, model.predict_proba(X_mrsf[i]))
-        )
+    # the leave-one-out fits are independent, so they share the worker pool
+    # as one stream; each model is freed once its point is taken
+    loo_fits = fit_many(
+        (np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, config.forest,
+         (config.seed, 106, i), 3)
+        for i in range(len(records))
+    )
+    loo_points = [
+        ProbabilityPoint(rec.id, rec.group, model.predict_proba(X_mrsf[i]))
+        for i, (model, rec) in enumerate(zip(loo_fits, records))
+    ]
 
     return ClassificationResult(
         mrsf_report=reports[0],

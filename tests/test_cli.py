@@ -105,6 +105,21 @@ def test_malformed_row_reports_line_number(tmp_path, row, match):
     assert err.value.line_number == 22
 
 
+@pytest.mark.parametrize("sep", ["\t", "\r", "\n"])
+def test_participant_id_with_tab_or_line_break_rejected(tmp_path, capsys, sep):
+    # run files are tab-separated, one row per line; the first row's quoted
+    # group spans lines 2-3, so the bad row starts on line 4
+    path = _write_csv(tmp_path, ['P0,"HC\n",0,2,3', f'"A{sep}B",BD,0,1,2'])
+    with pytest.raises(CsvParseError, match="participant_id contains a tab") as err:
+        ingest(path)
+    assert err.value.line_number == 4
+    assert str(path) in str(err.value)
+    assert main(["classify", "--input", str(path), "-o", str(tmp_path / "runs")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("moodsig: error: line 4: ") and str(path) in line
+    assert not (tmp_path / "runs").exists()
+
+
 def test_non_utf8_csv_reports_path_and_line(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(("\n".join([HEADER] + _long_record("P0", "HC")) + "\n").encode()
@@ -322,6 +337,33 @@ def test_dead_forest_worker_is_a_clean_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("moodsig: error:") and "worker" in err
     assert "Traceback" not in err
+    assert forest._pool is None
+    assert multiprocessing.active_children() == []
+
+
+_grow_trees = forest._grow_trees
+_PARENT_PID = os.getpid()
+
+
+def _die_on_loo_fits(XT, stats, mode, cfg, n_candidates, key, tree_ids):
+    # a worker growing a leave-one-out fit (key namespace 106) dies; were
+    # one grown in-process, the test would fail rather than end pytest
+    if key[1] == 106:
+        assert os.getpid() != _PARENT_PID, "a leave-one-out fit was grown in-process"
+        os._exit(1)
+    return _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids)
+
+
+def test_dead_worker_in_the_loo_stream_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    csv_path = _synth_csv(tmp_path)
+    monkeypatch.setattr(forest, "_worker_count", lambda n_trees: 2)
+    monkeypatch.setattr(forest, "_grow_trees", _die_on_loo_fits)
+    argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
+            "--bootstrap-samples", "50", "-o", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("moodsig: error:") and "worker" in err[0]
     assert forest._pool is None
     assert multiprocessing.active_children() == []
 

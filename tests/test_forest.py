@@ -216,3 +216,107 @@ def test_probability_rows_always_normalized(seed, n_classes):
     assert (probs >= 0).all()
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(model.predict(X), np.argmax(model.predict_proba(X), axis=1))
+
+
+def _stream_jobs(mode, n_jobs, pulled=None, bad=None):
+    # fit argument tuples of varied shapes, tree counts and argument lengths;
+    # `pulled` records each job as it is read, and job `bad` has a NaN feature
+    rng = np.random.default_rng(43)
+    for j in range(n_jobs):
+        X = rng.normal(size=(18 + j, 4))
+        if j == bad:
+            X[3, 1] = np.nan
+        y = rng.integers(0, 3, size=len(X)) if mode == CLASSIFY else rng.normal(size=len(X))
+        if pulled is not None:
+            pulled.append(j)
+        cfg = ForestConfig(n_trees=1 + j % 4)
+        yield (X, y, mode, cfg, (9, j)) + ((3,) if mode == CLASSIFY and j % 2 else ())
+
+
+def _assert_same_ensemble(ours, base):
+    assert (ours.mode, ours.feature_count, ours.n_classes, ours.config, ours.seed) == (
+        base.mode, base.feature_count, base.n_classes, base.config, base.seed)
+    assert len(ours.trees) == len(base.trees)
+    for a, b in zip(ours.trees, base.trees):
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def _submitted_futures(monkeypatch):
+    # every future the pool hands out from now on
+    futures = []
+    real = forest._executor
+
+    class Recording:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, *args):
+            futures.append(self.pool.submit(*args))
+            return futures[-1]
+
+    monkeypatch.setattr(forest, "_executor", lambda workers: Recording(real(workers)))
+    return futures
+
+
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_fit_many_equals_fit_per_job(monkeypatch, mode):
+    # 0 jobs, a lone job (its trees split over the workers) and more jobs
+    # than the largest in-flight bound (one task per job), read from a
+    # generator; the per-job fits run in-process
+    n_many = forest._jobs_in_flight(3) + 2
+    monkeypatch.setattr(forest, "_worker_count", lambda n: 1)
+    expected = [fit(*job) for job in _stream_jobs(mode, n_many)]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(forest, "_worker_count", lambda n, w=workers: w)
+        for n_jobs in (0, 1, n_many):
+            models = list(forest.fit_many(_stream_jobs(mode, n_jobs)))
+            assert len(models) == n_jobs
+            for ours, base in zip(models, expected):
+                _assert_same_ensemble(ours, base)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fit_many_reads_jobs_lazily(monkeypatch, workers):
+    monkeypatch.setattr(forest, "_worker_count", lambda n: workers)
+    bound = forest._jobs_in_flight(workers)
+    n_jobs = bound + 6
+    pulled = []
+    for taken, _ in enumerate(forest.fit_many(_stream_jobs(CLASSIFY, n_jobs, pulled)), 1):
+        assert len(pulled) - taken <= bound
+        if taken == 1:
+            assert len(pulled) < n_jobs
+    assert pulled == list(range(n_jobs))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fit_many_raises_a_bad_job_in_its_place(monkeypatch, workers):
+    # job 5 has a NaN feature: the four before it are yielded, then fit's
+    # own error; nothing read ahead is left growing, and the pool still
+    # grows the same trees as an in-process fit
+    monkeypatch.setattr(forest, "_worker_count", lambda n: 1)
+    expected = [fit(*job) for job in _stream_jobs(CLASSIFY, 4)]
+    with pytest.raises(ValueError) as fit_error:
+        fit(*list(_stream_jobs(CLASSIFY, 5, bad=4))[4])
+    futures = _submitted_futures(monkeypatch)
+    monkeypatch.setattr(forest, "_worker_count", lambda n: workers)
+    got = []
+    with pytest.raises(ValueError) as stream_error:
+        for model in forest.fit_many(_stream_jobs(CLASSIFY, 12, bad=4)):
+            got.append(model)
+    assert str(stream_error.value) == str(fit_error.value) == "features must be finite"
+    assert len(got) == 4
+    for ours, base in zip(got, expected):
+        _assert_same_ensemble(ours, base)
+    assert all(fut.done() for fut in futures)
+    _assert_same_ensemble(fit(*next(_stream_jobs(CLASSIFY, 1))), expected[0])
+
+
+def test_closing_fit_many_leaves_no_work_running(monkeypatch):
+    monkeypatch.setattr(forest, "_worker_count", lambda n: 2)
+    futures = _submitted_futures(monkeypatch)
+    stream = forest.fit_many(_stream_jobs(REGRESS, 20))
+    next(stream)
+    stream.close()
+    assert 1 < len(futures) <= 1 + forest._jobs_in_flight(2)
+    assert all(fut.done() for fut in futures)
