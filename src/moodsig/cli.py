@@ -29,7 +29,7 @@ from .encode import (
     Cohort,
     Group,
     ParticipantRecord,
-    WeeklyObservation,
+    weekly,
 )
 from .errors import CohortValidationError, CsvParseError
 from .forest import ForestConfig, shutdown_pool
@@ -170,11 +170,10 @@ def ingest(path):
         if span < MIN_WEEKS:
             exclusions.append((pid, f"{span} weeks < {MIN_WEEKS}"))
             continue
-        obs = tuple(
-            WeeklyObservation(w, *by_week.get(w, (MISSING, MISSING)))
-            for w in range(first, last + 1)
+        weeks = weekly(
+            (w, *by_week.get(w, (MISSING, MISSING))) for w in range(first, last + 1)
         )
-        records.append(ParticipantRecord(id=pid, group=group_of[pid], weeks=obs))
+        records.append(ParticipantRecord(id=pid, group=group_of[pid], weeks=weeks))
     for pid, reason in exclusions:
         log.info("excluded participant %s: %s", pid, reason)
     return Cohort(records=tuple(records), exclusions=tuple(exclusions))
@@ -186,8 +185,7 @@ def write_cohort(cohort, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in cohort.records:
-            for obs in rec.weeks:
-                writer.writerow([rec.id, rec.group.name, obs.week, obs.asrm, obs.qids])
+            writer.writerows((rec.id, rec.group.name, *row) for row in rec.weeks.tolist())
 
 
 def _is_int(value):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -36,24 +35,33 @@ class Group(Enum):
         return list(Group).index(self)
 
 
-@dataclass(frozen=True)
-class WeeklyObservation:
-    """One week of paired totals; both scores are MISSING for a skipped week."""
-
-    week: int
-    asrm: int
-    qids: int
-
-    @property
-    def is_missing(self) -> bool:
-        return self.asrm == MISSING or self.qids == MISSING
+# one week of paired totals; both scores are MISSING for a skipped week.
+# The score fields are the `tasks.Instrument` values, so
+# `weeks[instrument.value]` is an instrument's score column.
+WEEK = np.dtype([("week", np.int64), ("asrm", np.int64), ("qids", np.int64)])
 
 
-@dataclass(frozen=True)
+def weekly(rows) -> np.recarray:
+    """A read-only record array of `(week, asrm, qids)` rows, the form of
+    every participant's weeks; element `i` reads `.week`, `.asrm`, `.qids`."""
+    weeks = np.array([tuple(row) for row in rows], dtype=WEEK).view(np.recarray)
+    weeks.flags.writeable = False
+    return weeks
+
+
+@dataclass(frozen=True, eq=False)
 class ParticipantRecord:
     id: str
     group: Group
-    weeks: tuple[WeeklyObservation, ...]
+    weeks: np.recarray
+
+    # an array's == is elementwise, so weeks compare with np.array_equal
+    def __eq__(self, other):
+        if not isinstance(other, ParticipantRecord):
+            return NotImplemented
+        return (self.id, self.group) == (other.id, other.group) and np.array_equal(
+            self.weeks, other.weeks
+        )
 
     @property
     def n_weeks(self) -> int:
@@ -71,8 +79,19 @@ class Cohort:
         return tuple(r for r in self.records if r.group == group)
 
 
-def _scores(weeks: Sequence[WeeklyObservation]) -> np.ndarray:
-    return np.array([[obs.asrm, obs.qids] for obs in weeks], dtype=float).reshape(-1, 2)
+def _scores(weeks) -> np.ndarray:
+    return np.stack([weeks["asrm"], weeks["qids"]], axis=-1).astype(float)
+
+
+def _windows(weeks, window_length):
+    """The (n_windows, window_length, 2) float scores of every run of
+    `window_length` consecutive weeks, as a strided view."""
+    raw = _scores(weeks)
+    if len(raw) < window_length:
+        return np.empty((0, window_length, 2))
+    # (n_windows, 2, wl) view -> (n_windows, wl, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(raw, window_length, axis=0)
+    return windows.swapaxes(-1, -2)
 
 
 def _fill(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,9 +109,7 @@ def _fill(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return filled, missing_count
 
 
-def feed_forward_fill(
-    window: Sequence[WeeklyObservation],
-) -> tuple[np.ndarray, np.ndarray]:
+def feed_forward_fill(window: np.recarray) -> tuple[np.ndarray, np.ndarray]:
     """Fill missing scores from the nearest past valid value and count misses.
 
     Returns an (n, 2) float matrix of filled (ASRM, QIDS) scores and an
@@ -135,7 +152,7 @@ def normalize_and_cumulate(
 
 
 def mrsf(
-    window: Sequence[WeeklyObservation],
+    weeks: np.recarray,
     level: int = 2,
     window_length: int | None = None,
 ) -> np.ndarray:
@@ -145,45 +162,42 @@ def mrsf(
     3-channel path, with the constant level-0 term dropped; length is
     sum(3**k for k = 1..level), i.e. 12 at level 2.
 
-    Sliding form: with ``window_length`` set, ``window`` is a run of weeks
+    Sliding form: with ``window_length`` set, ``weeks`` is a run of weeks
     and the result has one row per window of ``window_length`` consecutive
-    weeks, where row s equals ``mrsf(window[s:s + window_length], level)``
+    weeks, where row s equals ``mrsf(weeks[s:s + window_length], level)``
     exactly.  Every window is encoded at once and all their signatures come
     from one stacked ``stream_signature`` call; fewer weeks than
     ``window_length`` give a (0, length) table.
     """
-    raw = _scores(window)
-    wl = len(raw) if window_length is None else window_length
+    wl = len(weeks) if window_length is None else window_length
     if wl < 2:
         raise InsufficientDataError("need at least 2 weeks for signature features")
-    if window_length is None:
-        windows = raw[None]
-    elif len(raw) < wl:
-        windows = np.empty((0, wl, 2))
-    else:
-        # (n_windows, 2, wl) view -> (n_windows, wl, 2)
-        windows = np.lib.stride_tricks.sliding_window_view(raw, wl, axis=0).swapaxes(-1, -2)
-    path = normalize_and_cumulate(*_fill(windows), wl)
+    path = normalize_and_cumulate(*_fill(_windows(weeks, wl)), wl)
     features = stream_signature(path, level).flatten()
     return features[0] if window_length is None else features
 
 
-def naive_features(window: Sequence[WeeklyObservation]) -> np.ndarray:
-    """Per-instrument mean over valid scores only; an all-missing instrument yields 0."""
-    if len(window) < 1:
+def naive_features(weeks: np.recarray, window_length: int | None = None) -> np.ndarray:
+    """Per-instrument mean over valid scores only; an all-missing instrument yields 0.
+
+    Sliding form as in `mrsf`: with ``window_length`` set, one row per
+    window of ``window_length`` consecutive weeks, an (n_windows, 2) table.
+    """
+    wl = len(weeks) if window_length is None else window_length
+    if wl < 1:
         raise InsufficientDataError("window must contain at least one week")
-    out = np.zeros(2)
-    for col, values in enumerate(
-        (np.array([o.asrm for o in window]), np.array([o.qids for o in window]))
-    ):
-        valid = values[values != MISSING]
-        out[col] = valid.mean() if valid.size else 0.0
-    return out
+    windows = _windows(weeks, wl)
+    valid = windows != MISSING
+    # integer sums are exact in any order, so each mean is bit-exact
+    count = valid.sum(axis=-2)
+    total = np.where(valid, windows, 0.0).sum(axis=-2)
+    means = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    return means[0] if window_length is None else means
 
 
 def extract_window(
     record: ParticipantRecord, length: int, rng: np.random.Generator
-) -> tuple[WeeklyObservation, ...]:
+) -> np.recarray:
     """Contiguous block of `length` weeks starting at a uniformly drawn index."""
     if record.n_weeks < length:
         raise InsufficientDataError(

@@ -28,11 +28,6 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-def sig_length(dimension: int, level: int) -> int:
-    """Number of coefficients on levels 1..level (the level-0 scalar excluded)."""
-    return sum(dimension**k for k in range(1, level + 1))
-
-
 def flat_index(word: Sequence[int], dimension: int) -> int:
     """Flat position of a word (letters in 1..d) within its level array."""
     idx = 0

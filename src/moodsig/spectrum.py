@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .tasks import StateLabel, state_label
+from .tasks import StateLabel, state_labels
 
 TEXT_FORMAT = "moodsig.spectrum/1"
 
@@ -47,10 +47,8 @@ def true_proportions(record, instrument):
     """Observed frequency of (NoAnswer, Normal, Elevated) over the record."""
     if record.n_weeks < 1:
         raise InsufficientDataError("record has no weeks")
-    counts = np.zeros(3)
-    for obs in record.weeks:
-        counts[state_label(instrument.score_of(obs), instrument)] += 1
-    return counts / record.n_weeks
+    labels = state_labels(record.weeks[instrument.value], instrument)
+    return np.bincount(labels, minlength=len(StateLabel)) / record.n_weeks
 
 
 def _inside_triangle(x, y, tol=1e-9):

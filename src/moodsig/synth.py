@@ -21,7 +21,7 @@ from .encode import (
     Cohort,
     Group,
     ParticipantRecord,
-    WeeklyObservation,
+    weekly,
 )
 
 EUTHYMIC, MANIC, DEPRESSED = 0, 1, 2
@@ -145,13 +145,13 @@ def _simulate_participant(params, weeks, rng):
             p_miss += params.missing_repeat_boost
         missing = rng.random() < min(p_miss, 1.0)
         if missing:
-            obs.append(WeeklyObservation(week=week, asrm=MISSING, qids=MISSING))
+            obs.append((week, MISSING, MISSING))
         else:
             asrm = int(np.clip(np.rint(rng.normal(params.asrm_means[state], params.asrm_sd)), 0, ASRM_MAX))
             qids = int(np.clip(np.rint(rng.normal(params.qids_means[state], params.qids_sd)), 0, QIDS_MAX))
-            obs.append(WeeklyObservation(week=week, asrm=asrm, qids=qids))
+            obs.append((week, asrm, qids))
         prev_missing = missing
-    return tuple(obs)
+    return weekly(obs)
 
 
 def generate_cohort(spec):
@@ -170,9 +170,3 @@ def generate_cohort(spec):
                 )
             )
     return Cohort(records=tuple(records))
-
-
-def missing_rate(cohort):
-    total = sum(rec.n_weeks for rec in cohort.records)
-    missed = sum(sum(o.is_missing for o in rec.weeks) for rec in cohort.records)
-    return missed / total

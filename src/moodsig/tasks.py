@@ -41,9 +41,6 @@ class Instrument(Enum):
     def elevated_threshold(self):
         return 5 if self is Instrument.ASRM else 10
 
-    def score_of(self, observation):
-        return observation.asrm if self is Instrument.ASRM else observation.qids
-
 
 class StateLabel(IntEnum):
     NO_ANSWER = 0
@@ -62,23 +59,29 @@ class SeverityBucket(IntEnum):
 _SEVERITY_EDGES = {Instrument.ASRM: (6, 10, 14, 18), Instrument.QIDS: (6, 11, 16, 21)}
 
 
-def state_label(score, instrument):
-    """Next-week state: missing response, normal, or elevated mood."""
-    if score == MISSING:
-        return StateLabel.NO_ANSWER
-    if not 0 <= score <= instrument.max_score:
-        raise ValueError(f"score {score} outside {instrument.name} range")
-    if score > instrument.elevated_threshold:
-        return StateLabel.ELEVATED
-    return StateLabel.NORMAL
+def _check_range(scores, instrument):
+    bad = (scores < 0) | (scores > instrument.max_score)
+    if bad.any():
+        raise ValueError(f"score {scores[bad][0]} outside {instrument.name} range")
 
 
-def severity_bucket(score, instrument):
-    """Five-level severity from the instrument's published cut-offs."""
-    if not 0 <= score <= instrument.max_score:
-        raise ValueError(f"score {score} outside {instrument.name} range")
-    edges = _SEVERITY_EDGES[instrument]
-    return SeverityBucket(int(np.searchsorted(edges, score, side="right")))
+def state_labels(scores, instrument):
+    """Each week's state: missing response, normal, or elevated mood, as
+    `StateLabel` values."""
+    scores = np.asarray(scores)
+    answered = scores != MISSING
+    _check_range(scores[answered], instrument)
+    elevated = scores > instrument.elevated_threshold
+    return np.where(answered, np.where(elevated, StateLabel.ELEVATED, StateLabel.NORMAL),
+                    StateLabel.NO_ANSWER)
+
+
+def severity_buckets(scores, instrument):
+    """Five-level severity of each score from the instrument's published
+    cut-offs, as `SeverityBucket` values."""
+    scores = np.asarray(scores)
+    _check_range(scores, instrument)
+    return np.searchsorted(_SEVERITY_EDGES[instrument], scores, side="right")
 
 
 @dataclass(frozen=True)
@@ -233,17 +236,16 @@ def run_classification(cohort, config):
 
 def _prediction_features(records, config):
     """The sliding-window feature table: per participant, the MRSF matrix,
-    the naive matrix and the next-week target observations, where row `s`
+    the naive matrix and the next-week target weeks, where row `s`
     is the window starting at week index `s`. Every window with a next week
     is kept, so a record of at most `window_length` weeks gets empty
-    matrices. The MRSF rows come from one sliding `mrsf` call per record."""
+    matrices. The rows come from one sliding `mrsf` and one sliding
+    `naive_features` call per record."""
     wl = config.window_length
     feats = []
     for rec in records:
         X_m = mrsf(rec.weeks[:-1], config.signature_level, wl)
-        X_n = np.array(
-            [naive_features(rec.weeks[s : s + wl]) for s in range(len(X_m))]
-        ).reshape(-1, 2)
+        X_n = naive_features(rec.weeks[:-1], wl)
         feats.append((X_m, X_n, rec.weeks[wl:]))
     return feats
 
@@ -264,7 +266,7 @@ def _paired_forests(cohort, config, seeds, targets, mode, n_classes=None):
 
     Per group: the feature table and a participant split seeded by
     `(seed, seeds[0], group)`, so no participant contributes windows to both
-    sides. Per instrument: `targets(observations, instrument)` gives one
+    sides. Per instrument: `targets(weeks, instrument)` gives one
     participant's window targets and the mask of windows kept. Yields
     `(group, instrument, y_train, y_test, fitted)`, where `fitted` yields
     `(model, X_test)` for the MRSF and then the naive features, each forest
@@ -300,15 +302,14 @@ def _paired_forests(cohort, config, seeds, targets, mode, n_classes=None):
             yield g, instrument, y_train, y_test, fitted
 
 
-def _state_targets(observations, instrument):
-    labels = np.array([state_label(instrument.score_of(t), instrument) for t in observations])
-    return labels, np.ones(len(labels), dtype=bool)
+def _state_targets(weeks, instrument):
+    return state_labels(weeks[instrument.value], instrument), np.ones(len(weeks), dtype=bool)
 
 
-def _score_targets(observations, instrument):
+def _score_targets(weeks, instrument):
     # only windows whose next-week response is present are kept
-    scores = np.array([instrument.score_of(t) for t in observations], dtype=float)
-    return scores, np.array([not t.is_missing for t in observations])
+    scores = weeks[instrument.value]
+    return scores.astype(float), scores != MISSING
 
 
 def run_state_prediction(cohort, config):
@@ -361,12 +362,8 @@ def run_score_prediction(cohort, config):
                     seed=(config.seed, 303, g.index),
                 )
             )
-        bucket_true = np.array(
-            [severity_bucket(int(s), instrument) for s in y_test]
-        )
-        bucket_pred = np.array(
-            [severity_bucket(int(np.rint(p)), instrument) for p in preds[0]]
-        )
+        bucket_true = severity_buckets(y_test.astype(int), instrument)
+        bucket_pred = severity_buckets(np.rint(preds[0]).astype(int), instrument)
         severity = evaluate_classification(
             bucket_true, bucket_pred, probs=None, n_classes=5,
             n_resamples=config.bootstrap_samples,
@@ -406,6 +403,7 @@ def run_state_rollout(cohort, config, horizon=5):
         points, skipped = [], []
         for g, feats in tables.items():
             recs = cohort.by_group(g)
+            states = [state_labels(t[instrument.value], instrument) for _, _, t in feats]
             for i, rec in enumerate(recs):
                 if not rollout_eligible(rec, wl, horizon):
                     skipped.append(
@@ -421,10 +419,9 @@ def run_state_rollout(cohort, config, horizon=5):
                 X, y = [], []
                 for j, k in enumerate(rest):
                     rng = np.random.default_rng((config.seed, 401, g.index, i, j))
-                    X_m, _, targets = feats[k]
-                    start = int(rng.integers(0, len(targets)))
-                    X.append(X_m[start])
-                    y.append(state_label(instrument.score_of(targets[start]), instrument))
+                    start = int(rng.integers(0, len(states[k])))
+                    X.append(feats[k][0][start])
+                    y.append(states[k][start])
                 model = fit(
                     np.array(X), np.array(y, dtype=int), CLASSIFY, config.forest,
                     seed=(config.seed, 402, g.index, i), n_classes=3,

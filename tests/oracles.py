@@ -2,9 +2,11 @@
 
 `read_plot_text` parses a spectrum `.txt` twin back into arrays, so tests
 can check what `emit_plot` wrote against the grid it was given.
-`kron_signature_flat` and `loop_fill` are the one-window loops that the
-batched signature kernel and the vectorised gap filling replaced, kept as
-their bit-exact references. The Riemann signature oracle
+`kron_signature_flat`, `loop_fill` and `loop_naive` are the one-window
+loops that the batched signature kernel, the vectorised gap filling and the
+sliding naive means replaced, kept as their bit-exact references.
+`sig_length` and `missing_rate` are sizes and rates the tests check
+against. The Riemann signature oracle
 integrates the iterated integrals directly on a fine
 uniform grid along the piecewise-linear path, one word at a time, without
 touching the tensor-exponential / Chen-product code path it is checking.
@@ -16,7 +18,19 @@ from itertools import product
 
 import numpy as np
 
+from moodsig.encode import MISSING
 from moodsig.spectrum import TEXT_FORMAT
+
+
+def sig_length(dimension: int, level: int) -> int:
+    """Number of coefficients on levels 1..level (the level-0 scalar excluded)."""
+    return sum(dimension**k for k in range(1, level + 1))
+
+
+def missing_rate(cohort):
+    """Share of all the cohort's weeks with a missing response."""
+    weeks = np.concatenate([rec.weeks for rec in cohort.records])
+    return np.count_nonzero(weeks["asrm"] == MISSING) / len(weeks)
 
 
 def loop_fill(window, missing=-1):
@@ -40,6 +54,18 @@ def loop_fill(window, missing=-1):
             filled[:first_valid, col] = filled[first_valid, col]
     missing_week = np.array([o.asrm == missing or o.qids == missing for o in window])
     return filled, np.cumsum(missing_week).astype(int)
+
+
+def loop_naive(window, missing=-1):
+    """Mean of one window's valid scores, one column at a time; a column
+    with no valid score gives 0."""
+    out = np.zeros(2)
+    for col, values in enumerate(
+        (np.array([o.asrm for o in window]), np.array([o.qids for o in window]))
+    ):
+        valid = values[values != missing]
+        out[col] = valid.mean() if valid.size else 0.0
+    return out
 
 
 def kron_signature_flat(points, level: int) -> np.ndarray:

@@ -14,10 +14,10 @@ from moodsig.encode import (
     MISSING,
     Group,
     ParticipantRecord,
-    WeeklyObservation,
     feed_forward_fill,
     mrsf,
     naive_features,
+    weekly,
 )
 from moodsig.metrics import confusion_matrix, f1_per_class, mae, roc_ovr
 from moodsig.sigcore import chen_product, identity_signature, stream_signature
@@ -34,7 +34,7 @@ from moodsig.tasks import (
     run_score_prediction,
     run_state_prediction,
     run_state_rollout,
-    severity_bucket,
+    severity_buckets,
 )
 
 
@@ -109,25 +109,23 @@ def test_criterion_2_encoding():
     ]
     for _ in range(1000):
         n = int(rng.integers(2, 30))
-        window = tuple(
-            WeeklyObservation(week=t, asrm=MISSING, qids=MISSING)
+        window = weekly(
+            (t, MISSING, MISSING)
             if rng.random() < 0.3
-            else WeeklyObservation(
-                week=t, asrm=int(rng.integers(0, 21)), qids=int(rng.integers(0, 28))
-            )
+            else (t, int(rng.integers(0, 21)), int(rng.integers(0, 28)))
             for t in range(n)
         )
         _, missing_count = feed_forward_fill(window)
         assert (np.diff(missing_count) >= 0).all()
-        assert missing_count[-1] == sum(o.is_missing for o in window)
+        assert missing_count[-1] == np.count_nonzero(window.asrm == MISSING)
         if missing_count[-1] == 0:
             features = mrsf(window)
             assert (features[missing_coords] == 0.0).all()
         base = naive_features(window)
-        extended = window + tuple(
-            WeeklyObservation(week=n + t, asrm=MISSING, qids=MISSING)
-            for t in range(int(rng.integers(1, 4)))
-        )
+        extended = weekly([
+            *window.tolist(),
+            *((n + t, MISSING, MISSING) for t in range(int(rng.integers(1, 4)))),
+        ])
         np.testing.assert_array_equal(naive_features(extended), base)
 
 
@@ -260,11 +258,9 @@ def test_criterion_7_score_prediction(benchmark_cohort):
         assert r.naive_report.mae == 0.0
 
     asrm_expected = [0] * 6 + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 3
-    for score, want in zip(range(21), asrm_expected):
-        assert severity_bucket(score, Instrument.ASRM) == want
+    assert severity_buckets(np.arange(21), Instrument.ASRM).tolist() == asrm_expected
     qids_expected = [0] * 6 + [1] * 5 + [2] * 5 + [3] * 5 + [4] * 7
-    for score, want in zip(range(28), qids_expected):
-        assert severity_bucket(score, Instrument.QIDS) == want
+    assert severity_buckets(np.arange(28), Instrument.QIDS).tolist() == qids_expected
 
 
 @pytest.mark.acceptance(

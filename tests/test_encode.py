@@ -5,21 +5,22 @@ from hypothesis import strategies as st
 
 from moodsig.encode import (
     MISSING,
+    WEEK,
     Group,
     ParticipantRecord,
-    WeeklyObservation,
     extract_window,
     feed_forward_fill,
     mrsf,
     naive_features,
     normalize_and_cumulate,
+    weekly,
 )
 from moodsig.errors import InsufficientDataError
-from oracles import loop_fill, riemann_signature_flat
+from oracles import loop_fill, loop_naive, riemann_signature_flat
 
 
 def obs(week, asrm, qids):
-    return WeeklyObservation(week=week, asrm=asrm, qids=qids)
+    return (week, asrm, qids)
 
 
 def missing_week(week):
@@ -35,43 +36,43 @@ def windows(draw, min_weeks=1, max_weeks=30):
             out.append(missing_week(t))
         else:
             out.append(obs(t, draw(st.integers(0, 20)), draw(st.integers(0, 27))))
-    return out
+    return weekly(out)
 
 
 class TestFeedForwardFill:
     def test_single_gap(self):
-        filled, counts = feed_forward_fill([obs(0, 3, 5), missing_week(1), obs(2, 4, 6)])
+        filled, counts = feed_forward_fill(weekly([obs(0, 3, 5), missing_week(1), obs(2, 4, 6)]))
         np.testing.assert_array_equal(filled, [[3, 5], [3, 5], [4, 6]])
         np.testing.assert_array_equal(counts, [0, 1, 1])
 
     def test_no_missing_passthrough(self):
-        window = [obs(0, 2, 9), obs(1, 7, 0)]
+        window = weekly([obs(0, 2, 9), obs(1, 7, 0)])
         filled, counts = feed_forward_fill(window)
         np.testing.assert_array_equal(filled, [[2, 9], [7, 0]])
         np.testing.assert_array_equal(counts, [0, 0])
 
     def test_leading_gap_backfilled(self):
         filled, counts = feed_forward_fill(
-            [missing_week(0), missing_week(1), obs(2, 2, 7)]
+            weekly([missing_week(0), missing_week(1), obs(2, 2, 7)])
         )
         np.testing.assert_array_equal(filled, [[2, 7], [2, 7], [2, 7]])
         np.testing.assert_array_equal(counts, [1, 2, 2])
 
     def test_all_missing_fills_zero(self):
-        filled, counts = feed_forward_fill([missing_week(0), missing_week(1)])
+        filled, counts = feed_forward_fill(weekly([missing_week(0), missing_week(1)]))
         np.testing.assert_array_equal(filled, np.zeros((2, 2)))
         np.testing.assert_array_equal(counts, [1, 2])
 
     def test_empty_window_rejected(self):
         with pytest.raises(InsufficientDataError):
-            feed_forward_fill([])
+            feed_forward_fill(weekly([]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(-1, 20), st.integers(-1, 27)), min_size=1, max_size=20))
 def test_fill_equals_the_per_week_loop(scores):
     # one-sided gaps too: each column is filled on its own
-    window = [obs(t, a, q) for t, (a, q) in enumerate(scores)]
+    window = weekly(obs(t, a, q) for t, (a, q) in enumerate(scores))
     filled, counts = feed_forward_fill(window)
     want_filled, want_counts = loop_fill(window)
     assert np.array_equal(filled, want_filled)
@@ -100,13 +101,13 @@ class TestNormalizeAndCumulate:
 
 class TestMrsf:
     def test_feature_length(self):
-        window = [obs(t, 3, 4) for t in range(4)]
+        window = weekly(obs(t, 3, 4) for t in range(4))
         assert mrsf(window, level=2).shape == (12,)
         assert mrsf(window, level=3).shape == (3 + 9 + 27,)
 
     def test_constant_window_level1(self):
         n, s_a, s_q = 5, 8, 12
-        feats = mrsf([obs(t, s_a, s_q) for t in range(n)], level=2)
+        feats = mrsf(weekly(obs(t, s_a, s_q) for t in range(n)), level=2)
         np.testing.assert_allclose(feats[0], n * s_a / 20.0)
         np.testing.assert_allclose(feats[1], n * s_q / 27.0)
         assert feats[2] == 0.0
@@ -114,7 +115,7 @@ class TestMrsf:
     def test_fig_style_window_matches_composed_oracle(self):
         # frozen from the composed oracle: feed-forward fill -> normalize/cumulate
         # -> trapezoid Riemann integration of the iterated integrals
-        window = [obs(0, 3, 5), missing_week(1), obs(2, 4, 6)]
+        window = weekly([obs(0, 3, 5), missing_week(1), obs(2, 4, 6)])
         expected = np.array(
             [0.5, 0.59259259259259256, 0.66666666666666663,
              0.125, 0.14444444444444443, 0.20833333333333331,
@@ -129,9 +130,9 @@ class TestMrsf:
 
     def test_zero_missing_kills_count_channel_exactly(self):
         rng = np.random.default_rng(3)
-        window = [
+        window = weekly(
             obs(t, int(rng.integers(0, 21)), int(rng.integers(0, 28))) for t in range(12)
-        ]
+        )
         feats = mrsf(window, level=2)
         level2 = feats[3:].reshape(3, 3)
         assert feats[2] == 0.0
@@ -139,18 +140,18 @@ class TestMrsf:
             assert level2[i, j] == 0.0
 
     def test_week_indices_are_irrelevant(self):
-        a = [obs(0, 4, 6), missing_week(1), obs(2, 6, 9)]
-        b = [obs(100, 4, 6), missing_week(250), obs(251, 6, 9)]
+        a = weekly([obs(0, 4, 6), missing_week(1), obs(2, 6, 9)])
+        b = weekly([obs(100, 4, 6), missing_week(250), obs(251, 6, 9)])
         np.testing.assert_array_equal(mrsf(a), mrsf(b))
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            mrsf([obs(0, 1, 1)])
+            mrsf(weekly([obs(0, 1, 1)]))
         with pytest.raises(InsufficientDataError):
-            mrsf([obs(t, 1, 1) for t in range(5)], 2, window_length=1)
+            mrsf(weekly(obs(t, 1, 1) for t in range(5)), 2, window_length=1)
 
     def test_sliding_form_on_fewer_weeks_than_a_window_is_empty(self):
-        weeks = [obs(t, 3, 4) for t in range(4)]
+        weeks = weekly(obs(t, 3, 4) for t in range(4))
         assert mrsf(weeks, 2, window_length=5).shape == (0, 12)
         assert mrsf(weeks, 3, window_length=5).shape == (0, 39)
         assert mrsf(weeks, 2, window_length=4).shape == (1, 12)
@@ -159,7 +160,9 @@ class TestMrsf:
 def _coverage_weeks():
     # a leading gap, an interior gap and an all-missing run of 4 weeks
     gaps = {0, 1, 4, 7, 8, 9, 10}
-    return [missing_week(t) if t in gaps else obs(t, t % 21, (3 * t) % 28) for t in range(14)]
+    return weekly(
+        missing_week(t) if t in gaps else obs(t, t % 21, (3 * t) % 28) for t in range(14)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,38 +171,43 @@ def _coverage_weeks():
 @example(_coverage_weeks(), 2, 3)
 def test_sliding_mrsf_rows_equal_each_window_exactly(weeks, window_length, level):
     table = mrsf(weeks, level, window_length)
+    naive = naive_features(weeks, window_length)
     n_windows = max(len(weeks) - window_length + 1, 0)
     assert table.shape == (n_windows, sum(3**k for k in range(1, level + 1)))
+    assert naive.shape == (n_windows, 2)
     for s in range(n_windows):
-        assert np.array_equal(table[s], mrsf(weeks[s : s + window_length], level))
+        window = weeks[s : s + window_length]
+        assert np.array_equal(table[s], mrsf(window, level))
+        assert np.array_equal(naive[s], naive_features(window))
+        assert np.array_equal(naive[s], loop_naive(window))
 
 
 class TestNaiveFeatures:
     def test_plain_mean(self):
         np.testing.assert_array_equal(
-            naive_features([obs(0, 4, 6), obs(1, 6, 8)]), [5.0, 7.0]
+            naive_features(weekly([obs(0, 4, 6), obs(1, 6, 8)])), [5.0, 7.0]
         )
 
     def test_missing_excluded(self):
         np.testing.assert_array_equal(
-            naive_features([obs(0, 4, 6), missing_week(1)]), [4.0, 6.0]
+            naive_features(weekly([obs(0, 4, 6), missing_week(1)])), [4.0, 6.0]
         )
 
     def test_all_missing_neutral(self):
         np.testing.assert_array_equal(
-            naive_features([missing_week(0), missing_week(1)]), [0.0, 0.0]
+            naive_features(weekly([missing_week(0), missing_week(1)])), [0.0, 0.0]
         )
 
 
 class TestExtractWindow:
     def _record(self, n):
         return ParticipantRecord(
-            id="p1", group=Group.BD, weeks=tuple(obs(t, t % 20, t % 27) for t in range(n))
+            id="p1", group=Group.BD, weeks=weekly(obs(t, t % 20, t % 27) for t in range(n))
         )
 
     def test_exact_length_returns_whole(self):
         rec = self._record(20)
-        assert extract_window(rec, 20, np.random.default_rng(0)) == rec.weeks
+        assert np.array_equal(extract_window(rec, 20, np.random.default_rng(0)), rec.weeks)
 
     def test_start_range_uniform(self):
         rec = self._record(25)
@@ -212,7 +220,7 @@ class TestExtractWindow:
         rec = self._record(40)
         a = extract_window(rec, 20, np.random.default_rng(7))
         b = extract_window(rec, 20, np.random.default_rng(7))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_too_short_record(self):
         with pytest.raises(InsufficientDataError):
@@ -224,7 +232,7 @@ class TestExtractWindow:
 def test_missing_count_monotone_with_correct_total(window):
     _, counts = feed_forward_fill(window)
     assert np.all(np.diff(counts) >= 0)
-    assert counts[-1] == sum(o.is_missing for o in window)
+    assert counts[-1] == np.count_nonzero(window.asrm == MISSING)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,5 +250,24 @@ def test_increments_bounded_per_channel(window):
 @given(windows())
 def test_naive_ignores_appended_missing(window):
     before = naive_features(window)
-    after = naive_features(list(window) + [missing_week(len(window))])
+    after = naive_features(weekly([*window.tolist(), missing_week(len(window))]))
     np.testing.assert_array_equal(before, after)
+
+
+def test_weekly_rows_read_as_records():
+    weeks = weekly([obs(3, 4, 6), missing_week(4), obs(5, 7, 9)])
+    assert (weeks[0].week, weeks[0].asrm, weeks[0].qids) == (3, 4, 6)
+    assert weeks[1].asrm == MISSING and weeks[1].qids == MISSING
+    tail = weeks[1:]
+    assert isinstance(tail, np.recarray) and tail.dtype == WEEK
+    assert not tail.flags.writeable
+    assert [o.week for o in tail] == [4, 5]
+    assert len(weekly([])) == 0 and weekly([]).dtype == WEEK
+
+    def record(rows):
+        return ParticipantRecord(id="p1", group=Group.BD, weeks=weekly(rows))
+
+    assert record([obs(0, 1, 2)]) == record([obs(0, 1, 2)])
+    assert record([obs(0, 1, 2)]) != record([obs(0, 1, 3)])
+    assert record([obs(0, 1, 2)]) != record([obs(0, 1, 2), obs(1, 1, 2)])
+    assert record([]) == record([])

@@ -10,10 +10,9 @@ from moodsig.sigcore import (
     flat_index,
     identity_signature,
     segment_signature,
-    sig_length,
     stream_signature,
 )
-from oracles import kron_signature_flat, riemann_signature_flat
+from oracles import kron_signature_flat, riemann_signature_flat, sig_length
 
 
 def paths(draw, max_dim=4, min_points=2, max_points=8, lo=-1.0, hi=1.0):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import read_plot_text
 
-from moodsig.encode import MISSING, Group, ParticipantRecord, WeeklyObservation
+from moodsig.encode import MISSING, Group, ParticipantRecord, weekly
 from moodsig.errors import InsufficientDataError
 from moodsig.spectrum import (
     VERTICES,
@@ -17,7 +17,7 @@ from moodsig.spectrum import (
     simplex_project,
     true_proportions,
 )
-from moodsig.tasks import Instrument, state_label
+from moodsig.tasks import Instrument, state_labels
 
 
 def test_vertices_map_to_corners():
@@ -100,9 +100,7 @@ def test_coordinate_identities(p):
 
 
 def _record(pairs, group=Group.BD, pid="BD000"):
-    weeks = tuple(
-        WeeklyObservation(week=t, asrm=a, qids=q) for t, (a, q) in enumerate(pairs)
-    )
+    weeks = weekly((t, a, q) for t, (a, q) in enumerate(pairs))
     return ParticipantRecord(id=pid, group=group, weeks=weeks)
 
 
@@ -248,7 +246,7 @@ def test_instance_labels_match_true_proportions_over_target_weeks():
     suffix = ParticipantRecord(id=rec.id, group=rec.group, weeks=rec.weeks[wl:])
     for instrument in Instrument:
         labels = [
-            int(state_label(instrument.score_of(obs), instrument))
+            int(state_labels([obs[instrument.value]], instrument)[0])
             for obs in rec.weeks[wl:]
         ]
         freq = np.bincount(labels, minlength=3) / len(labels)

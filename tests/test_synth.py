@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from moodsig.encode import ASRM_MAX, QIDS_MAX, Group
-from moodsig.synth import CohortSpec, GroupParams, default_group_params, generate_cohort, missing_rate
+from moodsig.encode import ASRM_MAX, MISSING, QIDS_MAX, Cohort, Group
+from moodsig.synth import CohortSpec, GroupParams, default_group_params, generate_cohort
+from oracles import missing_rate
 
 
 def _flat_params(missing_base, state_boost=0.0, repeat_boost=0.0):
@@ -39,12 +40,11 @@ class TestScores:
     def test_scores_in_range_and_missing_paired(self):
         cohort = generate_cohort(CohortSpec(seed=1))
         for rec in cohort.records:
-            for o in rec.weeks:
-                if o.is_missing:
-                    assert o.asrm == -1 and o.qids == -1
-                else:
-                    assert 0 <= o.asrm <= ASRM_MAX
-                    assert 0 <= o.qids <= QIDS_MAX
+            missing = rec.weeks.asrm == MISSING
+            assert np.array_equal(missing, rec.weeks.qids == MISSING)
+            answered = rec.weeks[~missing]
+            assert ((0 <= answered.asrm) & (answered.asrm <= ASRM_MAX)).all()
+            assert ((0 <= answered.qids) & (answered.qids <= QIDS_MAX)).all()
 
     def test_zero_missing_probability(self):
         spec = CohortSpec(sizes=(3, 3, 3), weeks=40, seed=5, params=_flat_params(0.0))
@@ -113,9 +113,6 @@ class TestValidation:
 class TestGroupSignal:
     def test_bpd_missing_rate_highest(self):
         cohort = generate_cohort(CohortSpec(seed=0))
-        rates = {}
-        for g in Group:
-            weeks = [o for r in cohort.records if r.group == g for o in r.weeks]
-            rates[g] = np.mean([o.is_missing for o in weeks])
+        rates = {g: missing_rate(Cohort(records=cohort.by_group(g))) for g in Group}
         assert rates[Group.BPD] > 0.25
         assert rates[Group.BPD] > rates[Group.BD] > rates[Group.HC]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moodsig.encode import MISSING, Cohort, Group, ParticipantRecord, WeeklyObservation
+from moodsig.encode import MISSING, Cohort, Group, ParticipantRecord, weekly
 from moodsig.errors import InsufficientDataError
 from moodsig.forest import ForestConfig
 from moodsig.metrics import report_to_dict
@@ -16,8 +16,8 @@ from moodsig.tasks import (
     run_score_prediction,
     run_state_prediction,
     run_state_rollout,
-    severity_bucket,
-    state_label,
+    severity_buckets,
+    state_labels,
 )
 
 SMALL_FOREST = ForestConfig(n_trees=10)
@@ -37,54 +37,57 @@ def _quiet_params(asrm_mean=2.0, qids_mean=3.0, missing_base=0.0):
 
 
 def _record(group, scores, pid="p0"):
-    weeks = tuple(
-        WeeklyObservation(week=i, asrm=a, qids=q) for i, (a, q) in enumerate(scores)
-    )
+    weeks = weekly((i, a, q) for i, (a, q) in enumerate(scores))
     return ParticipantRecord(id=pid, group=group, weeks=weeks)
 
 
 class TestStateLabel:
     def test_asrm_threshold(self):
-        assert state_label(5, Instrument.ASRM) is StateLabel.NORMAL
-        assert state_label(6, Instrument.ASRM) is StateLabel.ELEVATED
+        labels = state_labels([5, 6], Instrument.ASRM)
+        assert labels.tolist() == [StateLabel.NORMAL, StateLabel.ELEVATED]
 
     def test_qids_threshold(self):
-        assert state_label(10, Instrument.QIDS) is StateLabel.NORMAL
-        assert state_label(11, Instrument.QIDS) is StateLabel.ELEVATED
+        labels = state_labels([10, 11], Instrument.QIDS)
+        assert labels.tolist() == [StateLabel.NORMAL, StateLabel.ELEVATED]
 
     def test_missing_is_no_answer(self):
-        assert state_label(MISSING, Instrument.ASRM) is StateLabel.NO_ANSWER
-        assert state_label(MISSING, Instrument.QIDS) is StateLabel.NO_ANSWER
+        assert state_labels([MISSING], Instrument.ASRM).tolist() == [StateLabel.NO_ANSWER]
+        assert state_labels([MISSING], Instrument.QIDS).tolist() == [StateLabel.NO_ANSWER]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            state_label(21, Instrument.ASRM)
-        with pytest.raises(ValueError):
-            state_label(28, Instrument.QIDS)
-        with pytest.raises(ValueError):
-            state_label(-2, Instrument.ASRM)
+        with pytest.raises(ValueError, match="score 21 outside ASRM"):
+            state_labels([21], Instrument.ASRM)
+        with pytest.raises(ValueError, match="score 28 outside QIDS"):
+            state_labels([28], Instrument.QIDS)
+        with pytest.raises(ValueError, match="score -2 outside ASRM"):
+            state_labels([-2], Instrument.ASRM)
+        # one bad score among valid and missing ones
+        with pytest.raises(ValueError, match="score 21 outside ASRM"):
+            state_labels([0, 6, MISSING, 21, 20], Instrument.ASRM)
 
 
 class TestSeverityBucket:
     def test_asrm_sweep(self):
         expected = [0] * 6 + [1] * 4 + [2] * 4 + [3] * 4 + [4] * 3
-        got = [severity_bucket(s, Instrument.ASRM) for s in range(21)]
+        got = severity_buckets(np.arange(21), Instrument.ASRM).tolist()
         assert got == expected
 
     def test_qids_sweep(self):
         expected = [0] * 6 + [1] * 5 + [2] * 5 + [3] * 5 + [4] * 7
-        got = [severity_bucket(s, Instrument.QIDS) for s in range(28)]
+        got = severity_buckets(np.arange(28), Instrument.QIDS).tolist()
         assert got == expected
 
     def test_declared_boundaries(self):
-        assert severity_bucket(17, Instrument.ASRM) is SeverityBucket.SEVERE
-        assert severity_bucket(0, Instrument.QIDS) is SeverityBucket.NONE0
+        assert severity_buckets([17], Instrument.ASRM).tolist() == [SeverityBucket.SEVERE]
+        assert severity_buckets([0], Instrument.QIDS).tolist() == [SeverityBucket.NONE0]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            severity_bucket(21, Instrument.ASRM)
-        with pytest.raises(ValueError):
-            severity_bucket(-1, Instrument.QIDS)
+        with pytest.raises(ValueError, match="score 21 outside ASRM"):
+            severity_buckets([21], Instrument.ASRM)
+        with pytest.raises(ValueError, match="score -1 outside QIDS"):
+            severity_buckets([-1], Instrument.QIDS)
+        with pytest.raises(ValueError, match="score 28 outside QIDS"):
+            severity_buckets([0, 11, 27, 28, 5], Instrument.QIDS)
 
 
 class TestTaskConfig:
