@@ -469,7 +469,7 @@ def cmd_spectrum(cfg, command):
     run_dir, run_hash = _prepare_run(cfg, command)
     source = cfg.spectrum_source
     # one plot per (group, instrument or None, points), in file order
-    plot_sets = []
+    plot_sets, skipped = [], []
     vertex_labels = STATE_VERTEX_LABELS
     if source == "classify":
         result = run_classification(cohort, _task_config(cfg, CLASSIFY_TASK))
@@ -478,6 +478,7 @@ def cmd_spectrum(cfg, command):
             plot_sets.append((g, None, [p for p in result.loo_points if p.group == g]))
     elif source == "state":
         for rollout in run_state_rollout(cohort, tcfg):
+            skipped += [[rollout.instrument.name, *skip] for skip in rollout.skipped]
             for g in tcfg.group_list:
                 pts = [p for p in rollout.points if p.group == g]
                 plot_sets.append((g, rollout.instrument, pts))
@@ -514,13 +515,9 @@ def cmd_spectrum(cfg, command):
         rows,
     )
     written.append(str(run_dir / "points.tsv"))
-    _write_meta(
-        run_dir,
-        cfg,
-        command,
-        run_hash,
-        {"source": source, "files": sorted(Path(p).name for p in written)},
-    )
+    extra = {"source": source, "files": sorted(Path(p).name for p in written),
+             "exclusions": list(cohort.exclusions), "skipped": skipped}
+    _write_meta(run_dir, cfg, command, run_hash, extra)
     print(f"spectrum ({source}): wrote {len(written)} files -> {run_dir}")
     return 0
 

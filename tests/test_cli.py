@@ -420,6 +420,26 @@ def test_spectrum_true_source_writes_stamped_plots(tmp_path):
         assert sum(float(v) for v in row[3:]) == pytest.approx(1.0)
 
 
+def test_spectrum_meta_lists_exclusions_and_rollout_skips(tmp_path):
+    # 14 weeks fail ingest; 20 weeks pass it but give only 5 windows of 15
+    rows = _long_record("X14", "BD", n=14) + _long_record("B20", "BPD", n=20)
+    for k in range(3):
+        rows += [f"B{k},BPD,{w},{(7 * w + k) % 21},{(5 * w + 3 * k) % 28}" for w in range(30)]
+    out = tmp_path / "runs"
+    rc = main(
+        ["spectrum", "--input", str(_write_csv(tmp_path, rows)), "--source", "state",
+         "--groups", "BPD", "--window-length", "15", "--n-trees", "3",
+         "--resolution", "16", "-o", str(out)]
+    )
+    assert rc == 0
+    (run_dir,) = out.glob("spectrum-*")
+    meta = json.loads((run_dir / "meta.json").read_text())
+    assert meta["exclusions"] == [["X14", "14 weeks < 20"]]
+    assert meta["skipped"] == [
+        [instrument, "B20", "needs > 5 windows of 15 weeks"] for instrument in ("ASRM", "QIDS")
+    ]
+
+
 def test_spectrum_accepts_bandwidth_pair(tmp_path):
     csv_path = _synth_csv(tmp_path)
     out = tmp_path / "runs"

@@ -72,7 +72,7 @@ DIGESTS = {
     "predict-state-4734790337fa/reports.json":
         "495093528192d8e38f731c9cb952d6488be1cc6a4502f8afcf6a354fd415c491",
     "spectrum-384edc42c650/meta.json":
-        "1b0c88a1184ef2368d2fa14451b71dbd117aacea88a6989861ef5b622a79d8fd",
+        "6b78bbb2d89c18ac91e2d2e1c4332c48b4f9d5ccb65f449d431a458aed8bfdb9",
     "spectrum-384edc42c650/points.tsv":
         "c211f33c959a7548862fbac068194a97705fd3d2e136c5c586d68f5f42993485",
     "spectrum-384edc42c650/spectrum_state_BD_ASRM.svg":
@@ -100,7 +100,7 @@ DIGESTS = {
     "spectrum-384edc42c650/spectrum_state_HC_QIDS.txt":
         "ae28d99b869a81301906ce7803a43b14025b3de2c853bb6f412964d66e70ffcd",
     "spectrum-690b80fdc3d8/meta.json":
-        "84e0856894873c15f9fb6881c93fa1de3c011a5581b29c692178f3ad4d286da0",
+        "f9513fb8b39179a74ab8d20042d093522b77e15fb25f0a5819b291fe9e6870fd",
     "spectrum-690b80fdc3d8/points.tsv":
         "b7bed3dc688fe6a42af10f2c25c6aeb4ab6e53b4a5ab45b17966eb02f4ea08cc",
     "spectrum-690b80fdc3d8/spectrum_classify_BD.svg":
@@ -116,7 +116,7 @@ DIGESTS = {
     "spectrum-690b80fdc3d8/spectrum_classify_HC.txt":
         "d758649cd6cb2a34965d49cd5d3e382733d12b91a42d42d75d2c42e2cdd48448",
     "spectrum-7226dcaf6fca/meta.json":
-        "077862e4c42dc5b5d44198cb24d29773b317f15075153a7e511553e382cee75b",
+        "c0235cb3e7f39ed68ed21a0f91c1de559055feefa1c3db2b217e8adcf2362b79",
     "spectrum-7226dcaf6fca/points.tsv":
         "7b542603cc960ddb212f024c188834a234e93548a66578785104503fc2cb8987",
     "spectrum-7226dcaf6fca/spectrum_true_BD_ASRM.svg":
