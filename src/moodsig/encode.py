@@ -42,9 +42,9 @@ WEEK = np.dtype([("week", np.int64), ("asrm", np.int64), ("qids", np.int64)])
 
 
 def weekly(rows) -> np.recarray:
-    """A read-only record array of `(week, asrm, qids)` rows, the form of
+    """A read-only record array of `(week, asrm, qids)` tuples, the form of
     every participant's weeks; element `i` reads `.week`, `.asrm`, `.qids`."""
-    weeks = np.array([tuple(row) for row in rows], dtype=WEEK).view(np.recarray)
+    weeks = np.fromiter(rows, dtype=WEEK).view(np.recarray)
     weeks.flags.writeable = False
     return weeks
 

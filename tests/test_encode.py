@@ -41,7 +41,8 @@ def windows(draw, min_weeks=1, max_weeks=30):
 
 class TestFeedForwardFill:
     def test_single_gap(self):
-        filled, counts = feed_forward_fill(weekly([obs(0, 3, 5), missing_week(1), obs(2, 4, 6)]))
+        window = weekly([obs(0, 3, 5), missing_week(1), obs(2, 4, 6)])
+        filled, counts = feed_forward_fill(window)
         np.testing.assert_array_equal(filled, [[3, 5], [3, 5], [4, 6]])
         np.testing.assert_array_equal(counts, [0, 1, 1])
 
