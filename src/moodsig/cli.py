@@ -16,6 +16,7 @@ import itertools
 import json
 import logging
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -59,6 +60,9 @@ MAX_WEEK = 10_000
 # the highest signature_level and sig --level: level p of a d-channel path
 # has d**p coefficients, and an MRSF table row sum(3**k for k <= p), 363 at 5
 MAX_LEVEL = 5
+# sig's top level holds d**level floats for d columns, and so does each of
+# its intermediate products; a larger request is rejected before any work
+MAX_SIG_TERMS = 10**6
 STATE_VERTEX_LABELS = ("NoAnswer", "Normal", "Elevated")
 
 log = logging.getLogger(TOOL)
@@ -289,8 +293,12 @@ def load_config(args):
     or lists; a one-value bandwidth stays a scalar."""
     data = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:
+            # a JSON syntax error or non-UTF-8 bytes
+            raise ValueError(f"{args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
@@ -332,6 +340,8 @@ def _task_config(cfg, task):
 
 
 def _prepare_run(cfg, command):
+    # called once the command's results exist, so a failed command leaves
+    # no run directory behind
     run_hash = config_hash(cfg)
     run_dir = Path(cfg.output) / f"{command}-{run_hash[:12]}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -379,9 +389,9 @@ def _require_input(cfg, command):
 
 
 def cmd_synth(cfg, command):
-    run_dir, run_hash = _prepare_run(cfg, command)
     spec = CohortSpec(sizes=cfg.synth_sizes, weeks=cfg.synth_weeks, seed=cfg.seed)
     cohort = generate_cohort(spec)
+    run_dir, run_hash = _prepare_run(cfg, command)
     csv_path = run_dir / "cohort.csv"
     write_cohort(cohort, csv_path)
     _write_meta(
@@ -398,8 +408,8 @@ def cmd_synth(cfg, command):
 def cmd_classify(cfg, command):
     tcfg = _task_config(cfg, CLASSIFY_TASK)
     cohort = _require_input(cfg, command)
-    run_dir, run_hash = _prepare_run(cfg, command)
     result = run_classification(cohort, tcfg)
+    run_dir, run_hash = _prepare_run(cfg, command)
     for model, report in (("mrsf", result.mrsf_report), ("naive", result.naive_report)):
         doc = _stamp(command, run_hash)
         doc["report"] = report_to_dict(report)
@@ -437,13 +447,13 @@ def cmd_predict(cfg, command):
     score = command == "predict-score"
     tcfg = _task_config(cfg, SCORE_TASK if score else STATE_TASK)
     cohort = _require_input(cfg, command)
-    run_dir, run_hash = _prepare_run(cfg, command)
     results = (run_score_prediction if score else run_state_prediction)(cohort, tcfg)
+    run_dir, run_hash = _prepare_run(cfg, command)
     doc = _stamp(command, run_hash)
     doc["results"] = []
     for r in results:
         reports = {"mrsf": r.mrsf_report, "naive": r.naive_report}
-        if score:
+        if r.severity_report is not None:
             reports["severity"] = r.severity_report
             summary = f"mrsf mae {r.mrsf_report.mae:.3f}, naive mae {r.naive_report.mae:.3f}"
         else:
@@ -466,7 +476,6 @@ def cmd_predict(cfg, command):
 def cmd_spectrum(cfg, command):
     tcfg = _task_config(cfg, STATE_TASK)
     cohort = _require_input(cfg, command)
-    run_dir, run_hash = _prepare_run(cfg, command)
     source = cfg.spectrum_source
     # one plot per (group, instrument or None, points), in file order
     plot_sets, skipped = [], []
@@ -490,23 +499,29 @@ def cmd_spectrum(cfg, command):
                     for r in cohort.by_group(g)
                 ]
                 plot_sets.append((g, instrument, pts))
-    written, rows = [], []
+    # every grid is computed before the run directory exists, so a set too
+    # small for a KDE leaves no partial run behind
+    plots, rows = [], []
     for g, instrument, pts in plot_sets:
         meta = {"source": source, "group": g.name}
         if instrument is not None:
             meta["instrument"] = instrument.name
         points = [simplex_project(p.probs) for p in pts]
         grid = kde2d(points, bandwidth=cfg.bandwidth, resolution=cfg.resolution)
+        plots.append((meta, points, grid))
+        rows += [(p.participant_id, g.name, meta.get("instrument", ""), p.probs) for p in pts]
+    run_dir, run_hash = _prepare_run(cfg, command)
+    written = []
+    for meta, points, grid in plots:
         written += emit_plot(
             grid,
             points,
             # spectrum_<source>_<group>[_<instrument>]
             run_dir / "_".join(["spectrum", *meta.values()]),
-            point_labels=[g.name] * len(points),
+            point_labels=[meta["group"]] * len(points),
             vertex_labels=vertex_labels,
             metadata={"tool": TOOL, "version": __version__, "config_hash": run_hash, **meta},
         )
-        rows += [(p.participant_id, g.name, meta.get("instrument", ""), p.probs) for p in pts]
     _write_points_tsv(
         run_dir / "points.tsv",
         run_hash,
@@ -525,8 +540,20 @@ def cmd_spectrum(cfg, command):
 def cmd_sig(args):
     if not 1 <= args.level <= MAX_LEVEL:
         raise ValueError(f"--level must be 1..{MAX_LEVEL}, got {args.level}")
-    points = np.loadtxt(args.points, delimiter=",", ndmin=2)
-    signature = stream_signature(points, args.level)
+    try:
+        with warnings.catch_warnings():
+            # an empty file fails below, as too few points, without a warning
+            warnings.simplefilter("ignore")
+            points = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        terms = points.shape[1] ** args.level
+        if terms > MAX_SIG_TERMS:
+            raise ValueError(
+                f"{points.shape[1]} columns at level {args.level} give {terms} "
+                f"terms, above {MAX_SIG_TERMS}"
+            )
+        signature = stream_signature(points, args.level)
+    except ValueError as exc:
+        raise ValueError(f"{args.points}: {exc}") from None
     d = signature.dimension
     flat = signature.flatten(include_scalar=True)
     words = itertools.chain.from_iterable(

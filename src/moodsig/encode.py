@@ -194,14 +194,3 @@ def naive_features(weeks: np.recarray, window_length: int | None = None) -> np.n
     means = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
     return means[0] if window_length is None else means
 
-
-def extract_window(
-    record: ParticipantRecord, length: int, rng: np.random.Generator
-) -> np.recarray:
-    """Contiguous block of `length` weeks starting at a uniformly drawn index."""
-    if record.n_weeks < length:
-        raise InsufficientDataError(
-            f"participant {record.id} has {record.n_weeks} weeks, needs {length}"
-        )
-    start = int(rng.integers(0, record.n_weeks - length + 1))
-    return record.weeks[start : start + length]

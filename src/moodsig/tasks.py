@@ -16,7 +16,6 @@ from .encode import (
     MISSING,
     QIDS_MAX,
     Group,
-    extract_window,
     mrsf,
     naive_features,
 )
@@ -142,24 +141,17 @@ class ClassificationResult:
 
 
 @dataclass(frozen=True)
-class StatePredictionResult:
+class PredictionResult:
+    """One group x instrument of a prediction task; only score prediction
+    sets `severity_report`, its MRSF predictions bucketed by severity."""
+
     group: Group
     instrument: Instrument
     mrsf_report: EvalReport
     naive_report: EvalReport
     n_train: int
     n_test: int
-
-
-@dataclass(frozen=True)
-class ScorePredictionResult:
-    group: Group
-    instrument: Instrument
-    mrsf_report: EvalReport
-    naive_report: EvalReport
-    severity_report: EvalReport
-    n_train: int
-    n_test: int
+    severity_report: EvalReport | None = None
 
 
 @dataclass(frozen=True)
@@ -176,20 +168,49 @@ def _split_indices(n, fraction, rng):
     return np.sort(order[:k]), np.sort(order[k:])
 
 
+def _eligible(records, groups, min_weeks):
+    """The records of `groups` with at least `min_weeks` weeks, in their
+    given order; every group needs two of them."""
+    eligible = [r for r in records if r.group in groups and r.n_weeks >= min_weeks]
+    for g in groups:
+        if sum(r.group is g for r in eligible) < 2:
+            raise InsufficientDataError(f"group {g.name} has < 2 eligible participants")
+    return eligible
+
+
+def _feature_table(runs, config):
+    """The sliding-window feature table of each run of weeks: the list of
+    MRSF matrices and the list of naive matrices, one per run, where row `s`
+    is the window of `window_length` weeks starting at the run's week `s`.
+    A run shorter than a window gets empty matrices. Each run costs one
+    sliding `mrsf` and one sliding `naive_features` call."""
+    wl = config.window_length
+    return ([mrsf(run, config.signature_level, wl) for run in runs],
+            [naive_features(run, wl) for run in runs])
+
+
+def _classification_report(model, X, y, config, seed):
+    """The 3-class report of `model`'s predictions on `X`, bootstrapped with
+    `seed`."""
+    probs = model.predict_proba(X)
+    return evaluate_classification(
+        y, probs.argmax(axis=1), probs=probs, n_classes=3,
+        n_resamples=config.bootstrap_samples, seed=seed,
+    )
+
+
 def run_classification(cohort, config):
     """One random 20-week window per participant; stratified 70/30 split;
     identical split and forest seed for the MRSF and naive models; plus
     leave-one-out probability vectors from the MRSF model."""
     wl = config.window_length
-    records = [r for r in cohort.records if r.n_weeks >= wl]
-    for g in Group:
-        if sum(r.group is g for r in records) < 2:
-            raise InsufficientDataError(f"group {g.name} has < 2 eligible participants")
-
+    records = _eligible(cohort.records, tuple(Group), wl)
     window_rng = np.random.default_rng((config.seed, 101))
-    windows = [extract_window(r, wl, window_rng) for r in records]
-    X_mrsf = np.array([mrsf(w, config.signature_level) for w in windows])
-    X_naive = np.array([naive_features(w) for w in windows])
+    starts = [int(window_rng.integers(0, r.n_weeks - wl + 1)) for r in records]
+    X_mrsf, X_naive = (
+        np.vstack(rows)
+        for rows in _feature_table([r.weeks[s:s + wl] for r, s in zip(records, starts)], config)
+    )
     y = np.array([r.group.index for r in records])
 
     split_rng = np.random.default_rng((config.seed, 102))
@@ -201,17 +222,14 @@ def run_classification(cohort, config):
         test_idx.extend(grp[te])
     train_idx, test_idx = np.sort(train_idx), np.sort(test_idx)
 
-    reports = []
-    for X in (X_mrsf, X_naive):
-        model = fit(X[train_idx], y[train_idx], CLASSIFY, config.forest,
-                    seed=(config.seed, 103), n_classes=3)
-        probs = model.predict_proba(X[test_idx])
-        reports.append(
-            evaluate_classification(
-                y[test_idx], probs.argmax(axis=1), probs=probs, n_classes=3,
-                n_resamples=config.bootstrap_samples, seed=(config.seed, 104),
-            )
+    reports = [
+        _classification_report(
+            fit(X[train_idx], y[train_idx], CLASSIFY, config.forest,
+                seed=(config.seed, 103), n_classes=3),
+            X[test_idx], y[test_idx], config, (config.seed, 104),
         )
+        for X in (X_mrsf, X_naive)
+    ]
 
     # the leave-one-out fits are independent, so they share the worker pool
     # as one stream; each model is freed once its point is taken
@@ -234,52 +252,28 @@ def run_classification(cohort, config):
     )
 
 
-def _prediction_features(records, config):
-    """The sliding-window feature table: per participant, the MRSF matrix,
-    the naive matrix and the next-week target weeks, where row `s`
-    is the window starting at week index `s`. Every window with a next week
-    is kept, so a record of at most `window_length` weeks gets empty
-    matrices. The rows come from one sliding `mrsf` and one sliding
-    `naive_features` call per record."""
-    wl = config.window_length
-    feats = []
-    for rec in records:
-        X_m = mrsf(rec.weeks[:-1], config.signature_level, wl)
-        X_n = naive_features(rec.weeks[:-1], wl)
-        feats.append((X_m, X_n, rec.weeks[wl:]))
-    return feats
-
-
-def _group_records(cohort, config, min_weeks):
-    out = {}
-    for g in config.group_list:
-        recs = [r for r in cohort.by_group(g) if r.n_weeks >= min_weeks]
-        if len(recs) < 2:
-            raise InsufficientDataError(f"group {g.name} has < 2 eligible participants")
-        out[g] = recs
-    return out
-
-
 def _paired_forests(cohort, config, seeds, targets, mode, n_classes=None):
     """The skeleton of both prediction tasks, so that the feature map is the
     only variable between the MRSF and the naive model.
 
-    Per group: the feature table and a participant split seeded by
-    `(seed, seeds[0], group)`, so no participant contributes windows to both
-    sides. Per instrument: `targets(weeks, instrument)` gives one
-    participant's window targets and the mask of windows kept. Yields
-    `(group, instrument, y_train, y_test, fitted)`, where `fitted` yields
-    `(model, X_test)` for the MRSF and then the naive features, each forest
-    fit on the same rows with seed `(seed, seeds[1], group)`; consume it
-    before taking the next item."""
+    Per group: the feature table of every window with a next week, and a
+    participant split seeded by `(seed, seeds[0], group)`, so no participant
+    contributes windows to both sides. Per instrument: `targets(weeks,
+    instrument)` gives one participant's next-week targets and the mask of
+    windows kept. Yields `(group, instrument, y_train, y_test, fitted)`,
+    where `fitted` yields `(model, X_test)` for the MRSF and then the naive
+    features, each forest fit on the same rows with seed
+    `(seed, seeds[1], group)`; consume it before taking the next item."""
     split_ns, fit_ns = seeds
-    by_group = _group_records(cohort, config, config.window_length + 1)
-    for g, recs in by_group.items():
-        feats = _prediction_features(recs, config)
+    wl = config.window_length
+    eligible = _eligible(cohort.records, config.group_list, wl + 1)
+    for g in config.group_list:
+        recs = [r for r in eligible if r.group is g]
+        tables = _feature_table([r.weeks[:-1] for r in recs], config)
         split_rng = np.random.default_rng((config.seed, split_ns, g.index))
         tr, te = _split_indices(len(recs), config.split_fraction, split_rng)
         for instrument in config.instruments:
-            y, keep = zip(*(targets(obs, instrument) for _, _, obs in feats))
+            y, keep = zip(*(targets(r.weeks[wl:], instrument) for r in recs))
             y_train = np.concatenate([y[i][keep[i]] for i in tr])
             y_test = np.concatenate([y[i][keep[i]] for i in te])
             if len(y_train) < 2 or len(y_test) < 1:
@@ -288,16 +282,16 @@ def _paired_forests(cohort, config, seeds, targets, mode, n_classes=None):
                     "on one side of the split"
                 )
 
-            def stack(col, side):
-                return np.vstack([feats[i][col][keep[i]] for i in side])
+            def stack(table, side):
+                return np.vstack([table[i][keep[i]] for i in side])
 
             # lazy, so each forest is fit when the caller takes it and is
             # freed when the caller moves on
             fitted = (
-                (fit(stack(col, tr), y_train, mode, config.forest,
+                (fit(stack(table, tr), y_train, mode, config.forest,
                      seed=(config.seed, fit_ns, g.index), n_classes=n_classes),
-                 stack(col, te))
-                for col in (0, 1)
+                 stack(table, te))
+                for table in tables
             )
             yield g, instrument, y_train, y_test, fitted
 
@@ -320,26 +314,13 @@ def run_state_prediction(cohort, config):
     for g, instrument, y_train, y_test, fitted in _paired_forests(
         cohort, config, (201, 202), _state_targets, CLASSIFY, n_classes=3
     ):
-        reports = []
-        for model, X_test in fitted:
-            probs = model.predict_proba(X_test)
-            reports.append(
-                evaluate_classification(
-                    y_test, probs.argmax(axis=1), probs=probs, n_classes=3,
-                    n_resamples=config.bootstrap_samples,
-                    seed=(config.seed, 203, g.index),
-                )
-            )
-        results.append(
-            StatePredictionResult(
-                group=g,
-                instrument=instrument,
-                mrsf_report=reports[0],
-                naive_report=reports[1],
-                n_train=len(y_train),
-                n_test=len(y_test),
-            )
+        mrsf_report, naive_report = (
+            _classification_report(model, X_test, y_test, config, (config.seed, 203, g.index))
+            for model, X_test in fitted
         )
+        results.append(PredictionResult(
+            g, instrument, mrsf_report, naive_report, len(y_train), len(y_test)
+        ))
     return tuple(results)
 
 
@@ -370,17 +351,9 @@ def run_score_prediction(cohort, config):
             seed=(config.seed, 304, g.index),
         )
         severity = replace(severity, mae=mae(bucket_true, bucket_pred))
-        results.append(
-            ScorePredictionResult(
-                group=g,
-                instrument=instrument,
-                mrsf_report=reports[0],
-                naive_report=reports[1],
-                severity_report=severity,
-                n_train=len(y_train),
-                n_test=len(y_test),
-            )
-        )
+        results.append(PredictionResult(
+            g, instrument, *reports, len(y_train), len(y_test), severity_report=severity
+        ))
     return tuple(results)
 
 
@@ -395,15 +368,16 @@ def run_state_rollout(cohort, config, horizon=5):
     participant, then predict the participant's last `horizon` states and
     return their frequencies over the three state labels."""
     wl = config.window_length
-    # built once per group and shared by both instruments
-    tables = {g: _prediction_features(cohort.by_group(g), config)
+    # the MRSF rows of every window with a next week, built once per group
+    # and shared by both instruments
+    tables = {g: _feature_table([r.weeks[:-1] for r in cohort.by_group(g)], config)[0]
               for g in config.group_list}
     results = []
     for instrument in config.instruments:
         points, skipped = [], []
-        for g, feats in tables.items():
+        for g, table in tables.items():
             recs = cohort.by_group(g)
-            states = [state_labels(t[instrument.value], instrument) for _, _, t in feats]
+            states = [state_labels(r.weeks[wl:][instrument.value], instrument) for r in recs]
             for i, rec in enumerate(recs):
                 if not rollout_eligible(rec, wl, horizon):
                     skipped.append(
@@ -420,13 +394,13 @@ def run_state_rollout(cohort, config, horizon=5):
                 for j, k in enumerate(rest):
                     rng = np.random.default_rng((config.seed, 401, g.index, i, j))
                     start = int(rng.integers(0, len(states[k])))
-                    X.append(feats[k][0][start])
+                    X.append(table[k][start])
                     y.append(states[k][start])
                 model = fit(
                     np.array(X), np.array(y, dtype=int), CLASSIFY, config.forest,
                     seed=(config.seed, 402, g.index, i), n_classes=3,
                 )
-                labels = model.predict(feats[i][0][-horizon:])
+                labels = model.predict(table[i][-horizon:])
                 probs = np.bincount(labels.astype(int), minlength=3) / horizon
                 points.append(ProbabilityPoint(rec.id, g, probs))
         results.append(

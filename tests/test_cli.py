@@ -259,6 +259,19 @@ def test_config_type_error_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("moodsig: error:") and "n_trees" in err
 
 
+@pytest.mark.parametrize(
+    "content,match",
+    [(b'{"seed": ', "Expecting value"), (b'\xff{"seed": 1}', "utf-8")],
+    ids=["truncated", "not-utf8"],
+)
+def test_unreadable_config_file_is_named(tmp_path, capsys, content, match):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(content)
+    assert main(["synth", "-c", str(cfg_path), "-o", str(tmp_path / "runs")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"moodsig: error: {cfg_path}: ") and match in line
+
+
 def _synth_csv(tmp_path, seed=7):
     out = tmp_path / "runs"
     rc = main(
@@ -493,6 +506,61 @@ def test_sig_level_cap_is_a_clean_error(tmp_path, capsys):
     assert main(["sig", "--points", str(pts), "--level", "6"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("moodsig: error:") and "--level must be 1..5" in err
+
+
+@pytest.mark.parametrize(
+    "text,level,match",
+    [
+        ("", 2, "need at least 2 points"),
+        ("0,0\n1,2,3\n", 2, "number of columns changed"),
+        ("1,2\n", 2, "need at least 2 points"),
+        ("0,0\nnan,1\n", 2, "must be finite"),
+        # 32**4 terms per level: rejected before any signature work
+        ("\n".join([",".join(["1"] * 32)] * 2), 4, "1048576 terms, above 1000000"),
+    ],
+    ids=["empty", "ragged", "one-point", "nan", "too-wide"],
+)
+def test_bad_sig_points_file_is_named(tmp_path, capsys, text, level, match):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    assert main(["sig", "--points", str(pts), "--level", str(level)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"moodsig: error: {pts}: ") and match in line
+
+
+# three BD and three HC participants, but a single BPD one
+_ONE_BPD = [
+    f"{pid},{group},{w},{(3 * w + k) % 21},{(5 * w + 2 * k) % 28}"
+    for k, (pid, group) in enumerate(
+        [("D1", "BD"), ("D2", "BD"), ("D3", "BD"), ("H1", "HC"), ("H2", "HC"),
+         ("H3", "HC"), ("P1", "BPD")]
+    )
+    for w in range(30)
+]
+
+
+@pytest.mark.parametrize(
+    "argv,match",
+    [
+        (["synth", "--weeks", "5"], "weeks must be >= 20"),
+        (["synth", "--sizes", "0,1,1"], "sizes must be"),
+        (["classify", "--n-trees", "3"], "group BPD has < 2"),
+        (["predict-state", "--n-trees", "3"], "group BPD has < 2"),
+        (["spectrum", "--source", "state", "--n-trees", "3", "--resolution", "16"],
+         "kde2d needs at least 2 points"),
+        (["spectrum", "--source", "true", "--resolution", "16"],
+         "kde2d needs at least 2 points"),
+    ],
+    ids=["synth-weeks", "synth-sizes", "classify", "predict-state", "spectrum-state",
+         "spectrum-true"],
+)
+def test_failed_command_leaves_no_run_directory(tmp_path, capsys, argv, match):
+    out = tmp_path / "runs"
+    csv_path = _write_csv(tmp_path, _ONE_BPD)
+    assert main(argv + ["--input", str(csv_path), "-o", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("moodsig: error:") and match in line
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_missing_input_is_a_clean_error(tmp_path, capsys):

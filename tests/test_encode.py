@@ -8,7 +8,6 @@ from moodsig.encode import (
     WEEK,
     Group,
     ParticipantRecord,
-    extract_window,
     feed_forward_fill,
     mrsf,
     naive_features,
@@ -198,34 +197,6 @@ class TestNaiveFeatures:
         np.testing.assert_array_equal(
             naive_features(weekly([missing_week(0), missing_week(1)])), [0.0, 0.0]
         )
-
-
-class TestExtractWindow:
-    def _record(self, n):
-        return ParticipantRecord(
-            id="p1", group=Group.BD, weeks=weekly(obs(t, t % 20, t % 27) for t in range(n))
-        )
-
-    def test_exact_length_returns_whole(self):
-        rec = self._record(20)
-        assert np.array_equal(extract_window(rec, 20, np.random.default_rng(0)), rec.weeks)
-
-    def test_start_range_uniform(self):
-        rec = self._record(25)
-        starts = {
-            extract_window(rec, 20, np.random.default_rng(s))[0].week for s in range(200)
-        }
-        assert starts == set(range(6))
-
-    def test_seed_determinism(self):
-        rec = self._record(40)
-        a = extract_window(rec, 20, np.random.default_rng(7))
-        b = extract_window(rec, 20, np.random.default_rng(7))
-        assert np.array_equal(a, b)
-
-    def test_too_short_record(self):
-        with pytest.raises(InsufficientDataError):
-            extract_window(self._record(19), 20, np.random.default_rng(0))
 
 
 @settings(max_examples=60, deadline=None)

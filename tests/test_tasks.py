@@ -105,6 +105,19 @@ class TestTaskConfig:
             TaskConfig(task="classify", window_length=1)
 
 
+def _check_insufficient_group(run, task):
+    # every task shares one eligibility rule: two participants per group
+    # with enough weeks, here one BPD record and one too short for any task
+    cohort = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=3))
+    bpd = next(r for r in cohort.records if r.group is Group.BPD)
+    short = _record(Group.BPD, [(2, 3)] * 10, pid="short0")
+    one_bpd = Cohort(
+        records=tuple(r for r in cohort.records if r.group is not Group.BPD) + (bpd, short)
+    )
+    with pytest.raises(InsufficientDataError, match="group BPD has < 2 eligible participants"):
+        run(one_bpd, TaskConfig(task=task, seed=0, forest=SMALL_FOREST))
+
+
 @pytest.fixture(scope="module")
 def small_cohort():
     return generate_cohort(CohortSpec(sizes=(8, 8, 8), weeks=30, seed=0))
@@ -139,15 +152,7 @@ class TestClassification:
         assert all(p.participant_id != "short0" for p in res.loo_points)
 
     def test_insufficient_group(self):
-        cohort = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=3))
-        only_two_groups = Cohort(
-            records=tuple(r for r in cohort.records if r.group is not Group.BPD)
-        )
-        with pytest.raises(InsufficientDataError):
-            run_classification(
-                only_two_groups,
-                TaskConfig(task="classify", seed=0, forest=SMALL_FOREST),
-            )
+        _check_insufficient_group(run_classification, "classify")
 
 
 class TestStatePrediction:
@@ -170,6 +175,9 @@ class TestStatePrediction:
             # every prediction lands in the Normal row/column
             assert r.mrsf_report.confusion[StateLabel.NORMAL, StateLabel.NORMAL] == r.n_test
 
+    def test_insufficient_group(self):
+        _check_insufficient_group(run_state_prediction, "state_predict")
+
     def test_group_filter(self, small_cohort):
         cfg = TaskConfig(
             task="state_predict", seed=2, forest=SMALL_FOREST,
@@ -190,6 +198,9 @@ class TestScorePrediction:
             assert r.naive_report.mae == 0.0
             assert r.severity_report.accuracy_mean == 1.0
             assert r.severity_report.mae == 0.0
+
+    def test_insufficient_group(self):
+        _check_insufficient_group(run_score_prediction, "score_predict")
 
     def test_reports_finite_on_noisy_cohort(self, small_cohort):
         cfg = TaskConfig(task="score_predict", seed=3, forest=SMALL_FOREST, bootstrap_samples=20)
