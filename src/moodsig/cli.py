@@ -506,20 +506,20 @@ def cmd_spectrum(cfg, command):
         meta = {"source": source, "group": g.name}
         if instrument is not None:
             meta["instrument"] = instrument.name
+        # spectrum_<source>_<group>[_<instrument>]
+        name = "_".join(["spectrum", *meta.values()])
         points = [simplex_project(p.probs) for p in pts]
-        grid = kde2d(points, bandwidth=cfg.bandwidth, resolution=cfg.resolution)
-        plots.append((meta, points, grid))
+        try:
+            grid = kde2d(points, bandwidth=cfg.bandwidth, resolution=cfg.resolution)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+        plots.append((name, meta, points, grid))
         rows += [(p.participant_id, g.name, meta.get("instrument", ""), p.probs) for p in pts]
     run_dir, run_hash = _prepare_run(cfg, command)
     written = []
-    for meta, points, grid in plots:
+    for name, meta, points, grid in plots:
         written += emit_plot(
-            grid,
-            points,
-            # spectrum_<source>_<group>[_<instrument>]
-            run_dir / "_".join(["spectrum", *meta.values()]),
-            point_labels=[meta["group"]] * len(points),
-            vertex_labels=vertex_labels,
+            grid, points, run_dir / name, meta["group"], vertex_labels,
             metadata={"tool": TOOL, "version": __version__, "config_hash": run_hash, **meta},
         )
     _write_points_tsv(

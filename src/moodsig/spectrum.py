@@ -5,6 +5,7 @@ deterministic SVG / delimited-text emission."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,20 @@ DEFAULT_LEVELS = (0.25, 0.5, 0.75)
 
 # darkest red for the densest (25%) region, per the figure convention
 _CONTOUR_COLORS = {0.25: "#99000d", 0.5: "#de2d26", 0.75: "#fcae91"}
-_POINT_PALETTE = ("#1f77b4", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#e377c2")
+_POINT_COLOR = "#1f77b4"
+
+# Marching squares. A cell's case sets bit 1, 2, 4, 8 when its bottom-left,
+# bottom-right, top-right, top-left corner is >= t. Edges 0-3 are bottom,
+# right, top and left; edge k runs from corner _EDGES[k, 0] to _EDGES[k, 1],
+# each a (dy, dx) offset. _SEGMENTS[case] holds the case's one or two
+# (edge, edge) segments, -1 for none; row 16 is the other pairing of the
+# saddle cases 5 and 10.
+_EDGES = np.array([[[0, 0], [0, 1]], [[0, 1], [1, 1]], [[1, 0], [1, 1]], [[0, 0], [1, 0]]])
+_SEGMENTS = np.array([
+    ["BRTL".find(c) for c in (pairs + "----")[:4]]
+    for pairs in ("", "LB", "BR", "LR", "RT", "LTBR", "BT", "LT",
+                  "LT", "BT", "LTBR", "RT", "LR", "BR", "LB", "", "LBRT")
+]).reshape(17, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -83,11 +97,13 @@ def _scott_bandwidth(xy):
     return tuple(float(max(v, 1e-3)) for v in h)
 
 
-def kde2d(points, bandwidth=None, resolution=200, levels=DEFAULT_LEVELS):
-    """Gaussian KDE of projected points, masked to the triangle.
+def kde2d(points, bandwidth=None, resolution=200):
+    """Gaussian KDE of projected points, masked to the triangle, with its
+    DEFAULT_LEVELS thresholds and contours.
 
     bandwidth: None for Scott's rule (n^(-1/6) per-axis std, floored at
-    1e-3), a scalar, or an (hx, hy) pair."""
+    1e-3), a scalar, or an (hx, hy) pair. A bandwidth so small that the
+    normalising constant overflows is a ValueError."""
     if len(points) < 2:
         raise InsufficientDataError("kde2d needs at least 2 points")
     xy = np.array([p.xy for p in points])
@@ -103,7 +119,10 @@ def kde2d(points, bandwidth=None, resolution=200, levels=DEFAULT_LEVELS):
     xs = np.linspace(0.0, 1.0, resolution)
     ys = np.linspace(0.0, VERTICES[2][1], resolution)
     inside = _inside_triangle(xs[None, :], ys[:, None])
-    norm = 1.0 / (len(points) * 2.0 * np.pi * hx * hy)
+    denominator = len(points) * 2.0 * np.pi * hx * hy
+    norm = 1.0 / denominator if denominator else math.inf
+    if math.isinf(norm):
+        raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too small to normalise the density")
     density = np.zeros((resolution, resolution))
     dx2 = ((xs[:, None] - xy[None, :, 0]) / hx) ** 2
     for iy in range(resolution):
@@ -111,9 +130,9 @@ def kde2d(points, bandwidth=None, resolution=200, levels=DEFAULT_LEVELS):
         density[iy] = norm * np.exp(-0.5 * (dx2 + dy2[None, :])).sum(axis=1)
     density[~inside] = 0.0
 
-    thresholds = _mass_thresholds(density, inside, levels)
+    thresholds = _mass_thresholds(density, inside)
     contours = {
-        lv: _marching_squares(xs, ys, density, thresholds[lv]) for lv in levels
+        lv: _marching_squares(xs, ys, density, thresholds[lv]) for lv in DEFAULT_LEVELS
     }
     return DensityGrid(
         xs=xs,
@@ -126,12 +145,12 @@ def kde2d(points, bandwidth=None, resolution=200, levels=DEFAULT_LEVELS):
     )
 
 
-def _mass_thresholds(density, inside, levels):
+def _mass_thresholds(density, inside):
     vals = np.sort(density[inside])[::-1]
     cum = np.cumsum(vals)
     total = cum[-1]
     out = {}
-    for lv in levels:
+    for lv in DEFAULT_LEVELS:
         k = int(np.searchsorted(cum, lv * total, side="left"))
         out[lv] = float(vals[min(k, len(vals) - 1)])
     return out
@@ -144,84 +163,63 @@ def contour_mass_fraction(grid, level):
     return float(inside_vals[inside_vals >= t].sum() / inside_vals.sum())
 
 
-def _interp(p1, v1, p2, v2, t):
-    s = 0.5 if v2 == v1 else (t - v1) / (v2 - v1)
-    return (p1[0] + s * (p2[0] - p1[0]), p1[1] + s * (p2[1] - p1[1]))
-
-
 def _marching_squares(xs, ys, Z, t):
-    """Iso-contour polylines of Z at value t, as (k, 2) xy arrays."""
-    ny, nx = Z.shape
-    above = Z >= t
-    # cells whose corners disagree are the only ones that can hold segments
-    cell = above[:-1, :-1] | above[:-1, 1:] | above[1:, :-1] | above[1:, 1:]
-    cell &= ~(above[:-1, :-1] & above[:-1, 1:] & above[1:, :-1] & above[1:, 1:])
-    segments = []
-    for iy, ix in zip(*np.nonzero(cell)):
-        bl = (xs[ix], ys[iy]), Z[iy, ix]
-        br = (xs[ix + 1], ys[iy]), Z[iy, ix + 1]
-        tl = (xs[ix], ys[iy + 1]), Z[iy + 1, ix]
-        tr = (xs[ix + 1], ys[iy + 1]), Z[iy + 1, ix + 1]
-        case = (
-            1 * (bl[1] >= t) + 2 * (br[1] >= t) + 4 * (tr[1] >= t) + 8 * (tl[1] >= t)
-        )
-        bottom = _interp(bl[0], bl[1], br[0], br[1], t)
-        right = _interp(br[0], br[1], tr[0], tr[1], t)
-        top = _interp(tl[0], tl[1], tr[0], tr[1], t)
-        left = _interp(bl[0], bl[1], tl[0], tl[1], t)
-        if case in (1, 14):
-            segments.append((left, bottom))
-        elif case in (2, 13):
-            segments.append((bottom, right))
-        elif case in (3, 12):
-            segments.append((left, right))
-        elif case in (4, 11):
-            segments.append((right, top))
-        elif case in (6, 9):
-            segments.append((bottom, top))
-        elif case in (7, 8):
-            segments.append((left, top))
-        elif case in (5, 10):
-            center_above = (bl[1] + br[1] + tl[1] + tr[1]) / 4.0 >= t
-            if (case == 5) == center_above:
-                segments.append((left, top))
-                segments.append((bottom, right))
-            else:
-                segments.append((left, bottom))
-                segments.append((right, top))
+    """Iso-contour polylines of Z at value t, as (k, 2) xy arrays.
+
+    Every cell with corners on both sides of t gives its segments in
+    `np.nonzero` order; each segment end is the linear crossing of t along
+    a cell edge whose corners straddle it."""
+    # byte flags: int64 ones raised rollout's peak RSS by about 0.4 MB
+    above = (Z >= t).view(np.uint8)
+    case = above[:-1, :-1] + 2 * above[:-1, 1:] + 4 * above[1:, 1:] + 8 * above[1:, :-1]
+    iy, ix = np.nonzero((case > 0) & (case < 15))
+    case = case[iy, ix]
+    saddle = np.flatnonzero((case == 5) | (case == 10))
+    sy, sx = iy[saddle], ix[saddle]
+    center_above = (Z[sy, sx] + Z[sy, sx + 1] + Z[sy + 1, sx] + Z[sy + 1, sx + 1]) / 4.0 >= t
+    case[saddle[(case[saddle] == 5) != center_above]] = 16
+    # (segment, end) edges, then (segment, end, corner, dy/dx) grid offsets
+    edges = _SEGMENTS[case].reshape(-1, 2)
+    used = edges[:, 0] >= 0
+    cells = np.repeat(np.arange(len(case)), 2)[used]
+    corners = _EDGES[edges[used]]
+    y = iy[cells, None, None] + corners[..., 0]
+    x = ix[cells, None, None] + corners[..., 1]
+    v = Z[y, x]
+    s = (t - v[..., 0]) / (v[..., 1] - v[..., 0])
+    px, py = xs[x], ys[y]
+    segments = np.stack([px[..., 0] + s * (px[..., 1] - px[..., 0]),
+                         py[..., 0] + s * (py[..., 1] - py[..., 0])], axis=-1)
     return _chain_segments(segments)
 
 
 def _chain_segments(segments):
-    """Join shared endpoints into polylines, deterministically."""
-
-    def key(p):
-        return (round(p[0], 9), round(p[1], 9))
-
+    """Join the (m, 2, 2) segments' shared endpoints, matched on their
+    coordinates rounded to 9 decimals, into polylines, deterministically."""
+    points = segments.reshape(-1, 2)
+    # point 2i is segment i's start, point 2i + 1 its end
+    keys = list(map(tuple, np.round(points, 9).tolist()))
     by_end = {}
-    for i, (a, b) in enumerate(segments):
-        by_end.setdefault(key(a), []).append(i)
-        by_end.setdefault(key(b), []).append(i)
+    for k, key in enumerate(keys):
+        by_end.setdefault(key, []).append(k // 2)
     used = [False] * len(segments)
     polylines = []
     for start in range(len(segments)):
         if used[start]:
             continue
         used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
+        chain = [2 * start, 2 * start + 1]
         for _ in range(2):
             # extend forward from the current tail, then flip and repeat
             while True:
-                tail = key(chain[-1])
-                nxt = next((j for j in by_end.get(tail, ()) if not used[j]), None)
+                tail = keys[chain[-1]]
+                nxt = next((j for j in by_end[tail] if not used[j]), None)
                 if nxt is None:
                     break
                 used[nxt] = True
-                a2, b2 = segments[nxt]
-                chain.append(b2 if key(a2) == tail else a2)
+                chain.append(2 * nxt + 1 if keys[2 * nxt] == tail else 2 * nxt)
             chain.reverse()
-        polylines.append(np.array(chain))
+        polylines.append(points[chain])
     return tuple(polylines)
 
 
@@ -229,29 +227,25 @@ def _fmt(v):
     return repr(float(v))
 
 
-def emit_plot(grid, points, base_path, point_labels=None,
-              vertex_labels=("V1", "V2", "V3"), metadata=None):
+def emit_plot(grid, points, base_path, label, vertex_labels, metadata=None):
     """Write `<base>.svg` (self-contained graphic) and `<base>.txt`
     (exact-round-trip delimited data); returns the two paths.
 
-    metadata key/value strings are embedded in both files (text `meta` lines,
-    SVG comments). Both files are byte-identical across reruns for identical
-    inputs."""
+    `label` names the plot's points (the legend, and every text `point`
+    line). metadata key/value strings are embedded in both files (text
+    `meta` lines, SVG comments). Both files are byte-identical across
+    reruns for identical inputs."""
     base = str(base_path)
-    if point_labels is None:
-        point_labels = [""] * len(points)
-    if len(point_labels) != len(points):
-        raise ValueError("point_labels length mismatch")
     metadata = dict(metadata or {})
     svg_path, txt_path = base + ".svg", base + ".txt"
     with open(txt_path, "w") as fh:
-        fh.write(_plot_text(grid, points, point_labels, vertex_labels, metadata))
+        fh.write(_plot_text(grid, points, label, vertex_labels, metadata))
     with open(svg_path, "w") as fh:
-        fh.write(_plot_svg(grid, points, point_labels, vertex_labels, metadata))
+        fh.write(_plot_svg(grid, points, label, vertex_labels, metadata))
     return svg_path, txt_path
 
 
-def _plot_text(grid, points, point_labels, vertex_labels, metadata):
+def _plot_text(grid, points, label, vertex_labels, metadata):
     lines = [f"format\t{TEXT_FORMAT}"]
     for k in sorted(metadata):
         lines.append(f"meta\t{k}\t{metadata[k]}")
@@ -272,7 +266,7 @@ def _plot_text(grid, points, point_labels, vertex_labels, metadata):
         for poly in grid.contours[lv]:
             coords = "\t".join(_fmt(v) for xy in poly for v in xy)
             lines.append(f"contour\t{_fmt(lv)}\t{len(poly)}\t{coords}")
-    for p, label in zip(points, point_labels):
+    for p in points:
         vals = "\t".join(_fmt(v) for v in p.probs) + "\t" + "\t".join(
             _fmt(v) for v in p.xy
         )
@@ -290,7 +284,7 @@ def _to_px(x, y):
     return px, py
 
 
-def _plot_svg(grid, points, point_labels, vertex_labels, metadata):
+def _plot_svg(grid, points, label, vertex_labels, metadata):
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
@@ -307,26 +301,22 @@ def _plot_svg(grid, points, point_labels, vertex_labels, metadata):
         h = dy * scale
         parts.append('<g stroke="none" fill="#2b5f9e">')
         for iy in range(grid.density.shape[0]):
+            # one rect per run of equal alpha
             alphas = np.round(0.85 * grid.density[iy] / dmax, 3)
-            ix = 0
-            n = len(alphas)
-            while ix < n:
+            starts = np.flatnonzero(np.r_[True, alphas[1:] != alphas[:-1]])
+            ends = np.r_[starts[1:], len(alphas)]
+            for ix, j in zip(starts.tolist(), ends.tolist()):
                 a = alphas[ix]
-                j = ix
-                while j + 1 < n and alphas[j + 1] == a:
-                    j += 1
                 if a >= 0.005:
                     x0, y0 = _to_px(grid.xs[ix] - dx / 2, grid.ys[iy] + dy / 2)
                     parts.append(
                         f'<rect x="{x0:.2f}" y="{y0:.2f}" '
-                        f'width="{w * (j - ix + 1):.2f}" height="{h:.2f}" '
+                        f'width="{w * (j - ix):.2f}" height="{h:.2f}" '
                         f'fill-opacity="{a}"/>'
                     )
-                ix = j + 1
         parts.append("</g>")
     for lv in sorted(grid.contours):
-        color = _CONTOUR_COLORS.get(lv, "#de2d26")
-        parts.append(f'<g fill="none" stroke="{color}" stroke-width="2">')
+        parts.append(f'<g fill="none" stroke="{_CONTOUR_COLORS[lv]}" stroke-width="2">')
         for poly in grid.contours[lv]:
             coords = " ".join(
                 f"{px:.2f},{py:.2f}" for px, py in (_to_px(x, y) for x, y in poly)
@@ -336,16 +326,12 @@ def _plot_svg(grid, points, point_labels, vertex_labels, metadata):
     tri = " ".join(f"{px:.2f},{py:.2f}" for px, py in (_to_px(*v) for v in VERTICES))
     parts.append(f'<polygon points="{tri}" fill="none" stroke="#333333" stroke-width="2"/>')
 
-    color_of = {}
-    for label in point_labels:
-        if label not in color_of:
-            color_of[label] = _POINT_PALETTE[len(color_of) % len(_POINT_PALETTE)]
     parts.append('<g stroke="#222222" stroke-width="0.6">')
-    for p, label in zip(points, point_labels):
+    for p in points:
         px, py = _to_px(p.xy[0], p.xy[1])
         parts.append(
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" '
-            f'fill="{color_of[label]}" fill-opacity="0.85"/>'
+            f'fill="{_POINT_COLOR}" fill-opacity="0.85"/>'
         )
     parts.append("</g>")
     anchors = [("end", 12, 16), ("start", -12, 16), ("middle", 0, -10)]
@@ -356,18 +342,13 @@ def _plot_svg(grid, points, point_labels, vertex_labels, metadata):
             f'font-family="Helvetica,Arial,sans-serif" font-size="16" '
             f'fill="#111111">{lab}</text>'
         )
-    legend_y = _MARGIN
-    for label, color in color_of.items():
-        if not label:
-            continue
-        parts.append(
-            f'<circle cx="{_SVG_W - 150:.2f}" cy="{legend_y:.2f}" r="5" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_SVG_W - 138:.2f}" y="{legend_y + 5:.2f}" '
-            f'font-family="Helvetica,Arial,sans-serif" font-size="14" '
-            f'fill="#111111">{label}</text>'
-        )
-        legend_y += 22
+    parts.append(
+        f'<circle cx="{_SVG_W - 150:.2f}" cy="{_MARGIN:.2f}" r="5" fill="{_POINT_COLOR}"/>'
+    )
+    parts.append(
+        f'<text x="{_SVG_W - 138:.2f}" y="{_MARGIN + 5:.2f}" '
+        f'font-family="Helvetica,Arial,sans-serif" font-size="14" '
+        f'fill="#111111">{label}</text>'
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

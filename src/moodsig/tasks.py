@@ -365,18 +365,22 @@ def rollout_eligible(record, window_length=10, horizon=5):
 def run_state_rollout(cohort, config, horizon=5):
     """For each eligible participant, train a per-participant model on one
     random (window, next week) instance from every other same-group
-    participant, then predict the participant's last `horizon` states and
-    return their frequencies over the three state labels."""
+    participant with such an instance (a donor), then predict the
+    participant's last `horizon` states and return their frequencies over
+    the three state labels. A participant with fewer than 2 donors is
+    skipped."""
     wl = config.window_length
-    # the MRSF rows of every window with a next week, built once per group
-    # and shared by both instruments
-    tables = {g: _feature_table([r.weeks[:-1] for r in cohort.by_group(g)], config)[0]
-              for g in config.group_list}
+    # per group, shared by both instruments: the MRSF rows of every window
+    # with a next week, and the donors, the records with such a window
+    groups = {}
+    for g in config.group_list:
+        recs = cohort.by_group(g)
+        table = [mrsf(r.weeks[:-1], config.signature_level, wl) for r in recs]
+        groups[g] = recs, table, [k for k, r in enumerate(recs) if r.n_weeks >= wl + 1]
     results = []
     for instrument in config.instruments:
         points, skipped = [], []
-        for g, table in tables.items():
-            recs = cohort.by_group(g)
+        for g, (recs, table, donors) in groups.items():
             states = [state_labels(r.weeks[wl:][instrument.value], instrument) for r in recs]
             for i, rec in enumerate(recs):
                 if not rollout_eligible(rec, wl, horizon):
@@ -384,11 +388,11 @@ def run_state_rollout(cohort, config, horizon=5):
                         (rec.id, f"needs > {horizon} windows of {wl} weeks")
                     )
                     continue
-                rest = [
-                    k for k, r in enumerate(recs) if r.n_weeks >= wl + 1 and r.id != rec.id
-                ]
-                if not rest:
-                    skipped.append((rec.id, "no other eligible participants in group"))
+                rest = [k for k in donors if k != i]
+                if len(rest) < 2:
+                    skipped.append(
+                        (rec.id, f"needs 2 other participants with > {wl} weeks, has {len(rest)}")
+                    )
                     continue
                 X, y = [], []
                 for j, k in enumerate(rest):

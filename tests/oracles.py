@@ -4,7 +4,9 @@
 can check what `emit_plot` wrote against the grid it was given.
 `kron_signature_flat`, `loop_fill` and `loop_naive` are the one-window
 loops that the batched signature kernel, the vectorised gap filling and the
-sliding naive means replaced, kept as their bit-exact references.
+sliding naive means replaced, kept as their bit-exact references;
+`loop_marching_squares` is the per-cell contour tracer that the
+table-driven one replaced, kept the same way.
 `sig_length` and `missing_rate` are sizes and rates the tests check
 against. The Riemann signature oracle
 integrates the iterated integrals directly on a fine
@@ -66,6 +68,87 @@ def loop_naive(window, missing=-1):
         valid = values[values != missing]
         out[col] = valid.mean() if valid.size else 0.0
     return out
+
+
+def _interp(p1, v1, p2, v2, t):
+    s = 0.5 if v2 == v1 else (t - v1) / (v2 - v1)
+    return (p1[0] + s * (p2[0] - p1[0]), p1[1] + s * (p2[1] - p1[1]))
+
+
+def loop_marching_squares(xs, ys, Z, t):
+    """Iso-contour polylines of Z at value t, one cell at a time: every
+    cell with corners on both sides of t, in `np.nonzero` order, gives its
+    segments, and shared endpoints (rounded to 9 decimals) chain them. It
+    interpolates all four edges of a cell, used or not, so a flat or
+    near-flat edge may warn."""
+    above = Z >= t
+    cell = above[:-1, :-1] | above[:-1, 1:] | above[1:, :-1] | above[1:, 1:]
+    cell &= ~(above[:-1, :-1] & above[:-1, 1:] & above[1:, :-1] & above[1:, 1:])
+    segments = []
+    for iy, ix in zip(*np.nonzero(cell)):
+        bl = (xs[ix], ys[iy]), Z[iy, ix]
+        br = (xs[ix + 1], ys[iy]), Z[iy, ix + 1]
+        tl = (xs[ix], ys[iy + 1]), Z[iy + 1, ix]
+        tr = (xs[ix + 1], ys[iy + 1]), Z[iy + 1, ix + 1]
+        case = (
+            1 * (bl[1] >= t) + 2 * (br[1] >= t) + 4 * (tr[1] >= t) + 8 * (tl[1] >= t)
+        )
+        bottom = _interp(bl[0], bl[1], br[0], br[1], t)
+        right = _interp(br[0], br[1], tr[0], tr[1], t)
+        top = _interp(tl[0], tl[1], tr[0], tr[1], t)
+        left = _interp(bl[0], bl[1], tl[0], tl[1], t)
+        if case in (1, 14):
+            segments.append((left, bottom))
+        elif case in (2, 13):
+            segments.append((bottom, right))
+        elif case in (3, 12):
+            segments.append((left, right))
+        elif case in (4, 11):
+            segments.append((right, top))
+        elif case in (6, 9):
+            segments.append((bottom, top))
+        elif case in (7, 8):
+            segments.append((left, top))
+        elif case in (5, 10):
+            center_above = (bl[1] + br[1] + tl[1] + tr[1]) / 4.0 >= t
+            if (case == 5) == center_above:
+                segments.append((left, top))
+                segments.append((bottom, right))
+            else:
+                segments.append((left, bottom))
+                segments.append((right, top))
+    return _loop_chain_segments(segments)
+
+
+def _loop_chain_segments(segments):
+    def key(p):
+        return (round(p[0], 9), round(p[1], 9))
+
+    by_end = {}
+    for i, (a, b) in enumerate(segments):
+        by_end.setdefault(key(a), []).append(i)
+        by_end.setdefault(key(b), []).append(i)
+    used = [False] * len(segments)
+    polylines = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        a, b = segments[start]
+        chain = [a, b]
+        for _ in range(2):
+            # extend forward from the current tail, then flip and repeat
+            while True:
+                tail = key(chain[-1])
+                nxt = next((j for j in by_end.get(tail, ()) if not used[j]), None)
+                if nxt is None:
+                    break
+                used[nxt] = True
+                a2, b2 = segments[nxt]
+                chain.append(b2 if key(a2) == tail else a2)
+            chain.reverse()
+        polylines.append(np.array(chain))
+    return tuple(polylines)
 
 
 def kron_signature_flat(points, level: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import logging
 import multiprocessing
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -468,6 +469,34 @@ def test_spectrum_accepts_bandwidth_pair(tmp_path):
     assert meta["config"]["bandwidth"] == [0.05, 0.08]
 
 
+def _synth_cohort(tmp_path, sizes, weeks):
+    out = tmp_path / "synth"
+    assert main(["synth", "--sizes", sizes, "--weeks", str(weeks), "-o", str(out)]) == 0
+    (csv_path,) = out.glob("synth-*/cohort.csv")
+    return csv_path
+
+
+def test_two_participant_rollout_group_fails_naming_its_plot(tmp_path, capsys):
+    # both BD participants are skipped, each having a single donor
+    csv_path = _synth_cohort(tmp_path, "2,2,1", 30)
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["spectrum", "--input", str(csv_path), "--source", "state", "--groups", "BD,HC",
+                 "--n-trees", "3", "--resolution", "16", "-o", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "moodsig: error: spectrum_state_BD_ASRM: kde2d needs at least 2 points"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_spectrum_at_resolution_two_warns_nothing(tmp_path):
+    # one grid cell, whose unused edges may be flat or nearly so
+    csv_path = _synth_cohort(tmp_path, "3,3,3", 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["spectrum", "--input", str(csv_path), "--source", "true",
+                     "--resolution", "2", "-o", str(tmp_path / "runs")]) == 0
+
+
 def test_sig_command_prints_signature(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("0,0\n1,0.5\n2,2\n")
@@ -550,9 +579,12 @@ _ONE_BPD = [
          "kde2d needs at least 2 points"),
         (["spectrum", "--source", "true", "--resolution", "16"],
          "kde2d needs at least 2 points"),
+        # hx * hy underflows to 0 in the density's normalising constant
+        (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e-200"],
+         "spectrum_true_BD_ASRM: bandwidth (1e-200, 1e-200) is too small"),
     ],
     ids=["synth-weeks", "synth-sizes", "classify", "predict-state", "spectrum-state",
-         "spectrum-true"],
+         "spectrum-true", "spectrum-underflowing-bandwidth"],
 )
 def test_failed_command_leaves_no_run_directory(tmp_path, capsys, argv, match):
     out = tmp_path / "runs"

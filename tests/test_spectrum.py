@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import read_plot_text
+from oracles import loop_marching_squares, read_plot_text
 
 from moodsig.encode import MISSING, Group, ParticipantRecord, weekly
 from moodsig.errors import InsufficientDataError
 from moodsig.spectrum import (
     VERTICES,
     DensityGrid,
+    _marching_squares,
     contour_mass_fraction,
     emit_plot,
     kde2d,
@@ -217,6 +218,9 @@ def test_explicit_bandwidth_forms():
     assert kde2d(pts, bandwidth=(0.1, 0.2), resolution=40).bandwidth == (0.1, 0.2)
     with pytest.raises(ValueError):
         kde2d(pts, bandwidth=0.0, resolution=40)
+    # hx * hy underflows to 0, so the normalising constant is infinite
+    with pytest.raises(ValueError, match="too small"):
+        kde2d(pts, bandwidth=1e-200, resolution=40)
 
 
 def test_contours_stay_in_bounding_box():
@@ -229,6 +233,44 @@ def test_contours_stay_in_bounding_box():
             assert (poly[:, 0] >= -1e-9).all() and (poly[:, 0] <= 1 + 1e-9).all()
             assert (poly[:, 1] >= -1e-9).all()
             assert (poly[:, 1] <= np.sqrt(3) / 2 + 1e-9).all()
+
+
+def _assert_same_polylines(xs, ys, Z, t):
+    # the reference interpolates unused edges too, where it may divide by
+    # a tiny or zero difference
+    with np.errstate(all="ignore"):
+        want = loop_marching_squares(xs, ys, Z, t)
+    got = _marching_squares(xs, ys, Z, t)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_marching_squares_matches_loop_reference_on_integer_grids(data):
+    # small integers give ties, plateaus and saddles with the centre on
+    # either side; thresholds are often grid values themselves
+    ny = data.draw(st.integers(2, 7))
+    nx = data.draw(st.integers(2, 7))
+    Z = np.array(data.draw(st.lists(st.integers(0, 3), min_size=ny * nx, max_size=ny * nx)),
+                 dtype=float).reshape(ny, nx)
+    t = data.draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, *Z.ravel().tolist()]))
+    xs = np.linspace(0.0, 1.0, nx)
+    ys = np.linspace(0.0, VERTICES[2][1], ny)
+    _assert_same_polylines(xs, ys, Z, t)
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=2, max_size=12),
+       st.integers(2, 40), st.sampled_from([None, 0.02, 0.1]))
+@settings(max_examples=100, deadline=None)
+def test_marching_squares_matches_loop_reference_on_quantised_kde(counts, resolution, bw):
+    # rollout proportions are multiples of 1/5, so points repeat and sit on
+    # edges and vertices
+    probs = [np.array([a, min(b, 5 - a), 5 - a - min(b, 5 - a)]) / 5.0 for a, b in counts]
+    grid = kde2d([simplex_project(p) for p in probs], bandwidth=bw, resolution=resolution)
+    for t in grid.thresholds.values():
+        _assert_same_polylines(grid.xs, grid.ys, grid.density, t)
 
 
 def test_instance_labels_match_true_proportions_over_target_weeks():
@@ -255,12 +297,9 @@ def test_instance_labels_match_true_proportions_over_target_weeks():
 
 def test_emit_plot_round_trip_and_determinism(tmp_path):
     pts = _uniform_triangle_points(30, seed=9)
-    labels = ["BD"] * 10 + ["HC"] * 10 + ["BPD"] * 10
     grid = kde2d(pts, resolution=48)
-    svg1, txt1 = emit_plot(grid, pts, tmp_path / "one", point_labels=labels,
-                           vertex_labels=("BD", "HC", "BPD"))
-    svg2, txt2 = emit_plot(grid, pts, tmp_path / "two", point_labels=labels,
-                           vertex_labels=("BD", "HC", "BPD"))
+    svg1, txt1 = emit_plot(grid, pts, tmp_path / "one", "BD", ("BD", "HC", "BPD"))
+    svg2, txt2 = emit_plot(grid, pts, tmp_path / "two", "BD", ("BD", "HC", "BPD"))
     with open(svg1, "rb") as fh:
         svg_bytes = fh.read()
     with open(svg2, "rb") as fh:
@@ -284,8 +323,8 @@ def test_emit_plot_round_trip_and_determinism(tmp_path):
     for (lv, got), want in zip(parsed["contours"], flat):
         np.testing.assert_array_equal(got, want)
     assert len(parsed["points"]) == 30
-    for (label, probs, xy), p, want_label in zip(parsed["points"], pts, labels):
-        assert label == want_label
+    for (label, probs, xy), p in zip(parsed["points"], pts):
+        assert label == "BD"
         np.testing.assert_array_equal(probs, p.probs)
         np.testing.assert_array_equal(xy, p.xy)
 
@@ -293,8 +332,8 @@ def test_emit_plot_round_trip_and_determinism(tmp_path):
 def test_svg_contains_expected_elements(tmp_path):
     pts = _uniform_triangle_points(25, seed=10)
     grid = kde2d(pts, resolution=48)
-    svg_path, _ = emit_plot(grid, pts, tmp_path / "plot",
-                            vertex_labels=("NoAnswer", "Normal", "Elevated"))
+    svg_path, _ = emit_plot(grid, pts, tmp_path / "plot", "HC",
+                            ("NoAnswer", "Normal", "Elevated"))
     with open(svg_path) as fh:
         svg = fh.read()
     assert svg.startswith("<svg")

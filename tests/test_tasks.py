@@ -241,6 +241,18 @@ class TestRollout:
             assert any(skipped == pid for skipped, _ in result.skipped)
             assert all(p.participant_id != pid for p in result.points)
 
+    def test_two_participant_group_skipped_with_reason(self):
+        # each BD participant has one donor: one row is too few for a forest
+        cohort = generate_cohort(CohortSpec(sizes=(2, 3, 3), weeks=30, seed=7))
+        cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST,
+                         instrument=Instrument.ASRM)
+        (result,) = run_state_rollout(cohort, cfg)
+        assert result.skipped == tuple(
+            (r.id, "needs 2 other participants with > 10 weeks, has 1")
+            for r in cohort.by_group(Group.BD)
+        )
+        assert [p.group for p in result.points] == [Group.HC] * 3 + [Group.BPD] * 3
+
     def test_proportions_quantized(self, small_cohort):
         cfg = TaskConfig(task="state_predict", seed=1, forest=SMALL_FOREST,
                          instrument=Instrument.QIDS)
