@@ -17,7 +17,7 @@ import json
 import logging
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,10 @@ MAX_LEVEL = 5
 # sig's top level holds d**level floats for d columns, and so does each of
 # its intermediate products; a larger request is rejected before any work
 MAX_SIG_TERMS = 10**6
+# the largest spectrum resolution: each KDE grid holds resolution**2 floats
+MAX_RESOLUTION = 1_000
+# the most bootstrap resamples per report, each drawn and scored in turn
+MAX_BOOTSTRAP_SAMPLES = 100_000
 STATE_VERTEX_LABELS = ("NoAnswer", "Normal", "Elevated")
 
 log = logging.getLogger(TOOL)
@@ -257,8 +261,13 @@ class RunConfig:
                 raise ValueError(f"unknown groups: {bad}")
         if self.spectrum_source not in ("classify", "state", "true"):
             raise ValueError(f"unknown spectrum_source {self.spectrum_source!r}")
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
+        if not 2 <= self.resolution <= MAX_RESOLUTION:
+            raise ValueError(f"resolution must be 2..{MAX_RESOLUTION}, got {self.resolution}")
+        if not 1 <= self.bootstrap_samples <= MAX_BOOTSTRAP_SAMPLES:
+            raise ValueError(
+                f"bootstrap_samples must be 1..{MAX_BOOTSTRAP_SAMPLES}, "
+                f"got {self.bootstrap_samples}"
+            )
         if not 1 <= self.signature_level <= MAX_LEVEL:
             raise ValueError(
                 f"signature_level must be 1..{MAX_LEVEL}, got {self.signature_level}"
@@ -290,7 +299,9 @@ def load_config(args):
     """Merge defaults, the JSON config file, and flag overrides (flags win).
 
     `groups`, `synth_sizes` and `bandwidth` may be comma-separated strings
-    or lists; a one-value bandwidth stays a scalar."""
+    or lists; a one-value bandwidth stays a scalar. Every file key is
+    checked, but a field the command has no flag for, and so does not read,
+    keeps its default, so it stays out of the hash."""
     data = {}
     if getattr(args, "config", None):
         try:
@@ -317,7 +328,8 @@ def load_config(args):
         data["bandwidth"] = data["bandwidth"][0]
     if isinstance(data.get("instrument"), str):
         data["instrument"] = data["instrument"].upper()
-    return RunConfig(**data)
+    cfg = RunConfig(**data)
+    return replace(cfg, **{f.name: f.default for f in fields(cfg) if not hasattr(args, f.name)})
 
 
 def _task_config(cfg, task):
@@ -578,41 +590,35 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("-c", "--config", help="JSON run-config file")
-        sp.add_argument("-o", "--output", help="output root (default runs/)")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--input", help="cohort CSV path")
-        sp.add_argument("--window-length", type=int, dest="window_length")
-        sp.add_argument("--signature-level", type=int, dest="signature_level")
-        sp.add_argument("--split-fraction", type=float, dest="split_fraction")
-        sp.add_argument("--instrument", help="ASRM or QIDS (default both)")
-        sp.add_argument("--groups", help="comma-separated subset of BD,HC,BPD")
-        sp.add_argument("--n-trees", type=int, dest="n_trees")
-        sp.add_argument("--max-depth", type=int, dest="max_depth")
-        sp.add_argument("--min-leaf", type=int, dest="min_leaf")
-        sp.add_argument(
-            "--features-per-split", type=int, dest="features_per_split"
-        )
-        sp.add_argument(
-            "--bootstrap-samples", type=int, dest="bootstrap_samples"
-        )
+    # each command's flags are exactly the RunConfig fields it reads
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("-c", "--config", help="JSON run-config file")
+    run.add_argument("-o", "--output", help="output root (default runs/)")
+    run.add_argument("--seed", type=int)
+    task = argparse.ArgumentParser(add_help=False, parents=[run])
+    task.add_argument("--input", help="cohort CSV path")
+    task.add_argument("--window-length", type=int)
+    task.add_argument("--signature-level", type=int)
+    task.add_argument("--split-fraction", type=float)
+    task.add_argument("--n-trees", type=int)
+    task.add_argument("--max-depth", type=int)
+    task.add_argument("--min-leaf", type=int)
+    task.add_argument("--features-per-split", type=int)
+    task.add_argument("--bootstrap-samples", type=int)
+    subset = argparse.ArgumentParser(add_help=False, parents=[task])
+    subset.add_argument("--instrument", help="ASRM or QIDS (default both)")
+    subset.add_argument("--groups", help="comma-separated subset of BD,HC,BPD")
 
-    sp = sub.add_parser("synth", help="generate a synthetic cohort CSV")
-    add_common(sp)
+    sp = sub.add_parser("synth", parents=[run], help="generate a synthetic cohort CSV")
     sp.add_argument("--sizes", dest="synth_sizes", help="BD,HC,BPD counts")
     sp.add_argument("--weeks", type=int, dest="synth_weeks")
-
-    for name, description in [
-        ("classify", "3-group classification from one window per participant"),
-        ("predict-state", "next-week state-label prediction per group"),
-        ("predict-score", "next-week raw-score prediction per group"),
-    ]:
-        sp = sub.add_parser(name, help=description)
-        add_common(sp)
-
-    sp = sub.add_parser("spectrum", help="triangle density plots per group")
-    add_common(sp)
+    sub.add_parser("classify", parents=[task],
+                   help="3-group classification from one window per participant")
+    sub.add_parser("predict-state", parents=[subset],
+                   help="next-week state-label prediction per group")
+    sub.add_parser("predict-score", parents=[subset],
+                   help="next-week raw-score prediction per group")
+    sp = sub.add_parser("spectrum", parents=[subset], help="triangle density plots per group")
     sp.add_argument(
         "--source",
         dest="spectrum_source",

@@ -41,6 +41,8 @@ class ForestConfig:
             raise ValueError("min_leaf must be >= 1")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("max_depth must be >= 1 or None")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ValueError("features_per_split must be >= 1 or None")
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,8 @@ def kde2d(points, bandwidth=None, resolution=200):
 
     bandwidth: None for Scott's rule (n^(-1/6) per-axis std, floored at
     1e-3), a scalar, or an (hx, hy) pair. A bandwidth so small that the
-    normalising constant overflows is a ValueError."""
+    normalising constant or the kernel's exponent overflows is a
+    ValueError."""
     if len(points) < 2:
         raise InsufficientDataError("kde2d needs at least 2 points")
     xy = np.array([p.xy for p in points])
@@ -123,6 +124,12 @@ def kde2d(points, bandwidth=None, resolution=200):
     norm = 1.0 / denominator if denominator else math.inf
     if math.isinf(norm):
         raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too small to normalise the density")
+    # grid-to-point offsets are at most 1 per axis, so the kernel's exponent
+    # ((x - xi) / hx) ** 2 + ((y - yi) / hy) ** 2 is finite if this bound is
+    with np.errstate(over="ignore"):
+        bound = np.square(1.0 / np.array([hx, hy])).sum()
+    if not np.isfinite(bound):
+        raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too small for the kernel's exponent")
     density = np.zeros((resolution, resolution))
     dx2 = ((xs[:, None] - xy[None, :, 0]) / hx) ** 2
     for iy in range(resolution):

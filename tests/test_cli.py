@@ -163,12 +163,52 @@ def test_load_config_merges_file_and_flags(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"seed": 9, "n_trees": 25, "groups": ["BD", "HC"]}))
     args = build_parser().parse_args(
-        ["classify", "-c", str(cfg_path), "--n-trees", "40"]
+        ["predict-state", "-c", str(cfg_path), "--n-trees", "40"]
     )
     cfg = load_config(args)
     assert cfg.seed == 9
     assert cfg.n_trees == 40
     assert cfg.groups == ("BD", "HC")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("synth", ["--n-trees", "3"]), ("classify", ["--groups", "BD,HC"]),
+     ("classify", ["--instrument", "ASRM"])],
+    ids=["synth-n-trees", "classify-groups", "classify-instrument"],
+)
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, flag):
+    # classify gets an input it would run on, so only the flag can stop it
+    rest = ["--input", str(_synth_csv(tmp_path)), "--n-trees", "3"] if command == "classify" else []
+    capsys.readouterr()
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([command, *flag, *rest, "-o", str(out)])
+    assert err.value.code != 0
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines[-1] == f"moodsig: error: unrecognized arguments: {' '.join(flag)}"
+    assert not out.exists()
+
+
+def test_config_keys_the_command_does_not_read_keep_their_defaults(tmp_path, capsys):
+    csv_path = _synth_csv(tmp_path)
+    out = tmp_path / "runs"
+    argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
+            "--bootstrap-samples", "20", "-o", str(out)]
+    assert main(argv) == 0
+    (run_dir,) = out.glob("classify-*")
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"groups": ["BD", "HC"], "instrument": "ASRM"}))
+    assert main(argv + ["-c", str(cfg_path)]) == 0
+    assert list(out.glob("classify-*")) == [run_dir]
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    # a shared file's keys are checked all the same
+    capsys.readouterr()
+    cfg_path.write_text(json.dumps({"groups": ["ZZ"]}))
+    assert main(argv + ["-c", str(cfg_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "moodsig: error: unknown groups: ['ZZ']"
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -233,6 +273,8 @@ def test_run_config_validation():
         ({"synth_sizes": (4, "4", 4)}, "synth_sizes"),
         ({"bandwidth": (0.1, 0.2, 0.3)}, "bandwidth"),
         ({"input": 5}, "input"),
+        ({"resolution": 1001}, "resolution must be 2..1000"),
+        ({"bootstrap_samples": 100_001}, "bootstrap_samples must be 1..100000"),
     ]
     for kwargs, match in cases:
         with pytest.raises(ValueError, match=match):
@@ -518,6 +560,10 @@ def test_sig_command_prints_signature(tmp_path, capsys):
         (["spectrum", "--source", "true", "--bandwidth", "0.05,-1"], "bandwidth"),
         (["classify", "--signature-level", "6"], "signature_level must be 1..5"),
         (["predict-state", "--split-fraction", "1"], "split_fraction"),
+        (["spectrum", "--resolution", "10000000"], "resolution must be 2..1000, got 10000000"),
+        (["classify", "--bootstrap-samples", "1000000000000"],
+         "bootstrap_samples must be 1..100000, got 1000000000000"),
+        (["classify", "--features-per-split", "0"], "features_per_split must be >= 1"),
     ],
 )
 def test_out_of_range_settings_fail_before_any_work(tmp_path, capsys, argv, match):
@@ -582,14 +628,20 @@ _ONE_BPD = [
         # hx * hy underflows to 0 in the density's normalising constant
         (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e-200"],
          "spectrum_true_BD_ASRM: bandwidth (1e-200, 1e-200) is too small"),
+        # (1 / hx) ** 2 overflows in the kernel's exponent
+        (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e-200,1e200"],
+         "spectrum_true_BD_ASRM: bandwidth (1e-200, 1e+200) is too small"),
     ],
     ids=["synth-weeks", "synth-sizes", "classify", "predict-state", "spectrum-state",
-         "spectrum-true", "spectrum-underflowing-bandwidth"],
+         "spectrum-true", "spectrum-underflowing-bandwidth",
+         "spectrum-overflowing-bandwidth"],
 )
 def test_failed_command_leaves_no_run_directory(tmp_path, capsys, argv, match):
     out = tmp_path / "runs"
-    csv_path = _write_csv(tmp_path, _ONE_BPD)
-    assert main(argv + ["--input", str(csv_path), "-o", str(out)]) == 1
+    # synth reads no input
+    if argv[0] != "synth":
+        argv = argv + ["--input", str(_write_csv(tmp_path, _ONE_BPD))]
+    assert main(argv + ["-o", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("moodsig: error:") and match in line
     assert not out.exists() or not any(out.iterdir())

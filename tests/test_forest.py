@@ -80,6 +80,9 @@ class TestFit:
             fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]), "cluster")
         with pytest.raises(ValueError):
             fit(np.zeros((4, 2)), np.array([0.0, np.inf, 1.0, 2.0]), REGRESS)
+        with pytest.raises(ValueError, match="features_per_split must be >= 1"):
+            fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]), CLASSIFY,
+                ForestConfig(features_per_split=0))
 
 
 class TestPredict:

@@ -24,12 +24,14 @@ from pathlib import Path
 
 from moodsig.cli import main
 
-COMMON = ["--seed", "5", "--n-trees", "6", "--bootstrap-samples", "40", "-o", "runs"]
+# synth reads only RUN; every other command reads RUN and MODEL
+RUN = ["--seed", "5", "-o", "runs"]
+MODEL = ["--n-trees", "6", "--bootstrap-samples", "40"]
 SPECTRUM = ["--resolution", "48"]
 
 
 def _commands(cohort_csv):
-    common = ["--input", cohort_csv] + COMMON
+    common = ["--input", cohort_csv] + RUN + MODEL
     return [
         ["classify"] + common,
         ["predict-state"] + common,
@@ -43,7 +45,7 @@ def _commands(cohort_csv):
 def run_digests():
     """Run every command in the current directory; {path: sha256} of the
     files under `runs/`."""
-    assert main(["synth", "--sizes", "4,4,4", "--weeks", "24"] + COMMON) == 0
+    assert main(["synth", "--sizes", "4,4,4", "--weeks", "24"] + RUN) == 0
     (cohort_csv,) = Path("runs").glob("synth-*/cohort.csv")
     for argv in _commands(cohort_csv.as_posix()):
         assert main(argv) == 0, argv
@@ -55,98 +57,98 @@ def run_digests():
 
 
 DIGESTS = {
-    "classify-4734790337fa/loo_points.tsv":
-        "0e1df08871ddd57b0f425e2f9bfa60f04160689d124c07acb04300265b8cd3a3",
-    "classify-4734790337fa/meta.json":
-        "1494a4b5cde5d56e7b114ff8d963b6c4cbd7db484b7853e197ad86f6521590d9",
-    "classify-4734790337fa/report_mrsf.json":
-        "f3538c873a2dd301b71908de6b606ec01056ea369cbcb93bbcdb1253be3048f6",
-    "classify-4734790337fa/report_naive.json":
-        "10279b8169586bc7289bfeb9e2e8d81fd7ea273ba9e14db8c3337ed6588fcebc",
-    "predict-score-4734790337fa/meta.json":
-        "6dcf0de4db87a3da0e91e2edc37abc6ea06dcf08ed746c2e44f756b9eeca19e7",
-    "predict-score-4734790337fa/reports.json":
-        "54a3c25886c4fc778d6dc639399c7b87f24a8e4c5625eed2c9bc6a3405b0a3fb",
-    "predict-state-4734790337fa/meta.json":
-        "76c6d793250f3e17434898d65e6afa024f77c59733ba32b09dffa1973c190fc2",
-    "predict-state-4734790337fa/reports.json":
-        "495093528192d8e38f731c9cb952d6488be1cc6a4502f8afcf6a354fd415c491",
-    "spectrum-384edc42c650/meta.json":
-        "6b78bbb2d89c18ac91e2d2e1c4332c48b4f9d5ccb65f449d431a458aed8bfdb9",
-    "spectrum-384edc42c650/points.tsv":
-        "c211f33c959a7548862fbac068194a97705fd3d2e136c5c586d68f5f42993485",
-    "spectrum-384edc42c650/spectrum_state_BD_ASRM.svg":
-        "f542f47a3e3e33e2724d89c9826a76fbd17c8764cea2daad2c4e1527c3ee8215",
-    "spectrum-384edc42c650/spectrum_state_BD_ASRM.txt":
-        "af8906d3f27f26598426ff7a0f632a02bdbadedd31b08e7973836d050dcc0ccd",
-    "spectrum-384edc42c650/spectrum_state_BD_QIDS.svg":
-        "77d3d078522edff15da74ccf00135d55da16d22444640bb99ded8e5ee92a7fab",
-    "spectrum-384edc42c650/spectrum_state_BD_QIDS.txt":
-        "e8f6437e11b28da00f42f983627dcf6441ab2ebfc9ac33f01ccf51ae92c439d0",
-    "spectrum-384edc42c650/spectrum_state_BPD_ASRM.svg":
-        "27d1e1b6e2fba1d959d32aa4dc0fd4ae6494648d1e8fb18599e90eed020c1b75",
-    "spectrum-384edc42c650/spectrum_state_BPD_ASRM.txt":
-        "0a38d486402979122926519997e4d01dedaf5216b7c8013bb9438ff9c0c1196e",
-    "spectrum-384edc42c650/spectrum_state_BPD_QIDS.svg":
-        "519ae2c5221aabf938604dcae0b77655b20aeaaa4f29a074b2e9de29b90c559d",
-    "spectrum-384edc42c650/spectrum_state_BPD_QIDS.txt":
-        "a69af4e7a21d7a71fe9b3b7ddae72c33eb1699a53c5bc543fa37a8c9c446d009",
-    "spectrum-384edc42c650/spectrum_state_HC_ASRM.svg":
-        "c3b1afad36a9b140b3947508542f08f56adbb0a47ec39e3307a16749bc92194c",
-    "spectrum-384edc42c650/spectrum_state_HC_ASRM.txt":
-        "001911f8f7d2ecf100363c46d8316ac60f25dc1ba25c53dc23bc4dc70eb689ee",
-    "spectrum-384edc42c650/spectrum_state_HC_QIDS.svg":
-        "202ced9d9d3d2023bd2ca2b32900ac0ed4a167328d470d80965f4e2037ee68d5",
-    "spectrum-384edc42c650/spectrum_state_HC_QIDS.txt":
-        "ae28d99b869a81301906ce7803a43b14025b3de2c853bb6f412964d66e70ffcd",
-    "spectrum-690b80fdc3d8/meta.json":
-        "f9513fb8b39179a74ab8d20042d093522b77e15fb25f0a5819b291fe9e6870fd",
-    "spectrum-690b80fdc3d8/points.tsv":
-        "b7bed3dc688fe6a42af10f2c25c6aeb4ab6e53b4a5ab45b17966eb02f4ea08cc",
-    "spectrum-690b80fdc3d8/spectrum_classify_BD.svg":
-        "eba2f79d0f794675ade56961f070cac0bdb97b20b275450ee10bf2016f7aabf0",
-    "spectrum-690b80fdc3d8/spectrum_classify_BD.txt":
-        "611d929ec8ea3968693555f64d66eb94f06d50e8a75ad12cee917727dcbdd5e9",
-    "spectrum-690b80fdc3d8/spectrum_classify_BPD.svg":
-        "ebbc11e49ab43851b340ac0570d825fbea5dfbee9d63fc91ea33cd96b375924a",
-    "spectrum-690b80fdc3d8/spectrum_classify_BPD.txt":
-        "56e081f8deecd8daf8405eea96096e93c08345ffb018c1999aeb2679db9bbc68",
-    "spectrum-690b80fdc3d8/spectrum_classify_HC.svg":
-        "01acfb540ad529e6af0d4df9232467bd0fd967fdfe2011b80cb9a812f0c6179b",
-    "spectrum-690b80fdc3d8/spectrum_classify_HC.txt":
-        "d758649cd6cb2a34965d49cd5d3e382733d12b91a42d42d75d2c42e2cdd48448",
-    "spectrum-7226dcaf6fca/meta.json":
-        "c0235cb3e7f39ed68ed21a0f91c1de559055feefa1c3db2b217e8adcf2362b79",
-    "spectrum-7226dcaf6fca/points.tsv":
-        "7b542603cc960ddb212f024c188834a234e93548a66578785104503fc2cb8987",
-    "spectrum-7226dcaf6fca/spectrum_true_BD_ASRM.svg":
-        "d9ce6796dfb89487b34424e4989370c3c85d4c86ee6675b2794b32165fb6f7a1",
-    "spectrum-7226dcaf6fca/spectrum_true_BD_ASRM.txt":
-        "d3082ea77af1137d1e3979e7bd63d78c5de16e714ccac8afe9fc4624e67987ed",
-    "spectrum-7226dcaf6fca/spectrum_true_BD_QIDS.svg":
-        "2514a4bb1b5dc485d12c3d82b9cfbfd148e847e2a5ed10d4f8fb0f90bf394108",
-    "spectrum-7226dcaf6fca/spectrum_true_BD_QIDS.txt":
-        "5496824f473881f22add4fb13a170a5b6b906273dd29f068ac28cff72a9b68e9",
-    "spectrum-7226dcaf6fca/spectrum_true_BPD_ASRM.svg":
-        "fba827b3cafd87b0d547fd439dd4e830a6639d9b9e9027fa45d355b12344a1e9",
-    "spectrum-7226dcaf6fca/spectrum_true_BPD_ASRM.txt":
-        "d63c97bf0f6b993b9947b0b27da2a1c60cc2480dd72213569bdeed29c2d73c7c",
-    "spectrum-7226dcaf6fca/spectrum_true_BPD_QIDS.svg":
-        "f1065c8bb868b8f31651bdbee7be4620379a8f0cf5eee9dfb61edc6001958d5a",
-    "spectrum-7226dcaf6fca/spectrum_true_BPD_QIDS.txt":
-        "c7d36bc1321f57237c54dfb9c2e800d26f83ba3de7f8b6dcfd4082692e74b2ce",
-    "spectrum-7226dcaf6fca/spectrum_true_HC_ASRM.svg":
-        "17c2562ffed497197116291d79d721f29317738f0caea8dc7ccd3216773869e2",
-    "spectrum-7226dcaf6fca/spectrum_true_HC_ASRM.txt":
-        "0d73b52260eb03ca8c3415a5337c6f52ece3a528dd84ff988684d71bdcb45206",
-    "spectrum-7226dcaf6fca/spectrum_true_HC_QIDS.svg":
-        "e1727c425360905bc8d6bb52ac601da56a3d3540c5e5b5c572ccccd2b9bf3381",
-    "spectrum-7226dcaf6fca/spectrum_true_HC_QIDS.txt":
-        "594a08a540bd01f76775e2689d8b2fa12cf87c0ffc7c3db7eed61046e2fc80fe",
-    "synth-90e6e9962772/cohort.csv":
+    "classify-a3392ccf86f2/loo_points.tsv":
+        "f36b0fdd274ae57b26d48d01948b839b8bfef8b1e32fc0753f1930c187fe2166",
+    "classify-a3392ccf86f2/meta.json":
+        "e07ae1058adcabc8f61da27b88e602b265a512443744e1630a6525ad729acd8f",
+    "classify-a3392ccf86f2/report_mrsf.json":
+        "80deed114d0c25fecee7f7730eb72229504a0044f1ec200103e597c85a70063c",
+    "classify-a3392ccf86f2/report_naive.json":
+        "3e02d4946b17dc43fe4afc3c75f10d2ef6675bf10b9fb178e20cb10422cb8b74",
+    "predict-score-a3392ccf86f2/meta.json":
+        "3de0f119cab60945e9389e3c14e4d5d6f2fb09349c6853ddc182299a0dd7449e",
+    "predict-score-a3392ccf86f2/reports.json":
+        "b9f3073b8bc030700ff021e6abea38e11ddd5e850d87077d11f224e5a7a91138",
+    "predict-state-a3392ccf86f2/meta.json":
+        "0ec53ce5dca08b9d1e0860a0ef93fd6be1240616ff7816f75a314807f5fe23c9",
+    "predict-state-a3392ccf86f2/reports.json":
+        "282e9c50f1459958c397b5332bd4c24fbb0ac3baf8d1d6d76af70f8775eae689",
+    "spectrum-68ba32a1f5d4/meta.json":
+        "0a429b106338f239225d70aeeb294934cad407e570d08bd4f2c35f9ac52040e2",
+    "spectrum-68ba32a1f5d4/points.tsv":
+        "a07acd8ad2207d37fc82d8bc478738ee732ebca8975f88d633fcb41b926bc50e",
+    "spectrum-68ba32a1f5d4/spectrum_classify_BD.svg":
+        "4cac0461e0e7c162b84dfb1b9ca7b6d4d5d677f30b3dd5a0cf3305fa9ffc288f",
+    "spectrum-68ba32a1f5d4/spectrum_classify_BD.txt":
+        "5d69d5251871f6e4ab9b9985d78700991bad1bc8f28e50d032ca02a5877aabac",
+    "spectrum-68ba32a1f5d4/spectrum_classify_BPD.svg":
+        "6225f095814f3fd70c85d590fe32b301527ede22f8037b5905b5bb6b900b5e53",
+    "spectrum-68ba32a1f5d4/spectrum_classify_BPD.txt":
+        "4eb6c0b465055d0c1dd82f48cd2cfb369a0da8d3e11257b85ef0e6b10095f0d0",
+    "spectrum-68ba32a1f5d4/spectrum_classify_HC.svg":
+        "5616e8932c9a7b91edf019c94e07435e419a17820648b8c02de3d24faa6bdae7",
+    "spectrum-68ba32a1f5d4/spectrum_classify_HC.txt":
+        "7ac6589adb196149401899150358f5fcbefd4533cd7aad99218ac20d838bbd8e",
+    "spectrum-6d9f38bbb79f/meta.json":
+        "d1709f6decaaf8db6565bf40070f60a0fa96ce44c252250f22b99c3f4a99ea3e",
+    "spectrum-6d9f38bbb79f/points.tsv":
+        "93ac64e70681df7cf7d31c6cbbe6a1d11f873c80bcd71f602dec5134e81b7c14",
+    "spectrum-6d9f38bbb79f/spectrum_state_BD_ASRM.svg":
+        "a929fb4565638fc56eb0df5b311e3a035400be40621a93fa0df5f8a493fde8df",
+    "spectrum-6d9f38bbb79f/spectrum_state_BD_ASRM.txt":
+        "957bbb926e165fd05988a621343472c088d83779cbdceaff6658390045541903",
+    "spectrum-6d9f38bbb79f/spectrum_state_BD_QIDS.svg":
+        "01f878d3c83a8c5c1a469903b0f749f84e307abff12d938c8055979d6550f70c",
+    "spectrum-6d9f38bbb79f/spectrum_state_BD_QIDS.txt":
+        "7125fd0fbf2f74164a9a9b9b99447cc9f294b6fb7a05c5556e1e2a4bdbb4d806",
+    "spectrum-6d9f38bbb79f/spectrum_state_BPD_ASRM.svg":
+        "fed75c8e0a02e50b3b00adfd06109c69aefa6195f22c54ac977dbc242096d426",
+    "spectrum-6d9f38bbb79f/spectrum_state_BPD_ASRM.txt":
+        "3fbb7f59d13e5114f4d7f061956d7adec275d008c7e1529b6d4fc04cef17c813",
+    "spectrum-6d9f38bbb79f/spectrum_state_BPD_QIDS.svg":
+        "7c7708121eabe82541e128f3d41fbf4f10bc9c5fd38a1fffe899949123ef20cb",
+    "spectrum-6d9f38bbb79f/spectrum_state_BPD_QIDS.txt":
+        "3f6e4a5c5c6585bb4890df3267ab00b4e9083d3976964a9d181f7d4ededa259c",
+    "spectrum-6d9f38bbb79f/spectrum_state_HC_ASRM.svg":
+        "614ddc9ffc152ba2776b15955886ad27f265d942815c9e1939d7544df698d3e9",
+    "spectrum-6d9f38bbb79f/spectrum_state_HC_ASRM.txt":
+        "74ed5ef8bddd9f5b7d16b52e376765acf30a985ed5c8cdf7248cbdc4aee5ed5e",
+    "spectrum-6d9f38bbb79f/spectrum_state_HC_QIDS.svg":
+        "9ffb52e3806c1947ff3e6c3254ed3c64ca7648c396829ec1790bf6345fdf62d8",
+    "spectrum-6d9f38bbb79f/spectrum_state_HC_QIDS.txt":
+        "8d0c057232e9b5ea17fa89482c9db1cd6194ea500741ec8cedd08d66380fa9b3",
+    "spectrum-8894015c30f0/meta.json":
+        "630da8ee8e9061747478606a05987cfc458dda4a421247a49ae9a0c1ef5c8205",
+    "spectrum-8894015c30f0/points.tsv":
+        "c16907fbc6bca6487af9a28f16180ecdbd60b79fdc62011010eb0b6e72bd5cdb",
+    "spectrum-8894015c30f0/spectrum_true_BD_ASRM.svg":
+        "c488c72a0ba0c744ceefbe1640d72fa7b91f9bad8ea6e6158de2e87dd45acaff",
+    "spectrum-8894015c30f0/spectrum_true_BD_ASRM.txt":
+        "fd83d7a603f2c8817f87d05d120ac532a296c6e94453fd7e0d25e51a4be5f42d",
+    "spectrum-8894015c30f0/spectrum_true_BD_QIDS.svg":
+        "e0cf3afb81e52625ae6d8980876ae5f11276a08a6fa1271108932a8e59700fae",
+    "spectrum-8894015c30f0/spectrum_true_BD_QIDS.txt":
+        "87ac3805815e2f93eee0312ff0c8857c24fb37894b0a9c7695f5bdc16207355a",
+    "spectrum-8894015c30f0/spectrum_true_BPD_ASRM.svg":
+        "b2dc55e578e600940100c84b4d09a8caf82ff36749fcf88fafc0d361a1b2e07e",
+    "spectrum-8894015c30f0/spectrum_true_BPD_ASRM.txt":
+        "a5a3b40aa52fbde2f2293dcef1080086d7c617dda2febc3b81d925a601e2b789",
+    "spectrum-8894015c30f0/spectrum_true_BPD_QIDS.svg":
+        "d432b26595843bc146552d8df0d1803d195d8af7fec503b3820cc435c2c6e73f",
+    "spectrum-8894015c30f0/spectrum_true_BPD_QIDS.txt":
+        "e880e8dc2fb7013120dcd59597fe543c2916abf7a4314189f3aa06c1fe57b5de",
+    "spectrum-8894015c30f0/spectrum_true_HC_ASRM.svg":
+        "42c8352739429d0dfa9602300f7345a5be00b6bcfba9ae55e292054245e32462",
+    "spectrum-8894015c30f0/spectrum_true_HC_ASRM.txt":
+        "fd048d24aa02f944dd0d75d06c25c06964c6288d81e35ded8b8d63a70bded8ce",
+    "spectrum-8894015c30f0/spectrum_true_HC_QIDS.svg":
+        "654d2bbb16d5d8e213f1c02ba554c03309f78c9999521437977ffa62cc24327e",
+    "spectrum-8894015c30f0/spectrum_true_HC_QIDS.txt":
+        "9dc274513802d1914bd4e93daf6900b6920f5557438159629adcbc41de040165",
+    "synth-b2d7af2af618/cohort.csv":
         "6a4e64904492eb8a1318086968d80ac18bf35689157f5a261b5cac8176a88886",
-    "synth-90e6e9962772/meta.json":
-        "5e9efdb6e7ce3583b70fad4fca577a233c0bf2f873b540d65e25bb00201a26a0",
+    "synth-b2d7af2af618/meta.json":
+        "c9c384b22d5bf755689a8ba59eb0cccd21bccbcbcf388666806c0d0ba5e67dfe",
 }
 
 

@@ -221,6 +221,9 @@ def test_explicit_bandwidth_forms():
     # hx * hy underflows to 0, so the normalising constant is infinite
     with pytest.raises(ValueError, match="too small"):
         kde2d(pts, bandwidth=1e-200, resolution=40)
+    # hx * hy is 1, but (1 / hx) ** 2 overflows in the kernel's exponent
+    with pytest.raises(ValueError, match="too small for the kernel's exponent"):
+        kde2d(pts, bandwidth=(1e-200, 1e200), resolution=40)
 
 
 def test_contours_stay_in_bounding_box():
