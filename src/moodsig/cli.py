@@ -189,7 +189,7 @@ def ingest(path):
 
 def write_cohort(cohort, path):
     """Write records in the schema `ingest` reads; round-trips exactly."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in cohort.records:
@@ -370,7 +370,7 @@ def _stamp(command, run_hash):
 
 
 def _write_json(path, doc):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -390,7 +390,7 @@ def _write_points_tsv(path, run_hash, comments, columns, rows):
     lines.append("\t".join(columns))
     for *labels, vector in rows:
         lines.append("\t".join([*labels, *(repr(float(v)) for v in vector)]))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

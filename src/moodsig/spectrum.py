@@ -236,49 +236,48 @@ def _fmt(v):
 
 def emit_plot(grid, points, base_path, label, vertex_labels, metadata=None):
     """Write `<base>.svg` (self-contained graphic) and `<base>.txt`
-    (exact-round-trip delimited data); returns the two paths.
+    (exact-round-trip delimited data), both UTF-8; returns the two paths.
 
     `label` names the plot's points (the legend, and every text `point`
     line). metadata key/value strings are embedded in both files (text
     `meta` lines, SVG comments). Both files are byte-identical across
-    reruns for identical inputs."""
+    reruns for identical inputs. Each file is written as a stream of
+    lines, so memory is bounded by one grid row, not by the file."""
     base = str(base_path)
     metadata = dict(metadata or {})
     svg_path, txt_path = base + ".svg", base + ".txt"
-    with open(txt_path, "w") as fh:
-        fh.write(_plot_text(grid, points, label, vertex_labels, metadata))
-    with open(svg_path, "w") as fh:
-        fh.write(_plot_svg(grid, points, label, vertex_labels, metadata))
+    with open(txt_path, "w", encoding="utf-8") as fh:
+        fh.writelines(_text_lines(grid, points, label, vertex_labels, metadata))
+    with open(svg_path, "w", encoding="utf-8") as fh:
+        fh.writelines(_svg_lines(grid, points, label, vertex_labels, metadata))
     return svg_path, txt_path
 
 
-def _plot_text(grid, points, label, vertex_labels, metadata):
-    lines = [f"format\t{TEXT_FORMAT}"]
+def _text_lines(grid, points, label, vertex_labels, metadata):
+    yield f"format\t{TEXT_FORMAT}\n"
     for k in sorted(metadata):
-        lines.append(f"meta\t{k}\t{metadata[k]}")
-    lines.append("vertices\t" + "\t".join(vertex_labels))
-    lines.append(f"bandwidth\t{_fmt(grid.bandwidth[0])}\t{_fmt(grid.bandwidth[1])}")
-    lines.append(f"xs\t{len(grid.xs)}\t" + "\t".join(_fmt(v) for v in grid.xs))
-    lines.append(f"ys\t{len(grid.ys)}\t" + "\t".join(_fmt(v) for v in grid.ys))
+        yield f"meta\t{k}\t{metadata[k]}\n"
+    yield "vertices\t" + "\t".join(vertex_labels) + "\n"
+    yield f"bandwidth\t{_fmt(grid.bandwidth[0])}\t{_fmt(grid.bandwidth[1])}\n"
+    yield f"xs\t{len(grid.xs)}\t" + "\t".join(_fmt(v) for v in grid.xs) + "\n"
+    yield f"ys\t{len(grid.ys)}\t" + "\t".join(_fmt(v) for v in grid.ys) + "\n"
     for lv in sorted(grid.thresholds):
-        lines.append(f"threshold\t{_fmt(lv)}\t{_fmt(grid.thresholds[lv])}")
+        yield f"threshold\t{_fmt(lv)}\t{_fmt(grid.thresholds[lv])}\n"
+    # repr of a row's Python floats is _fmt of each cell, without making a
+    # numpy scalar per cell
+    inside = grid.inside.view(np.uint8)
     for iy in range(grid.density.shape[0]):
-        lines.append(
-            f"density\t{iy}\t" + "\t".join(_fmt(v) for v in grid.density[iy])
-        )
-        lines.append(
-            f"inside\t{iy}\t" + "\t".join(str(int(v)) for v in grid.inside[iy])
-        )
+        yield f"density\t{iy}\t" + "\t".join(map(repr, grid.density[iy].tolist())) + "\n"
+        yield f"inside\t{iy}\t" + "\t".join(map(str, inside[iy].tolist())) + "\n"
     for lv in sorted(grid.contours):
         for poly in grid.contours[lv]:
             coords = "\t".join(_fmt(v) for xy in poly for v in xy)
-            lines.append(f"contour\t{_fmt(lv)}\t{len(poly)}\t{coords}")
+            yield f"contour\t{_fmt(lv)}\t{len(poly)}\t{coords}\n"
     for p in points:
         vals = "\t".join(_fmt(v) for v in p.probs) + "\t" + "\t".join(
             _fmt(v) for v in p.xy
         )
-        lines.append(f"point\t{label}\t{vals}")
-    return "\n".join(lines) + "\n"
+        yield f"point\t{label}\t{vals}\n"
 
 
 _SVG_W, _SVG_H, _MARGIN = 720, 660, 48
@@ -291,71 +290,76 @@ def _to_px(x, y):
     return px, py
 
 
-def _plot_svg(grid, points, label, vertex_labels, metadata):
-    parts = [
+def _raster_rows(grid, dmax):
+    """The density raster, one string per grid row holding a `<rect>` line
+    per run of equal alpha."""
+    dx = grid.xs[1] - grid.xs[0] if len(grid.xs) > 1 else 0.01
+    dy = grid.ys[1] - grid.ys[0] if len(grid.ys) > 1 else 0.01
+    scale = (_SVG_W - 2 * _MARGIN) / 1.0
+    w = dx * scale
+    h = f"{dy * scale:.2f}"
+    # every column's left edge in pixels, by _to_px's arithmetic
+    x0, _ = _to_px(grid.xs - dx / 2, 0.0)
+    for iy in range(grid.density.shape[0]):
+        alphas = np.round(0.85 * grid.density[iy] / dmax, 3)
+        starts = np.flatnonzero(np.r_[True, alphas[1:] != alphas[:-1]])
+        widths = w * np.diff(np.r_[starts, len(alphas)])
+        run_alphas = alphas[starts]
+        shown = run_alphas >= 0.005
+        y0 = f"{_to_px(0.0, grid.ys[iy] + dy / 2)[1]:.2f}"
+        yield "".join(
+            f'<rect x="{x:.2f}" y="{y0}" width="{width:.2f}" height="{h}" '
+            f'fill-opacity="{a!r}"/>\n'
+            for x, width, a in zip(
+                x0[starts[shown]].tolist(), widths[shown].tolist(), run_alphas[shown].tolist()
+            )
+        )
+
+
+def _svg_lines(grid, points, label, vertex_labels, metadata):
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
-        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-    ]
+        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">\n'
+    )
     for k in sorted(metadata):
-        parts.append(f"<!-- {k}: {metadata[k]} -->")
-    parts.append(f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>')
+        yield f"<!-- {k}: {metadata[k]} -->\n"
+    yield f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>\n'
     dmax = grid.density.max()
     if dmax > 0:
-        dx = grid.xs[1] - grid.xs[0] if len(grid.xs) > 1 else 0.01
-        dy = grid.ys[1] - grid.ys[0] if len(grid.ys) > 1 else 0.01
-        scale = (_SVG_W - 2 * _MARGIN) / 1.0
-        w = dx * scale
-        h = dy * scale
-        parts.append('<g stroke="none" fill="#2b5f9e">')
-        for iy in range(grid.density.shape[0]):
-            # one rect per run of equal alpha
-            alphas = np.round(0.85 * grid.density[iy] / dmax, 3)
-            starts = np.flatnonzero(np.r_[True, alphas[1:] != alphas[:-1]])
-            ends = np.r_[starts[1:], len(alphas)]
-            for ix, j in zip(starts.tolist(), ends.tolist()):
-                a = alphas[ix]
-                if a >= 0.005:
-                    x0, y0 = _to_px(grid.xs[ix] - dx / 2, grid.ys[iy] + dy / 2)
-                    parts.append(
-                        f'<rect x="{x0:.2f}" y="{y0:.2f}" '
-                        f'width="{w * (j - ix):.2f}" height="{h:.2f}" '
-                        f'fill-opacity="{a}"/>'
-                    )
-        parts.append("</g>")
+        yield '<g stroke="none" fill="#2b5f9e">\n'
+        yield from _raster_rows(grid, dmax)
+        yield "</g>\n"
     for lv in sorted(grid.contours):
-        parts.append(f'<g fill="none" stroke="{_CONTOUR_COLORS[lv]}" stroke-width="2">')
+        yield f'<g fill="none" stroke="{_CONTOUR_COLORS[lv]}" stroke-width="2">\n'
         for poly in grid.contours[lv]:
             coords = " ".join(
                 f"{px:.2f},{py:.2f}" for px, py in (_to_px(x, y) for x, y in poly)
             )
-            parts.append(f'<polyline points="{coords}"/>')
-        parts.append("</g>")
+            yield f'<polyline points="{coords}"/>\n'
+        yield "</g>\n"
     tri = " ".join(f"{px:.2f},{py:.2f}" for px, py in (_to_px(*v) for v in VERTICES))
-    parts.append(f'<polygon points="{tri}" fill="none" stroke="#333333" stroke-width="2"/>')
+    yield f'<polygon points="{tri}" fill="none" stroke="#333333" stroke-width="2"/>\n'
 
-    parts.append('<g stroke="#222222" stroke-width="0.6">')
+    yield '<g stroke="#222222" stroke-width="0.6">\n'
     for p in points:
         px, py = _to_px(p.xy[0], p.xy[1])
-        parts.append(
+        yield (
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" '
-            f'fill="{_POINT_COLOR}" fill-opacity="0.85"/>'
+            f'fill="{_POINT_COLOR}" fill-opacity="0.85"/>\n'
         )
-    parts.append("</g>")
+    yield "</g>\n"
     anchors = [("end", 12, 16), ("start", -12, 16), ("middle", 0, -10)]
     for (vx, vy), lab, (anchor, ox, oy) in zip(VERTICES, vertex_labels, anchors):
         px, py = _to_px(vx, vy)
-        parts.append(
+        yield (
             f'<text x="{px + ox:.2f}" y="{py + oy:.2f}" text-anchor="{anchor}" '
             f'font-family="Helvetica,Arial,sans-serif" font-size="16" '
-            f'fill="#111111">{lab}</text>'
+            f'fill="#111111">{lab}</text>\n'
         )
-    parts.append(
-        f'<circle cx="{_SVG_W - 150:.2f}" cy="{_MARGIN:.2f}" r="5" fill="{_POINT_COLOR}"/>'
-    )
-    parts.append(
+    yield f'<circle cx="{_SVG_W - 150:.2f}" cy="{_MARGIN:.2f}" r="5" fill="{_POINT_COLOR}"/>\n'
+    yield (
         f'<text x="{_SVG_W - 138:.2f}" y="{_MARGIN + 5:.2f}" '
         f'font-family="Helvetica,Arial,sans-serif" font-size="14" '
-        f'fill="#111111">{label}</text>'
+        f'fill="#111111">{label}</text>\n'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</svg>\n"

@@ -6,7 +6,9 @@ can check what `emit_plot` wrote against the grid it was given.
 loops that the batched signature kernel, the vectorised gap filling and the
 sliding naive means replaced, kept as their bit-exact references;
 `loop_marching_squares` is the per-cell contour tracer that the
-table-driven one replaced, kept the same way.
+table-driven one replaced, kept the same way, and `joined_plot_text` and
+`joined_plot_svg` are the whole-file string builders that `emit_plot`'s
+row-by-row streams replaced, kept as their byte-exact references.
 `sig_length` and `missing_rate` are sizes and rates the tests check
 against. The Riemann signature oracle
 integrates the iterated integrals directly on a fine
@@ -21,7 +23,17 @@ from itertools import product
 import numpy as np
 
 from moodsig.encode import MISSING
-from moodsig.spectrum import TEXT_FORMAT
+from moodsig.spectrum import (
+    _CONTOUR_COLORS,
+    _MARGIN,
+    _POINT_COLOR,
+    _SVG_H,
+    _SVG_W,
+    TEXT_FORMAT,
+    VERTICES,
+    _fmt,
+    _to_px,
+)
 
 
 def sig_length(dimension: int, level: int) -> int:
@@ -255,3 +267,104 @@ def read_plot_text(path):
     out["density"] = np.array([density_rows[i] for i in sorted(density_rows)])
     out["inside"] = np.array([inside_rows[i] for i in sorted(inside_rows)])
     return out
+
+
+def joined_plot_text(grid, points, label, vertex_labels, metadata):
+    """The whole `.txt` twin as one string."""
+    lines = [f"format\t{TEXT_FORMAT}"]
+    for k in sorted(metadata):
+        lines.append(f"meta\t{k}\t{metadata[k]}")
+    lines.append("vertices\t" + "\t".join(vertex_labels))
+    lines.append(f"bandwidth\t{_fmt(grid.bandwidth[0])}\t{_fmt(grid.bandwidth[1])}")
+    lines.append(f"xs\t{len(grid.xs)}\t" + "\t".join(_fmt(v) for v in grid.xs))
+    lines.append(f"ys\t{len(grid.ys)}\t" + "\t".join(_fmt(v) for v in grid.ys))
+    for lv in sorted(grid.thresholds):
+        lines.append(f"threshold\t{_fmt(lv)}\t{_fmt(grid.thresholds[lv])}")
+    for iy in range(grid.density.shape[0]):
+        lines.append(
+            f"density\t{iy}\t" + "\t".join(_fmt(v) for v in grid.density[iy])
+        )
+        lines.append(
+            f"inside\t{iy}\t" + "\t".join(str(int(v)) for v in grid.inside[iy])
+        )
+    for lv in sorted(grid.contours):
+        for poly in grid.contours[lv]:
+            coords = "\t".join(_fmt(v) for xy in poly for v in xy)
+            lines.append(f"contour\t{_fmt(lv)}\t{len(poly)}\t{coords}")
+    for p in points:
+        vals = "\t".join(_fmt(v) for v in p.probs) + "\t" + "\t".join(
+            _fmt(v) for v in p.xy
+        )
+        lines.append(f"point\t{label}\t{vals}")
+    return "\n".join(lines) + "\n"
+
+
+def joined_plot_svg(grid, points, label, vertex_labels, metadata):
+    """The whole `.svg` plot as one string."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
+        f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
+    ]
+    for k in sorted(metadata):
+        parts.append(f"<!-- {k}: {metadata[k]} -->")
+    parts.append(f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>')
+    dmax = grid.density.max()
+    if dmax > 0:
+        dx = grid.xs[1] - grid.xs[0] if len(grid.xs) > 1 else 0.01
+        dy = grid.ys[1] - grid.ys[0] if len(grid.ys) > 1 else 0.01
+        scale = (_SVG_W - 2 * _MARGIN) / 1.0
+        w = dx * scale
+        h = dy * scale
+        parts.append('<g stroke="none" fill="#2b5f9e">')
+        for iy in range(grid.density.shape[0]):
+            # one rect per run of equal alpha
+            alphas = np.round(0.85 * grid.density[iy] / dmax, 3)
+            starts = np.flatnonzero(np.r_[True, alphas[1:] != alphas[:-1]])
+            ends = np.r_[starts[1:], len(alphas)]
+            for ix, j in zip(starts.tolist(), ends.tolist()):
+                a = alphas[ix]
+                if a >= 0.005:
+                    x0, y0 = _to_px(grid.xs[ix] - dx / 2, grid.ys[iy] + dy / 2)
+                    parts.append(
+                        f'<rect x="{x0:.2f}" y="{y0:.2f}" '
+                        f'width="{w * (j - ix):.2f}" height="{h:.2f}" '
+                        f'fill-opacity="{a}"/>'
+                    )
+        parts.append("</g>")
+    for lv in sorted(grid.contours):
+        parts.append(f'<g fill="none" stroke="{_CONTOUR_COLORS[lv]}" stroke-width="2">')
+        for poly in grid.contours[lv]:
+            coords = " ".join(
+                f"{px:.2f},{py:.2f}" for px, py in (_to_px(x, y) for x, y in poly)
+            )
+            parts.append(f'<polyline points="{coords}"/>')
+        parts.append("</g>")
+    tri = " ".join(f"{px:.2f},{py:.2f}" for px, py in (_to_px(*v) for v in VERTICES))
+    parts.append(f'<polygon points="{tri}" fill="none" stroke="#333333" stroke-width="2"/>')
+
+    parts.append('<g stroke="#222222" stroke-width="0.6">')
+    for p in points:
+        px, py = _to_px(p.xy[0], p.xy[1])
+        parts.append(
+            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="4" '
+            f'fill="{_POINT_COLOR}" fill-opacity="0.85"/>'
+        )
+    parts.append("</g>")
+    anchors = [("end", 12, 16), ("start", -12, 16), ("middle", 0, -10)]
+    for (vx, vy), lab, (anchor, ox, oy) in zip(VERTICES, vertex_labels, anchors):
+        px, py = _to_px(vx, vy)
+        parts.append(
+            f'<text x="{px + ox:.2f}" y="{py + oy:.2f}" text-anchor="{anchor}" '
+            f'font-family="Helvetica,Arial,sans-serif" font-size="16" '
+            f'fill="#111111">{lab}</text>'
+        )
+    parts.append(
+        f'<circle cx="{_SVG_W - 150:.2f}" cy="{_MARGIN:.2f}" r="5" fill="{_POINT_COLOR}"/>'
+    )
+    parts.append(
+        f'<text x="{_SVG_W - 138:.2f}" y="{_MARGIN + 5:.2f}" '
+        f'font-family="Helvetica,Arial,sans-serif" font-size="14" '
+        f'fill="#111111">{label}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

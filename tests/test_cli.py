@@ -4,6 +4,8 @@ import json
 import logging
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -22,6 +24,7 @@ from moodsig.cli import (
     main,
     write_cohort,
 )
+import moodsig
 from moodsig import forest
 from moodsig.encode import MISSING, Cohort, Group
 from moodsig.errors import CohortValidationError, CsvParseError
@@ -258,6 +261,43 @@ def test_bom_prefixed_csv_round_trips(tmp_path):
     write_cohort(cohort, path)
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert ingest(path) == cohort
+
+
+def test_run_files_are_utf8_under_an_ascii_locale(tmp_path):
+    rows = [
+        f"{pid},{group},{w},{(3 * w + k) % 21},{(5 * w + 2 * k) % 28}"
+        for k, (pid, group) in enumerate(
+            [("BD-Zo\u00eb", "BD"), ("D2", "BD"), ("H1", "HC"), ("H2", "HC"),
+             ("P1", "BPD"), ("P2", "BPD")]
+        )
+        for w in range(24)
+    ]
+    csv_path = tmp_path / "cohort.csv"
+    csv_path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+    src = str(Path(moodsig.__file__).resolve().parents[1])
+    run_dirs = []
+    for name, utf8_mode in [("ascii", "0"), ("utf8", "1")]:
+        # LC_ALL=C without locale coercion or UTF-8 mode: the locale
+        # encoding is ASCII
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8=utf8_mode, PYTHONPATH=src)
+        # the same relative output root, so meta.json records the same config
+        cwd = tmp_path / name
+        cwd.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from moodsig.cli import main; sys.exit(main())",
+             "spectrum", "--input", str(csv_path), "--source", "true",
+             "--resolution", "16", "-o", "runs"],
+            cwd=cwd, env=env, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        (run_dir,) = (cwd / "runs").glob("spectrum-*")
+        run_dirs.append(run_dir)
+    ascii_dir, utf8_dir = run_dirs
+    assert "BD-Zo\u00eb" in (utf8_dir / "points.tsv").read_text(encoding="utf-8")
+    assert sorted(p.name for p in ascii_dir.iterdir()) == sorted(p.name for p in utf8_dir.iterdir())
+    for path in ascii_dir.iterdir():
+        assert path.read_bytes() == (utf8_dir / path.name).read_bytes(), path.name
 
 
 def test_run_config_validation():

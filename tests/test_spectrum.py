@@ -1,10 +1,13 @@
 """Triangle projection, KDE density grid, contour mass, and plot emission."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import loop_marching_squares, read_plot_text
+from oracles import joined_plot_svg, joined_plot_text, loop_marching_squares, read_plot_text
 
 from moodsig.encode import MISSING, Group, ParticipantRecord, weekly
 from moodsig.errors import InsufficientDataError
@@ -330,6 +333,54 @@ def test_emit_plot_round_trip_and_determinism(tmp_path):
         assert label == "BD"
         np.testing.assert_array_equal(probs, p.probs)
         np.testing.assert_array_equal(xy, p.xy)
+
+
+def _fifths_points(n, seed):
+    # rollout's proportions are multiples of 1/5, so points share edges and
+    # vertices; the first four sit on the NoAnswer vertex
+    rng = np.random.default_rng(seed)
+    counts = [(a, b, 5 - a - b) for a in range(6) for b in range(6 - a)]
+    picks = [(5, 0, 0)] * 4 + [counts[k] for k in rng.integers(len(counts), size=n - 4)]
+    return [simplex_project(np.array(c) / 5) for c in picks]
+
+
+@pytest.mark.parametrize(
+    "points,kwargs",
+    [
+        (_uniform_triangle_points(12, seed=3), {"resolution": 2}),
+        (_uniform_triangle_points(12, seed=4), {"resolution": 3}),
+        # every kernel underflows at every node: no raster group, no contours
+        (_uniform_triangle_points(12, seed=5), {"resolution": 16, "bandwidth": 1e-150}),
+        (_fifths_points(32, seed=6), {"resolution": 200}),
+        (_fifths_points(32, seed=7), {"resolution": 400}),
+    ],
+    ids=["resolution-2", "resolution-3", "all-zero", "fifths", "resolution-400"],
+)
+def test_emit_plot_matches_joined_reference(tmp_path, points, kwargs):
+    grid = kde2d(points, **kwargs)
+    if "bandwidth" in kwargs:
+        assert grid.density.max() == 0
+        assert not any(grid.contours.values())
+    labels = ("BPD", ("NoAnswer", "Normal", "Elevated"),
+              {"config_hash": "0" * 64, "source": "state"})
+    svg_path, txt_path = emit_plot(grid, points, tmp_path / "plot", *labels)
+    with open(txt_path, "rb") as fh:
+        assert fh.read() == joined_plot_text(grid, points, *labels).encode("utf-8")
+    with open(svg_path, "rb") as fh:
+        assert fh.read() == joined_plot_svg(grid, points, *labels).encode("utf-8")
+
+
+def test_emit_plot_memory_is_bounded_by_a_row_not_the_file(tmp_path):
+    pts = _fifths_points(32, seed=8)
+    grid = kde2d(pts, resolution=400)
+    tracemalloc.start()
+    try:
+        svg_path, _ = emit_plot(grid, pts, tmp_path / "plot", "BD", ("BD", "HC", "BPD"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    svg_bytes = os.path.getsize(svg_path)
+    assert peak < svg_bytes / 10, (peak, svg_bytes)
 
 
 def test_svg_contains_expected_elements(tmp_path):
