@@ -53,8 +53,10 @@ def main():
     run(["predict-state"] + common)
     run(["predict-score"] + common)
     resolution = ["--resolution", "96" if args.fast else "200"]
-    for source in ("classify", "state", "true"):
+    for source in ("classify", "state"):
         run(["spectrum"] + common + ["--source", source] + resolution)
+    # observed proportions read neither the seed nor the model settings
+    run(["spectrum", "-o", str(out), "--input", str(cohort), "--source", "true"] + resolution)
 
     print("\n=== classification (one 20-week window per participant) ===")
     classify_dir = only("classify-*", out)
@@ -82,6 +84,16 @@ def main():
     print(f"\n=== spectrum plots ({len(plots)} files) ===")
     for name in plots:
         print(f"  {name}")
+
+    # one run directory per command and nothing else: a failed or killed
+    # write would leave a hidden staging directory beside them
+    names = sorted(p.name for p in out.iterdir())
+    kinds = ["synth", "classify", "predict-state", "predict-score"] + ["spectrum"] * 3
+    # strip each name's "-<hash12>"
+    if sorted(n[:-13] for n in names) != sorted(kinds) or not all(
+        (out / n).is_dir() for n in names
+    ):
+        sys.exit(f"expected the seven run directories in {out}, found {names}")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ import io
 import itertools
 import json
 import logging
+import os
+import shutil
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -286,6 +288,13 @@ def config_hash(cfg):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+# the spectrum settings each source does not read: observed proportions need
+# no model and no seed, and classify reads both instruments as its channels
+_SPECTRUM_UNREAD = {"classify": ("instrument",), "state": (), "true": (
+    "seed", "window_length", "signature_level", "split_fraction", "n_trees",
+    "max_depth", "min_leaf", "features_per_split", "bootstrap_samples")}
+
+
 def _split_list(key, text, cast):
     try:
         return [cast(part.strip()) for part in text.split(",") if part.strip()]
@@ -301,7 +310,8 @@ def load_config(args):
     `groups`, `synth_sizes` and `bandwidth` may be comma-separated strings
     or lists; a one-value bandwidth stays a scalar. Every file key is
     checked, but a field the command has no flag for, and so does not read,
-    keeps its default, so it stays out of the hash."""
+    keeps its default, so it stays out of the hash. So does a field that
+    spectrum's source does not read, and a flag for one is a usage error."""
     data = {}
     if getattr(args, "config", None):
         try:
@@ -329,44 +339,30 @@ def load_config(args):
     if isinstance(data.get("instrument"), str):
         data["instrument"] = data["instrument"].upper()
     cfg = RunConfig(**data)
-    return replace(cfg, **{f.name: f.default for f in fields(cfg) if not hasattr(args, f.name)})
+    unread = [f.name for f in fields(cfg) if not hasattr(args, f.name)]
+    if args.command == "spectrum":
+        unread += _SPECTRUM_UNREAD[cfg.spectrum_source]
+    # argparse rejects a flag the command lacks, so these are flags a source ignores
+    given = ["--" + n.replace("_", "-") for n in unread if getattr(args, n, None) is not None]
+    if given:
+        raise argparse.ArgumentError(
+            None, f"spectrum --source {cfg.spectrum_source} does not read {', '.join(given)}")
+    return replace(cfg, **{f.name: f.default for f in fields(cfg) if f.name in unread})
 
 
 def _task_config(cfg, task):
     return TaskConfig(
-        task=task,
-        window_length=cfg.window_length,
-        signature_level=cfg.signature_level,
-        split_fraction=cfg.split_fraction,
+        task=task, window_length=cfg.window_length, signature_level=cfg.signature_level,
+        split_fraction=cfg.split_fraction, seed=cfg.seed, bootstrap_samples=cfg.bootstrap_samples,
         instrument=Instrument[cfg.instrument] if cfg.instrument else None,
         groups=tuple(Group[g] for g in cfg.groups) if cfg.groups else None,
-        seed=cfg.seed,
-        forest=ForestConfig(
-            n_trees=cfg.n_trees,
-            max_depth=cfg.max_depth,
-            min_leaf=cfg.min_leaf,
-            features_per_split=cfg.features_per_split,
-        ),
-        bootstrap_samples=cfg.bootstrap_samples,
+        forest=ForestConfig(n_trees=cfg.n_trees, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf,
+                            features_per_split=cfg.features_per_split),
     )
 
 
-def _prepare_run(cfg, command):
-    # called once the command's results exist, so a failed command leaves
-    # no run directory behind
-    run_hash = config_hash(cfg)
-    run_dir = Path(cfg.output) / f"{command}-{run_hash[:12]}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir, run_hash
-
-
 def _stamp(command, run_hash):
-    return {
-        "tool": TOOL,
-        "version": __version__,
-        "command": command,
-        "config_hash": run_hash,
-    }
+    return {"tool": TOOL, "version": __version__, "command": command, "config_hash": run_hash}
 
 
 def _write_json(path, doc):
@@ -375,11 +371,34 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _write_meta(run_dir, cfg, command, run_hash, extra=None):
-    doc = _stamp(command, run_hash)
-    doc["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    doc.update(extra or {})
-    _write_json(run_dir / "meta.json", doc)
+def _publish(cfg, command, write):
+    """Publish a run as `<output>/<command>-<hash12>/` and return its path.
+
+    `write(run_dir, run_hash)` writes the run files into a hidden staging
+    sibling and returns meta.json's extra entries. The staging directory is
+    then renamed into place, replacing an earlier run of the same config
+    whole; on any error it is removed instead, so no partial run is left."""
+    run_hash = config_hash(cfg)
+    run_dir = Path(cfg.output) / f"{command}-{run_hash[:12]}"
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    # the pid keeps two processes writing the same run apart
+    staging = run_dir.with_name(f".{run_dir.name}-{os.getpid()}")
+    old = staging.with_name(staging.name + "-old")
+    staging.mkdir()
+    try:
+        meta = _stamp(command, run_hash)
+        meta["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        meta.update(write(staging, run_hash))
+        _write_json(staging / "meta.json", meta)
+        # rename cannot replace a non-empty directory, so the old run moves aside
+        if run_dir.exists():
+            run_dir.rename(old)
+        staging.rename(run_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+    return run_dir
 
 
 def _write_points_tsv(path, run_hash, comments, columns, rows):
@@ -403,17 +422,13 @@ def _require_input(cfg, command):
 def cmd_synth(cfg, command):
     spec = CohortSpec(sizes=cfg.synth_sizes, weeks=cfg.synth_weeks, seed=cfg.seed)
     cohort = generate_cohort(spec)
-    run_dir, run_hash = _prepare_run(cfg, command)
-    csv_path = run_dir / "cohort.csv"
-    write_cohort(cohort, csv_path)
-    _write_meta(
-        run_dir,
-        cfg,
-        command,
-        run_hash,
-        {"participants": len(cohort.records), "weeks": cfg.synth_weeks},
-    )
-    print(f"wrote {csv_path} ({len(cohort.records)} participants)")
+
+    def write(run_dir, run_hash):
+        write_cohort(cohort, run_dir / "cohort.csv")
+        return {"participants": len(cohort.records), "weeks": cfg.synth_weeks}
+
+    run_dir = _publish(cfg, command, write)
+    print(f"wrote {run_dir / 'cohort.csv'} ({len(cohort.records)} participants)")
     return 0
 
 
@@ -421,30 +436,22 @@ def cmd_classify(cfg, command):
     tcfg = _task_config(cfg, CLASSIFY_TASK)
     cohort = _require_input(cfg, command)
     result = run_classification(cohort, tcfg)
-    run_dir, run_hash = _prepare_run(cfg, command)
-    for model, report in (("mrsf", result.mrsf_report), ("naive", result.naive_report)):
-        doc = _stamp(command, run_hash)
-        doc["report"] = report_to_dict(report)
-        doc["model"] = model
-        _write_json(run_dir / f"report_{model}.json", doc)
-    _write_points_tsv(
-        run_dir / "loo_points.tsv",
-        run_hash,
-        [],
-        ["participant_id", "group"] + [f"p_{g.name.lower()}" for g in Group],
-        [(p.participant_id, p.group.name, p.probs) for p in result.loo_points],
-    )
-    _write_meta(
-        run_dir,
-        cfg,
-        command,
-        run_hash,
-        {
-            "n_train": result.n_train,
-            "n_test": result.n_test,
-            "exclusions": list(cohort.exclusions),
-        },
-    )
+
+    def write(run_dir, run_hash):
+        for model, report in (("mrsf", result.mrsf_report), ("naive", result.naive_report)):
+            doc = _stamp(command, run_hash)
+            doc["report"] = report_to_dict(report)
+            doc["model"] = model
+            _write_json(run_dir / f"report_{model}.json", doc)
+        _write_points_tsv(
+            run_dir / "loo_points.tsv", run_hash, [],
+            ["participant_id", "group"] + [f"p_{g.name.lower()}" for g in Group],
+            [(p.participant_id, p.group.name, p.probs) for p in result.loo_points],
+        )
+        return {"n_train": result.n_train, "n_test": result.n_test,
+                "exclusions": list(cohort.exclusions)}
+
+    run_dir = _publish(cfg, command, write)
     print(
         f"classify: mrsf accuracy {result.mrsf_report.accuracy_mean:.3f}, "
         f"naive accuracy {result.naive_report.accuracy_mean:.3f} -> {run_dir}"
@@ -460,9 +467,7 @@ def cmd_predict(cfg, command):
     tcfg = _task_config(cfg, SCORE_TASK if score else STATE_TASK)
     cohort = _require_input(cfg, command)
     results = (run_score_prediction if score else run_state_prediction)(cohort, tcfg)
-    run_dir, run_hash = _prepare_run(cfg, command)
-    doc = _stamp(command, run_hash)
-    doc["results"] = []
+    entries = []
     for r in results:
         reports = {"mrsf": r.mrsf_report, "naive": r.naive_report}
         if r.severity_report is not None:
@@ -471,7 +476,7 @@ def cmd_predict(cfg, command):
         else:
             summary = (f"mrsf {r.mrsf_report.accuracy_mean:.3f}, "
                        f"naive {r.naive_report.accuracy_mean:.3f}")
-        doc["results"].append({
+        entries.append({
             "group": r.group.name,
             "instrument": r.instrument.name,
             "n_train": r.n_train,
@@ -479,8 +484,12 @@ def cmd_predict(cfg, command):
             **{name: report_to_dict(rep) for name, rep in reports.items()},
         })
         print(f"{command} {r.group.name}/{r.instrument.name}: {summary}")
-    _write_json(run_dir / "reports.json", doc)
-    _write_meta(run_dir, cfg, command, run_hash, {"exclusions": list(cohort.exclusions)})
+
+    def write(run_dir, run_hash):
+        _write_json(run_dir / "reports.json", {**_stamp(command, run_hash), "results": entries})
+        return {"exclusions": list(cohort.exclusions)}
+
+    run_dir = _publish(cfg, command, write)
     print(f"wrote {run_dir / 'reports.json'}")
     return 0
 
@@ -511,41 +520,36 @@ def cmd_spectrum(cfg, command):
                     for r in cohort.by_group(g)
                 ]
                 plot_sets.append((g, instrument, pts))
-    # every grid is computed before the run directory exists, so a set too
-    # small for a KDE leaves no partial run behind
-    plots, rows = [], []
-    for g, instrument, pts in plot_sets:
-        meta = {"source": source, "group": g.name}
-        if instrument is not None:
-            meta["instrument"] = instrument.name
-        # spectrum_<source>_<group>[_<instrument>]
-        name = "_".join(["spectrum", *meta.values()])
-        points = [simplex_project(p.probs) for p in pts]
-        try:
-            grid = kde2d(points, bandwidth=cfg.bandwidth, resolution=cfg.resolution)
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from exc
-        plots.append((name, meta, points, grid))
-        rows += [(p.participant_id, g.name, meta.get("instrument", ""), p.probs) for p in pts]
-    run_dir, run_hash = _prepare_run(cfg, command)
-    written = []
-    for name, meta, points, grid in plots:
-        written += emit_plot(
-            grid, points, run_dir / name, meta["group"], vertex_labels,
-            metadata={"tool": TOOL, "version": __version__, "config_hash": run_hash, **meta},
+
+    def write(run_dir, run_hash):
+        rows = []
+        for g, instrument, pts in plot_sets:
+            meta = {"source": source, "group": g.name}
+            if instrument is not None:
+                meta["instrument"] = instrument.name
+            # spectrum_<source>_<group>[_<instrument>]
+            name = "_".join(["spectrum", *meta.values()])
+            points = [simplex_project(p.probs) for p in pts]
+            # each grid is freed once its plot is written
+            try:
+                emit_plot(
+                    kde2d(points, bandwidth=cfg.bandwidth, resolution=cfg.resolution),
+                    points, run_dir / name, g.name, vertex_labels,
+                    metadata={"tool": TOOL, "version": __version__, "config_hash": run_hash, **meta},
+                )
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+            rows += [(p.participant_id, g.name, meta.get("instrument", ""), p.probs) for p in pts]
+        _write_points_tsv(
+            run_dir / "points.tsv", run_hash, [("source", source)],
+            ["participant_id", "group", "instrument", "p0", "p1", "p2"], rows,
         )
-    _write_points_tsv(
-        run_dir / "points.tsv",
-        run_hash,
-        [("source", source)],
-        ["participant_id", "group", "instrument", "p0", "p1", "p2"],
-        rows,
-    )
-    written.append(str(run_dir / "points.tsv"))
-    extra = {"source": source, "files": sorted(Path(p).name for p in written),
-             "exclusions": list(cohort.exclusions), "skipped": skipped}
-    _write_meta(run_dir, cfg, command, run_hash, extra)
-    print(f"spectrum ({source}): wrote {len(written)} files -> {run_dir}")
+        # every file of the run so far; meta.json is written next
+        return {"source": source, "files": sorted(os.listdir(run_dir)),
+                "exclusions": list(cohort.exclusions), "skipped": skipped}
+
+    run_dir = _publish(cfg, command, write)
+    print(f"spectrum ({source}): wrote {len(plot_sets)} plots -> {run_dir}")
     return 0
 
 
@@ -619,12 +623,9 @@ def build_parser():
     sub.add_parser("predict-score", parents=[subset],
                    help="next-week raw-score prediction per group")
     sp = sub.add_parser("spectrum", parents=[subset], help="triangle density plots per group")
-    sp.add_argument(
-        "--source",
-        dest="spectrum_source",
-        choices=["classify", "state", "true"],
-        help="probability vectors to plot",
-    )
+    sp.add_argument("--source", dest="spectrum_source", choices=["classify", "state", "true"],
+                    help="probability vectors to plot (true reads no --seed or model "
+                    "flags, classify no --instrument)")
     sp.add_argument("--resolution", type=int)
     sp.add_argument("--bandwidth", help="hx or hx,hy (default Scott's rule)")
 
@@ -634,22 +635,20 @@ def build_parser():
     return parser
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "classify": cmd_classify,
-    "predict-state": cmd_predict,
-    "predict-score": cmd_predict,
-    "spectrum": cmd_spectrum,
-}
+COMMANDS = {"synth": cmd_synth, "classify": cmd_classify, "predict-state": cmd_predict,
+            "predict-score": cmd_predict, "spectrum": cmd_spectrum}
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         if args.command == "sig":
             return cmd_sig(args)
         return COMMANDS[args.command](load_config(args), args.command)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except (ValueError, OSError) as exc:
         print(f"{TOOL}: error: {exc}", file=sys.stderr)
         return 1

@@ -321,7 +321,9 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["classify"] + common,
         ["predict-state"] + common,
         ["predict-score"] + common,
-        ["spectrum"] + common + ["--source", "true", "--resolution", "48"],
+        # observed proportions read neither the seed nor the model flags
+        ["spectrum", "--input", str(cohort_csv), "-o", out, "--source", "true",
+         "--resolution", "48"],
         ["spectrum"] + common + ["--source", "state", "--resolution", "48"],
     ]
     for argv in commands:

@@ -1,9 +1,11 @@
 """Ingestion rules, run-config hashing, and command artifacts."""
 
+import errno
 import json
 import logging
 import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -25,7 +27,7 @@ from moodsig.cli import (
     write_cohort,
 )
 import moodsig
-from moodsig import forest
+from moodsig import cli, forest
 from moodsig.encode import MISSING, Cohort, Group
 from moodsig.errors import CohortValidationError, CsvParseError
 from moodsig.synth import CohortSpec, generate_cohort
@@ -175,21 +177,32 @@ def test_load_config_merges_file_and_flags(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command,flag",
-    [("synth", ["--n-trees", "3"]), ("classify", ["--groups", "BD,HC"]),
-     ("classify", ["--instrument", "ASRM"])],
-    ids=["synth-n-trees", "classify-groups", "classify-instrument"],
+    "argv,error",
+    [(["synth", "--n-trees", "3"], "unrecognized arguments: --n-trees 3"),
+     (["classify", "--groups", "BD,HC", "--n-trees", "3"],
+      "unrecognized arguments: --groups BD,HC"),
+     (["classify", "--instrument", "ASRM", "--n-trees", "3"],
+      "unrecognized arguments: --instrument ASRM"),
+     # argparse takes these flags; the source, known only once the config is
+     # loaded, does not read them
+     (["spectrum", "--source", "true", "--n-trees", "7", "--seed", "3"],
+      "spectrum --source true does not read --seed, --n-trees"),
+     (["spectrum", "--source", "classify", "--instrument", "ASRM", "--n-trees", "3"],
+      "spectrum --source classify does not read --instrument")],
+    ids=["synth-n-trees", "classify-groups", "classify-instrument", "spectrum-true-n-trees",
+         "spectrum-classify-instrument"],
 )
-def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, command, flag):
-    # classify gets an input it would run on, so only the flag can stop it
-    rest = ["--input", str(_synth_csv(tmp_path)), "--n-trees", "3"] if command == "classify" else []
+def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, error):
+    # every command but synth gets an input it would run on, so only the flag can stop it
+    rest = [] if argv[0] == "synth" else ["--input", str(_synth_csv(tmp_path))]
     capsys.readouterr()
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        main([command, *flag, *rest, "-o", str(out)])
-    assert err.value.code != 0
+        main([*argv, *rest, "-o", str(out)])
+    assert err.value.code == 2
     err_lines = capsys.readouterr().err.splitlines()
-    assert err_lines[-1] == f"moodsig: error: unrecognized arguments: {' '.join(flag)}"
+    assert err_lines[-1] == f"moodsig: error: {error}"
+    assert sum(line.startswith("moodsig: error:") for line in err_lines) == 1
     assert not out.exists()
 
 
@@ -212,6 +225,36 @@ def test_config_keys_the_command_does_not_read_keep_their_defaults(tmp_path, cap
     assert main(argv + ["-c", str(cfg_path)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line == "moodsig: error: unknown groups: ['ZZ']"
+
+
+def test_config_keys_a_spectrum_source_does_not_read_keep_their_defaults(tmp_path, capsys):
+    csv_path = _synth_csv(tmp_path)
+    out = tmp_path / "out"
+    argv = ["spectrum", "--input", str(csv_path), "--resolution", "16", "-o", str(out)]
+    assert main(argv + ["--source", "true"]) == 0
+    (run_dir,) = out.iterdir()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(
+        {"spectrum_source": "true", "seed": 3, "n_trees": 7, "window_length": 12}
+    ))
+    assert main(argv + ["-c", str(cfg_path)]) == 0
+    assert list(out.iterdir()) == [run_dir]
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    # the source comes from the file, and a flag it does not read is rejected
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["-c", str(cfg_path), "--n-trees", "7"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "moodsig: error: spectrum --source true does not read --n-trees"
+    )
+    # an unread key is checked all the same
+    cfg_path.write_text(json.dumps({"spectrum_source": "true", "n_trees": "7"}))
+    assert main(argv + ["-c", str(cfg_path)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "moodsig: error: config n_trees must be int, got '7'"
+    assert list(out.iterdir()) == [run_dir]
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -409,6 +452,69 @@ def test_classify_rerun_is_byte_identical(tmp_path):
     assert main(argv) == 0
     after = {p.name: p.read_bytes() for p in run_dir.iterdir()}
     assert before == after
+
+
+def _write_then_fail(real):
+    """A writer that writes its files, then fails as a full disk would."""
+    def write(*args, **kwargs):
+        real(*args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return write
+
+
+@pytest.mark.parametrize(
+    "argv,writer",
+    [(["classify", "--n-trees", "3", "--bootstrap-samples", "20"], "_write_points_tsv"),
+     (["spectrum", "--source", "true", "--resolution", "16"], "emit_plot")],
+    ids=["classify", "spectrum"],
+)
+def test_failed_write_leaves_no_partial_run(tmp_path, capsys, monkeypatch, argv, writer):
+    # classify fails after its two reports and loo_points.tsv are written,
+    # spectrum after its first plot's two files
+    out = tmp_path / "out"
+    argv = argv + ["--input", str(_synth_csv(tmp_path)), "-o", str(out)]
+    failing = _write_then_fail(getattr(cli, writer))
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, writer, failing)
+        assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "moodsig: error: [Errno 28] No space left on device"
+    assert list(out.iterdir()) == []
+    # a failed rerun leaves the earlier complete run as it was
+    assert main(argv) == 0
+    (run_dir,) = out.iterdir()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    monkeypatch.setattr(cli, writer, failing)
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "moodsig: error: [Errno 28] No space left on device"
+    assert list(out.iterdir()) == [run_dir]
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_rerun_replaces_the_earlier_run_whole(tmp_path):
+    out = tmp_path / "out"
+    argv = ["synth", "--sizes", "4,4,4", "--weeks", "24", "-o", str(out)]
+    assert main(argv) == 0
+    (run_dir,) = out.iterdir()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    (run_dir / "stale.txt").write_text("left by an earlier version\n")
+    assert main(argv) == 0
+    assert list(out.iterdir()) == [run_dir]
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
+def test_run_directory_mode_follows_the_umask(tmp_path):
+    # a private temporary directory (0o700) renamed into place would not
+    umask = os.umask(0o027)
+    try:
+        assert main(["synth", "--sizes", "4,4,4", "--weeks", "24", "-o", str(tmp_path)]) == 0
+    finally:
+        os.umask(umask)
+    (run_dir,) = tmp_path.iterdir()
+    assert stat.S_IMODE(run_dir.stat().st_mode) == 0o777 & ~0o027
 
 
 def test_no_forest_worker_outlives_main(tmp_path, monkeypatch):

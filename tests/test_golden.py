@@ -24,7 +24,8 @@ from pathlib import Path
 
 from moodsig.cli import main
 
-# synth reads only RUN; every other command reads RUN and MODEL
+# synth reads only RUN; every other command reads RUN and MODEL, except
+# `spectrum --source true`, which reads neither the seed nor MODEL
 RUN = ["--seed", "5", "-o", "runs"]
 MODEL = ["--n-trees", "6", "--bootstrap-samples", "40"]
 SPECTRUM = ["--resolution", "48"]
@@ -38,8 +39,8 @@ def _commands(cohort_csv):
         ["predict-score"] + common,
     ] + [
         ["spectrum"] + common + ["--source", source] + SPECTRUM
-        for source in ("classify", "state", "true")
-    ]
+        for source in ("classify", "state")
+    ] + [["spectrum", "--input", cohort_csv, "-o", "runs", "--source", "true"] + SPECTRUM]
 
 
 def run_digests():
@@ -117,34 +118,34 @@ DIGESTS = {
         "9ffb52e3806c1947ff3e6c3254ed3c64ca7648c396829ec1790bf6345fdf62d8",
     "spectrum-6d9f38bbb79f/spectrum_state_HC_QIDS.txt":
         "8d0c057232e9b5ea17fa89482c9db1cd6194ea500741ec8cedd08d66380fa9b3",
-    "spectrum-8894015c30f0/meta.json":
-        "630da8ee8e9061747478606a05987cfc458dda4a421247a49ae9a0c1ef5c8205",
-    "spectrum-8894015c30f0/points.tsv":
-        "c16907fbc6bca6487af9a28f16180ecdbd60b79fdc62011010eb0b6e72bd5cdb",
-    "spectrum-8894015c30f0/spectrum_true_BD_ASRM.svg":
-        "c488c72a0ba0c744ceefbe1640d72fa7b91f9bad8ea6e6158de2e87dd45acaff",
-    "spectrum-8894015c30f0/spectrum_true_BD_ASRM.txt":
-        "fd83d7a603f2c8817f87d05d120ac532a296c6e94453fd7e0d25e51a4be5f42d",
-    "spectrum-8894015c30f0/spectrum_true_BD_QIDS.svg":
-        "e0cf3afb81e52625ae6d8980876ae5f11276a08a6fa1271108932a8e59700fae",
-    "spectrum-8894015c30f0/spectrum_true_BD_QIDS.txt":
-        "87ac3805815e2f93eee0312ff0c8857c24fb37894b0a9c7695f5bdc16207355a",
-    "spectrum-8894015c30f0/spectrum_true_BPD_ASRM.svg":
-        "b2dc55e578e600940100c84b4d09a8caf82ff36749fcf88fafc0d361a1b2e07e",
-    "spectrum-8894015c30f0/spectrum_true_BPD_ASRM.txt":
-        "a5a3b40aa52fbde2f2293dcef1080086d7c617dda2febc3b81d925a601e2b789",
-    "spectrum-8894015c30f0/spectrum_true_BPD_QIDS.svg":
-        "d432b26595843bc146552d8df0d1803d195d8af7fec503b3820cc435c2c6e73f",
-    "spectrum-8894015c30f0/spectrum_true_BPD_QIDS.txt":
-        "e880e8dc2fb7013120dcd59597fe543c2916abf7a4314189f3aa06c1fe57b5de",
-    "spectrum-8894015c30f0/spectrum_true_HC_ASRM.svg":
-        "42c8352739429d0dfa9602300f7345a5be00b6bcfba9ae55e292054245e32462",
-    "spectrum-8894015c30f0/spectrum_true_HC_ASRM.txt":
-        "fd048d24aa02f944dd0d75d06c25c06964c6288d81e35ded8b8d63a70bded8ce",
-    "spectrum-8894015c30f0/spectrum_true_HC_QIDS.svg":
-        "654d2bbb16d5d8e213f1c02ba554c03309f78c9999521437977ffa62cc24327e",
-    "spectrum-8894015c30f0/spectrum_true_HC_QIDS.txt":
-        "9dc274513802d1914bd4e93daf6900b6920f5557438159629adcbc41de040165",
+    "spectrum-af69be2a1848/meta.json":
+        "d53364b623b8a20af0595e8ccbe4708c4a96fcecb1ef241ea27f3c46cc579f64",
+    "spectrum-af69be2a1848/points.tsv":
+        "ffa83d7cfe3a34d386968623290b1fc1d694fda98bea4eec733d378baa164c08",
+    "spectrum-af69be2a1848/spectrum_true_BD_ASRM.svg":
+        "414b63286bd7db9eb3ec61eb675f4bc2b4194a418834bde8d3b445f3e30e5d6e",
+    "spectrum-af69be2a1848/spectrum_true_BD_ASRM.txt":
+        "8f57902eba91c4bdf09379a8928655eb40b08e4cccfa33e2ff24eb355736d9da",
+    "spectrum-af69be2a1848/spectrum_true_BD_QIDS.svg":
+        "583bbcea5c97654ede35f063dd94a63ba62837f72ecbb724ce40ee4b5fdc5baf",
+    "spectrum-af69be2a1848/spectrum_true_BD_QIDS.txt":
+        "3a17dae447a6c7891928e5a316520255ab19e8855ec30787c0419137b7928930",
+    "spectrum-af69be2a1848/spectrum_true_BPD_ASRM.svg":
+        "036622c3bf730e3008611e5605523c86b70f7504c15d457fa4c1154db1b9959c",
+    "spectrum-af69be2a1848/spectrum_true_BPD_ASRM.txt":
+        "7c6125f2233af5c8d68299bd25a359cba379f4f0d0b6a955ca6581f7eb512ecf",
+    "spectrum-af69be2a1848/spectrum_true_BPD_QIDS.svg":
+        "ae4014e0743cb105b040106966aa9ef2e8e782915a1e7cdd3681317f35362744",
+    "spectrum-af69be2a1848/spectrum_true_BPD_QIDS.txt":
+        "7c9ebc6d3db583a676a7ae92e3af1a35b83b175f9f65f8a3044833f839f6ab2b",
+    "spectrum-af69be2a1848/spectrum_true_HC_ASRM.svg":
+        "32e5ebd27b115daadc66b5dfee73d972a1e1632ace25dbb043ee498cd1f5fbe7",
+    "spectrum-af69be2a1848/spectrum_true_HC_ASRM.txt":
+        "08a372e65413f35fa8d5c7f2fdf77c9f948a060aed15963929158b24e2738398",
+    "spectrum-af69be2a1848/spectrum_true_HC_QIDS.svg":
+        "49945f58941f6970b364e6aa98b83528f17346f10b8dbf4c3357e9c9c75f292b",
+    "spectrum-af69be2a1848/spectrum_true_HC_QIDS.txt":
+        "7c47e36c7a4ceb91348f84bf1955154f5a71c2bc35ce4d8989c9ff878eec3d5e",
     "synth-b2d7af2af618/cohort.csv":
         "6a4e64904492eb8a1318086968d80ac18bf35689157f5a261b5cac8176a88886",
     "synth-b2d7af2af618/meta.json":
