@@ -39,9 +39,9 @@ def main():
 
     out = Path(args.output)
     base = ["-o", str(out), "--seed", str(args.seed)]
-    model = [] if not args.fast else [
-        "--n-trees", "10", "--bootstrap-samples", "100",
-    ]
+    model = ["--n-trees", "10"] if args.fast else []
+    # spectrum evaluates no held-out split, so it takes no resample count
+    evaluate = ["--bootstrap-samples", "100"] if args.fast else []
     synth = ["synth"] + base + (
         ["--sizes", "8,8,8", "--weeks", "30"] if args.fast else []
     )
@@ -49,9 +49,9 @@ def main():
     cohort = only("synth-*/cohort.csv", out)
     common = base + model + ["--input", str(cohort)]
 
-    run(["classify"] + common)
-    run(["predict-state"] + common)
-    run(["predict-score"] + common)
+    run(["classify"] + common + evaluate)
+    run(["predict-state"] + common + evaluate)
+    run(["predict-score"] + common + evaluate)
     resolution = ["--resolution", "96" if args.fast else "200"]
     for source in ("classify", "state"):
         run(["spectrum"] + common + ["--source", source] + resolution)

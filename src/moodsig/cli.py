@@ -47,6 +47,8 @@ from .tasks import (
     Instrument,
     ProbabilityPoint,
     TaskConfig,
+    classification_windows,
+    loo_points,
     run_classification,
     run_score_prediction,
     run_state_prediction,
@@ -261,6 +263,9 @@ class RunConfig:
             bad = [g for g in self.groups if g not in Group.__members__]
             if bad:
                 raise ValueError(f"unknown groups: {bad}")
+            # an empty list would run every group under another hash than None
+            if not self.groups or len(set(self.groups)) < len(self.groups):
+                raise ValueError(f"groups must be distinct and nonempty, got {list(self.groups)}")
         if self.spectrum_source not in ("classify", "state", "true"):
             raise ValueError(f"unknown spectrum_source {self.spectrum_source!r}")
         if not 2 <= self.resolution <= MAX_RESOLUTION:
@@ -270,6 +275,9 @@ class RunConfig:
                 f"bootstrap_samples must be 1..{MAX_BOOTSTRAP_SAMPLES}, "
                 f"got {self.bootstrap_samples}"
             )
+        # weeks are numbered from 0, and ingest reads none above MAX_WEEK
+        if self.synth_weeks > MAX_WEEK + 1:
+            raise ValueError(f"synth_weeks must be at most {MAX_WEEK + 1}, got {self.synth_weeks}")
         if not 1 <= self.signature_level <= MAX_LEVEL:
             raise ValueError(
                 f"signature_level must be 1..{MAX_LEVEL}, got {self.signature_level}"
@@ -291,8 +299,8 @@ def config_hash(cfg):
 # the spectrum settings each source does not read: observed proportions need
 # no model and no seed, and classify reads both instruments as its channels
 _SPECTRUM_UNREAD = {"classify": ("instrument",), "state": (), "true": (
-    "seed", "window_length", "signature_level", "split_fraction", "n_trees",
-    "max_depth", "min_leaf", "features_per_split", "bootstrap_samples")}
+    "seed", "window_length", "signature_level", "n_trees", "max_depth", "min_leaf",
+    "features_per_split")}
 
 
 def _split_list(key, text, cast):
@@ -502,10 +510,12 @@ def cmd_spectrum(cfg, command):
     plot_sets, skipped = [], []
     vertex_labels = STATE_VERTEX_LABELS
     if source == "classify":
-        result = run_classification(cohort, _task_config(cfg, CLASSIFY_TASK))
+        ctcfg = _task_config(cfg, CLASSIFY_TASK)
+        records, X_mrsf, _ = classification_windows(cohort, ctcfg)
+        points = loo_points(records, X_mrsf, ctcfg)
         vertex_labels = tuple(g.name for g in Group)
         for g in tcfg.group_list:
-            plot_sets.append((g, None, [p for p in result.loo_points if p.group == g]))
+            plot_sets.append((g, None, [p for p in points if p.group == g]))
     elif source == "state":
         for rollout in run_state_rollout(cohort, tcfg):
             skipped += [[rollout.instrument.name, *skip] for skip in rollout.skipped]
@@ -603,29 +613,32 @@ def build_parser():
     task.add_argument("--input", help="cohort CSV path")
     task.add_argument("--window-length", type=int)
     task.add_argument("--signature-level", type=int)
-    task.add_argument("--split-fraction", type=float)
     task.add_argument("--n-trees", type=int)
     task.add_argument("--max-depth", type=int)
     task.add_argument("--min-leaf", type=int)
     task.add_argument("--features-per-split", type=int)
-    task.add_argument("--bootstrap-samples", type=int)
     subset = argparse.ArgumentParser(add_help=False, parents=[task])
     subset.add_argument("--instrument", help="ASRM or QIDS (default both)")
     subset.add_argument("--groups", help="comma-separated subset of BD,HC,BPD")
+    # the held-out split and its bootstrap reports, which spectrum does not make
+    evaluate = argparse.ArgumentParser(add_help=False)
+    evaluate.add_argument("--split-fraction", type=float)
+    evaluate.add_argument("--bootstrap-samples", type=int)
 
     sp = sub.add_parser("synth", parents=[run], help="generate a synthetic cohort CSV")
     sp.add_argument("--sizes", dest="synth_sizes", help="BD,HC,BPD counts")
     sp.add_argument("--weeks", type=int, dest="synth_weeks")
-    sub.add_parser("classify", parents=[task],
+    sub.add_parser("classify", parents=[task, evaluate],
                    help="3-group classification from one window per participant")
-    sub.add_parser("predict-state", parents=[subset],
+    sub.add_parser("predict-state", parents=[subset, evaluate],
                    help="next-week state-label prediction per group")
-    sub.add_parser("predict-score", parents=[subset],
+    sub.add_parser("predict-score", parents=[subset, evaluate],
                    help="next-week raw-score prediction per group")
     sp = sub.add_parser("spectrum", parents=[subset], help="triangle density plots per group")
     sp.add_argument("--source", dest="spectrum_source", choices=["classify", "state", "true"],
-                    help="probability vectors to plot (true reads no --seed or model "
-                    "flags, classify no --instrument)")
+                    help="leave-one-out class probabilities (classify; no --instrument), "
+                    "rolled-out states (state) or observed proportions (true; no --seed "
+                    "or model flags)")
     sp.add_argument("--resolution", type=int)
     sp.add_argument("--bandwidth", help="hx or hx,hy (default Scott's rule)")
 

@@ -101,8 +101,8 @@ def bootstrap(metric, y_true, y_pred, n_resamples=1000, seed=0):
     """Mean and population std of metric over resampled evaluation instances.
 
     seed may be an int or a tuple of ints; resample r draws indices from
-    default_rng(seed + [r]) so resamples are order-independent and may be
-    evaluated in parallel.
+    default_rng(seed + [r]), so each resample's draw depends only on its
+    own index.
     """
     if n_resamples < 1:
         raise ValueError("n_resamples must be >= 1")

@@ -199,18 +199,38 @@ def _classification_report(model, X, y, config, seed):
     )
 
 
-def run_classification(cohort, config):
-    """One random 20-week window per participant; stratified 70/30 split;
-    identical split and forest seed for the MRSF and naive models; plus
-    leave-one-out probability vectors from the MRSF model."""
+def classification_windows(cohort, config):
+    """One random window of `window_length` weeks per participant of every
+    group, its start drawn from `(seed, 101)`: the eligible records, their
+    MRSF rows and their naive rows."""
     wl = config.window_length
     records = _eligible(cohort.records, tuple(Group), wl)
     window_rng = np.random.default_rng((config.seed, 101))
     starts = [int(window_rng.integers(0, r.n_weeks - wl + 1)) for r in records]
-    X_mrsf, X_naive = (
-        np.vstack(rows)
-        for rows in _feature_table([r.weeks[s:s + wl] for r, s in zip(records, starts)], config)
+    tables = _feature_table([r.weeks[s:s + wl] for r, s in zip(records, starts)], config)
+    return records, *map(np.vstack, tables)
+
+
+def loo_points(records, X_mrsf, config):
+    """Leave-one-out probability vectors: participant `i`'s MRSF row scored
+    by a forest fit on every other row with seed `(seed, 106, i)`."""
+    y = np.array([r.group.index for r in records])
+    # the fits are independent, so they share the worker pool as one
+    # stream; each model is freed once its point is taken
+    fits = fit_many(
+        (np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, config.forest,
+         (config.seed, 106, i), 3)
+        for i in range(len(records))
     )
+    return tuple(ProbabilityPoint(rec.id, rec.group, model.predict_proba(X_mrsf[i]))
+                 for i, (model, rec) in enumerate(zip(fits, records)))
+
+
+def run_classification(cohort, config):
+    """The windows of `classification_windows`; stratified 70/30 split;
+    identical split and forest seed for the MRSF and naive models; plus
+    the `loo_points` of the MRSF rows."""
+    records, X_mrsf, X_naive = classification_windows(cohort, config)
     y = np.array([r.group.index for r in records])
 
     split_rng = np.random.default_rng((config.seed, 102))
@@ -231,24 +251,8 @@ def run_classification(cohort, config):
         for X in (X_mrsf, X_naive)
     ]
 
-    # the leave-one-out fits are independent, so they share the worker pool
-    # as one stream; each model is freed once its point is taken
-    loo_fits = fit_many(
-        (np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, config.forest,
-         (config.seed, 106, i), 3)
-        for i in range(len(records))
-    )
-    loo_points = [
-        ProbabilityPoint(rec.id, rec.group, model.predict_proba(X_mrsf[i]))
-        for i, (model, rec) in enumerate(zip(loo_fits, records))
-    ]
-
     return ClassificationResult(
-        mrsf_report=reports[0],
-        naive_report=reports[1],
-        loo_points=tuple(loo_points),
-        n_train=len(train_idx),
-        n_test=len(test_idx),
+        *reports, loo_points(records, X_mrsf, config), len(train_idx), len(test_idx)
     )
 
 

@@ -312,15 +312,14 @@ def test_criterion_9_cli_determinism(tmp_path):
 
     run(["synth", "--sizes", "4,4,4", "--weeks", "24", "--seed", "5", "-o", out])
     (cohort_csv,) = (tmp_path / "runs").glob("synth-*/cohort.csv")
-    common = [
-        "--input", str(cohort_csv), "--seed", "5", "--n-trees", "6",
-        "--bootstrap-samples", "40", "-o", out,
-    ]
+    common = ["--input", str(cohort_csv), "--seed", "5", "--n-trees", "6", "-o", out]
+    # only the commands that evaluate a held-out split read the resample count
+    evaluate = common + ["--bootstrap-samples", "40"]
     commands = [
         ["synth", "--sizes", "4,4,4", "--weeks", "24", "--seed", "5", "-o", out],
-        ["classify"] + common,
-        ["predict-state"] + common,
-        ["predict-score"] + common,
+        ["classify"] + evaluate,
+        ["predict-state"] + evaluate,
+        ["predict-score"] + evaluate,
         # observed proportions read neither the seed nor the model flags
         ["spectrum", "--input", str(cohort_csv), "-o", out, "--source", "true",
          "--resolution", "48"],

@@ -27,7 +27,7 @@ from moodsig.cli import (
     write_cohort,
 )
 import moodsig
-from moodsig import cli, forest
+from moodsig import cli, forest, metrics, tasks
 from moodsig.encode import MISSING, Cohort, Group
 from moodsig.errors import CohortValidationError, CsvParseError
 from moodsig.synth import CohortSpec, generate_cohort
@@ -188,9 +188,15 @@ def test_load_config_merges_file_and_flags(tmp_path):
      (["spectrum", "--source", "true", "--n-trees", "7", "--seed", "3"],
       "spectrum --source true does not read --seed, --n-trees"),
      (["spectrum", "--source", "classify", "--instrument", "ASRM", "--n-trees", "3"],
-      "spectrum --source classify does not read --instrument")],
+      "spectrum --source classify does not read --instrument"),
+     # no spectrum source makes a held-out split or a bootstrap report
+     (["spectrum", "--split-fraction", "0.5", "--n-trees", "3"],
+      "unrecognized arguments: --split-fraction 0.5"),
+     (["spectrum", "--bootstrap-samples", "5", "--n-trees", "3"],
+      "unrecognized arguments: --bootstrap-samples 5")],
     ids=["synth-n-trees", "classify-groups", "classify-instrument", "spectrum-true-n-trees",
-         "spectrum-classify-instrument"],
+         "spectrum-classify-instrument", "spectrum-split-fraction",
+         "spectrum-bootstrap-samples"],
 )
 def test_flag_the_command_does_not_read_is_rejected(tmp_path, capsys, argv, error):
     # every command but synth gets an input it would run on, so only the flag can stop it
@@ -219,12 +225,16 @@ def test_config_keys_the_command_does_not_read_keep_their_defaults(tmp_path, cap
     assert main(argv + ["-c", str(cfg_path)]) == 0
     assert list(out.glob("classify-*")) == [run_dir]
     assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
-    # a shared file's keys are checked all the same
+    # a shared file's keys are checked all the same; an empty list would
+    # otherwise mean every group under another hash than leaving it out
     capsys.readouterr()
-    cfg_path.write_text(json.dumps({"groups": ["ZZ"]}))
-    assert main(argv + ["-c", str(cfg_path)]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line == "moodsig: error: unknown groups: ['ZZ']"
+    for groups, error in ((["ZZ"], "unknown groups: ['ZZ']"),
+                          ([], "groups must be distinct and nonempty, got []")):
+        cfg_path.write_text(json.dumps({"groups": groups}))
+        assert main(argv + ["-c", str(cfg_path)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"moodsig: error: {error}"
+    assert list(out.glob("classify-*")) == [run_dir]
 
 
 def test_config_keys_a_spectrum_source_does_not_read_keep_their_defaults(tmp_path, capsys):
@@ -353,6 +363,9 @@ def test_run_config_validation():
         ({"seed": True}, "seed"),
         ({"window_length": 10.0}, "window_length"),
         ({"groups": ["BD"]}, "groups"),
+        ({"groups": ("BD", "BD")}, "groups must be distinct and nonempty"),
+        ({"groups": ()}, "groups must be distinct and nonempty"),
+        ({"synth_weeks": 10_002}, "synth_weeks must be at most 10001"),
         ({"synth_sizes": (4, "4", 4)}, "synth_sizes"),
         ({"bandwidth": (0.1, 0.2, 0.3)}, "bandwidth"),
         ({"input": 5}, "input"),
@@ -366,13 +379,19 @@ def test_run_config_validation():
 
 def test_run_config_numbers_hash_like_flags(tmp_path):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps({"split_fraction": 1, "bandwidth": [1, 0.5]}))
-    from_file = load_config(build_parser().parse_args(["spectrum", "-c", str(cfg_path)]))
-    from_flags = load_config(build_parser().parse_args(
-        ["spectrum", "--split-fraction", "1", "--bandwidth", "1,0.5"]))
-    assert from_file == from_flags
-    assert from_file.bandwidth == (1.0, 0.5)
-    assert config_hash(from_file) == config_hash(from_flags)
+
+    def from_file_and_flags(command, doc, flags):
+        cfg_path.write_text(json.dumps(doc))
+        from_file = load_config(build_parser().parse_args([command, "-c", str(cfg_path)]))
+        from_flags = load_config(build_parser().parse_args([command, *flags]))
+        assert from_file == from_flags
+        assert config_hash(from_file) == config_hash(from_flags)
+        return from_file
+
+    cfg = from_file_and_flags("classify", {"split_fraction": 1}, ["--split-fraction", "1"])
+    assert cfg.split_fraction == 1.0
+    cfg = from_file_and_flags("spectrum", {"bandwidth": [1, 0.5]}, ["--bandwidth", "1,0.5"])
+    assert cfg.bandwidth == (1.0, 0.5)
     single = load_config(build_parser().parse_args(["spectrum", "--bandwidth", "0.05"]))
     assert single.bandwidth == 0.05
 
@@ -570,6 +589,34 @@ def test_dead_worker_in_the_loo_stream_is_a_clean_error(tmp_path, capsys, monkey
     assert multiprocessing.active_children() == []
 
 
+def test_spectrum_classify_fits_only_its_leave_one_out_models(tmp_path, monkeypatch):
+    csv_path = _synth_csv(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum fit or evaluated a held-out split model")
+
+    monkeypatch.setattr(tasks, "fit", refuse)
+    monkeypatch.setattr(tasks, "_classification_report", refuse)
+    monkeypatch.setattr(metrics, "bootstrap", refuse)
+    out = tmp_path / "out"
+    argv = ["spectrum", "--source", "classify", "--input", str(csv_path), "--n-trees", "4",
+            "--resolution", "16", "-o", str(out)]
+    assert main(argv) == 0
+    (run_dir,) = out.iterdir()
+    assert sorted(p.name for p in run_dir.glob("*.svg")) == [
+        f"spectrum_classify_{g}.svg" for g in ("BD", "BPD", "HC")
+    ]
+
+
+def test_synth_at_the_week_cap_can_be_ingested(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["synth", "--weeks", "10001", "--sizes", "1,1,1", "-o", str(out)]) == 0
+    (csv_path,) = out.glob("synth-*/cohort.csv")
+    cohort = ingest(csv_path)
+    assert [r.n_weeks for r in cohort.records] == [10_001] * 3
+    assert all(r.weeks["week"][-1] == 10_000 for r in cohort.records)
+
+
 def test_predict_commands_write_reports(tmp_path):
     csv_path = _synth_csv(tmp_path)
     out = tmp_path / "runs"
@@ -710,6 +757,11 @@ def test_sig_command_prints_signature(tmp_path, capsys):
         (["classify", "--bootstrap-samples", "1000000000000"],
          "bootstrap_samples must be 1..100000, got 1000000000000"),
         (["classify", "--features-per-split", "0"], "features_per_split must be >= 1"),
+        (["predict-state", "--groups", "BD,BD"], "groups must be distinct and nonempty"),
+        (["spectrum", "--source", "true", "--groups", "HC,HC"],
+         "groups must be distinct and nonempty"),
+        (["spectrum", "--source", "true", "--groups", ","],
+         "groups must be distinct and nonempty, got []"),
     ],
 )
 def test_out_of_range_settings_fail_before_any_work(tmp_path, capsys, argv, match):
@@ -765,6 +817,8 @@ _ONE_BPD = [
     [
         (["synth", "--weeks", "5"], "weeks must be >= 20"),
         (["synth", "--sizes", "0,1,1"], "sizes must be"),
+        # week numbers would run past what ingest reads
+        (["synth", "--weeks", "10002", "--sizes", "1,1,1"], "synth_weeks must be at most 10001"),
         (["classify", "--n-trees", "3"], "group BPD has < 2"),
         (["predict-state", "--n-trees", "3"], "group BPD has < 2"),
         (["spectrum", "--source", "state", "--n-trees", "3", "--resolution", "16"],
@@ -778,8 +832,8 @@ _ONE_BPD = [
         (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e-200,1e200"],
          "spectrum_true_BD_ASRM: bandwidth (1e-200, 1e+200) is too small"),
     ],
-    ids=["synth-weeks", "synth-sizes", "classify", "predict-state", "spectrum-state",
-         "spectrum-true", "spectrum-underflowing-bandwidth",
+    ids=["synth-weeks", "synth-sizes", "synth-weeks-above-cap", "classify", "predict-state",
+         "spectrum-state", "spectrum-true", "spectrum-underflowing-bandwidth",
          "spectrum-overflowing-bandwidth"],
 )
 def test_failed_command_leaves_no_run_directory(tmp_path, capsys, argv, match):

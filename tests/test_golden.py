@@ -25,18 +25,19 @@ from pathlib import Path
 from moodsig.cli import main
 
 # synth reads only RUN; every other command reads RUN and MODEL, except
-# `spectrum --source true`, which reads neither the seed nor MODEL
+# `spectrum --source true`, which reads neither the seed nor MODEL; only
+# classify and predict-* evaluate models, so only they read EVALUATE
 RUN = ["--seed", "5", "-o", "runs"]
-MODEL = ["--n-trees", "6", "--bootstrap-samples", "40"]
+MODEL = ["--n-trees", "6"]
+EVALUATE = ["--bootstrap-samples", "40"]
 SPECTRUM = ["--resolution", "48"]
 
 
 def _commands(cohort_csv):
     common = ["--input", cohort_csv] + RUN + MODEL
     return [
-        ["classify"] + common,
-        ["predict-state"] + common,
-        ["predict-score"] + common,
+        [command] + common + EVALUATE
+        for command in ("classify", "predict-state", "predict-score")
     ] + [
         ["spectrum"] + common + ["--source", source] + SPECTRUM
         for source in ("classify", "state")
@@ -74,50 +75,50 @@ DIGESTS = {
         "0ec53ce5dca08b9d1e0860a0ef93fd6be1240616ff7816f75a314807f5fe23c9",
     "predict-state-a3392ccf86f2/reports.json":
         "282e9c50f1459958c397b5332bd4c24fbb0ac3baf8d1d6d76af70f8775eae689",
-    "spectrum-68ba32a1f5d4/meta.json":
-        "0a429b106338f239225d70aeeb294934cad407e570d08bd4f2c35f9ac52040e2",
-    "spectrum-68ba32a1f5d4/points.tsv":
-        "a07acd8ad2207d37fc82d8bc478738ee732ebca8975f88d633fcb41b926bc50e",
-    "spectrum-68ba32a1f5d4/spectrum_classify_BD.svg":
-        "4cac0461e0e7c162b84dfb1b9ca7b6d4d5d677f30b3dd5a0cf3305fa9ffc288f",
-    "spectrum-68ba32a1f5d4/spectrum_classify_BD.txt":
-        "5d69d5251871f6e4ab9b9985d78700991bad1bc8f28e50d032ca02a5877aabac",
-    "spectrum-68ba32a1f5d4/spectrum_classify_BPD.svg":
-        "6225f095814f3fd70c85d590fe32b301527ede22f8037b5905b5bb6b900b5e53",
-    "spectrum-68ba32a1f5d4/spectrum_classify_BPD.txt":
-        "4eb6c0b465055d0c1dd82f48cd2cfb369a0da8d3e11257b85ef0e6b10095f0d0",
-    "spectrum-68ba32a1f5d4/spectrum_classify_HC.svg":
-        "5616e8932c9a7b91edf019c94e07435e419a17820648b8c02de3d24faa6bdae7",
-    "spectrum-68ba32a1f5d4/spectrum_classify_HC.txt":
-        "7ac6589adb196149401899150358f5fcbefd4533cd7aad99218ac20d838bbd8e",
-    "spectrum-6d9f38bbb79f/meta.json":
-        "d1709f6decaaf8db6565bf40070f60a0fa96ce44c252250f22b99c3f4a99ea3e",
-    "spectrum-6d9f38bbb79f/points.tsv":
-        "93ac64e70681df7cf7d31c6cbbe6a1d11f873c80bcd71f602dec5134e81b7c14",
-    "spectrum-6d9f38bbb79f/spectrum_state_BD_ASRM.svg":
-        "a929fb4565638fc56eb0df5b311e3a035400be40621a93fa0df5f8a493fde8df",
-    "spectrum-6d9f38bbb79f/spectrum_state_BD_ASRM.txt":
-        "957bbb926e165fd05988a621343472c088d83779cbdceaff6658390045541903",
-    "spectrum-6d9f38bbb79f/spectrum_state_BD_QIDS.svg":
-        "01f878d3c83a8c5c1a469903b0f749f84e307abff12d938c8055979d6550f70c",
-    "spectrum-6d9f38bbb79f/spectrum_state_BD_QIDS.txt":
-        "7125fd0fbf2f74164a9a9b9b99447cc9f294b6fb7a05c5556e1e2a4bdbb4d806",
-    "spectrum-6d9f38bbb79f/spectrum_state_BPD_ASRM.svg":
-        "fed75c8e0a02e50b3b00adfd06109c69aefa6195f22c54ac977dbc242096d426",
-    "spectrum-6d9f38bbb79f/spectrum_state_BPD_ASRM.txt":
-        "3fbb7f59d13e5114f4d7f061956d7adec275d008c7e1529b6d4fc04cef17c813",
-    "spectrum-6d9f38bbb79f/spectrum_state_BPD_QIDS.svg":
-        "7c7708121eabe82541e128f3d41fbf4f10bc9c5fd38a1fffe899949123ef20cb",
-    "spectrum-6d9f38bbb79f/spectrum_state_BPD_QIDS.txt":
-        "3f6e4a5c5c6585bb4890df3267ab00b4e9083d3976964a9d181f7d4ededa259c",
-    "spectrum-6d9f38bbb79f/spectrum_state_HC_ASRM.svg":
-        "614ddc9ffc152ba2776b15955886ad27f265d942815c9e1939d7544df698d3e9",
-    "spectrum-6d9f38bbb79f/spectrum_state_HC_ASRM.txt":
-        "74ed5ef8bddd9f5b7d16b52e376765acf30a985ed5c8cdf7248cbdc4aee5ed5e",
-    "spectrum-6d9f38bbb79f/spectrum_state_HC_QIDS.svg":
-        "9ffb52e3806c1947ff3e6c3254ed3c64ca7648c396829ec1790bf6345fdf62d8",
-    "spectrum-6d9f38bbb79f/spectrum_state_HC_QIDS.txt":
-        "8d0c057232e9b5ea17fa89482c9db1cd6194ea500741ec8cedd08d66380fa9b3",
+    "spectrum-363642967791/meta.json":
+        "efbfb962c0a3bf0e2bc83f4c4445e2edb61fb37326952b8ccde4991737d286db",
+    "spectrum-363642967791/points.tsv":
+        "642cbc83e16f56317a285f0a4eb48980a3ea5cc7e9a5fceb130977316740527d",
+    "spectrum-363642967791/spectrum_classify_BD.svg":
+        "3fc4f27b7183e23326344ecd5d401098fed7d542d0bd824fff55570bcfdf9e97",
+    "spectrum-363642967791/spectrum_classify_BD.txt":
+        "181f82a0dfc147ecf31fb125b30cbc8b4a537f6b0a092067fcea37eef8109a9d",
+    "spectrum-363642967791/spectrum_classify_BPD.svg":
+        "e9998cdf22ab0f07e1b0f11b8037d99e19914f051bfe4ddbee74fa827e5d7f81",
+    "spectrum-363642967791/spectrum_classify_BPD.txt":
+        "2ee8b32bd1c56306d1b8993c0bec83d9e000dbf29a61aad78d21fd664d54534a",
+    "spectrum-363642967791/spectrum_classify_HC.svg":
+        "5a91e8bc1b9aa3f10ef4103a8cadc0c55acaf1e66c43f594e756d717e6a29353",
+    "spectrum-363642967791/spectrum_classify_HC.txt":
+        "25bcc3b9ee3283728163f78238f3b639422ba5974b260781112a94668da35a68",
+    "spectrum-3868707f8ec1/meta.json":
+        "7a6fbf23186a87901d7341c4af167dd47d3605e231b0bcee72c7adc3827b0886",
+    "spectrum-3868707f8ec1/points.tsv":
+        "82909afd1c904bc2f69061cfc5f3900a2899e28afe1404eccdafe26a3b4dff95",
+    "spectrum-3868707f8ec1/spectrum_state_BD_ASRM.svg":
+        "2ec0d38f05461f13a58056b26fb06900388689beeb192442c3f2ca671db6cb2f",
+    "spectrum-3868707f8ec1/spectrum_state_BD_ASRM.txt":
+        "9817ac77eaedd25eac2b17508bc5eb7402e82f7a255f457bb91f81a86c0ac0cc",
+    "spectrum-3868707f8ec1/spectrum_state_BD_QIDS.svg":
+        "d05a3dfbb3de961a7432cfb4b43c86b24325b01fc8eeb757814cc803ae3b29f0",
+    "spectrum-3868707f8ec1/spectrum_state_BD_QIDS.txt":
+        "e5f744a7add643ca5bcde6b530dadc7159890dd8081418cc367730011e0a5d97",
+    "spectrum-3868707f8ec1/spectrum_state_BPD_ASRM.svg":
+        "196a1262351ccc6ed4a6791115d9161ad6158e5bca52c1fe2b83275f369f3cad",
+    "spectrum-3868707f8ec1/spectrum_state_BPD_ASRM.txt":
+        "a07805a0b8d4e721493cbd1c0a62133871b855c55825a5c93ee7aa00af06b11b",
+    "spectrum-3868707f8ec1/spectrum_state_BPD_QIDS.svg":
+        "62363837e26adf716c61d8ef1663fddfc220f989bd3797afb3341976c17e8ae0",
+    "spectrum-3868707f8ec1/spectrum_state_BPD_QIDS.txt":
+        "c0de896c4128cd5d147ae9f02d42395935756d05aa9008e60a94a54a27f781a4",
+    "spectrum-3868707f8ec1/spectrum_state_HC_ASRM.svg":
+        "b131e4f76f9d3cb9eaa88d92db9fd6b3bb57ab321ea0933fa62f204bdd654adb",
+    "spectrum-3868707f8ec1/spectrum_state_HC_ASRM.txt":
+        "1f91404df36d001ba203ac6164cdf0f64a37e69c7b894698199c21fee19f00f6",
+    "spectrum-3868707f8ec1/spectrum_state_HC_QIDS.svg":
+        "3e601c4f5dc816033005d5ac6bd251f656016896bffe1017fef29b2621296452",
+    "spectrum-3868707f8ec1/spectrum_state_HC_QIDS.txt":
+        "516373902743f7aea964671b9268c00a793252ff8122fd43a52a5616e75bbc23",
     "spectrum-af69be2a1848/meta.json":
         "d53364b623b8a20af0595e8ccbe4708c4a96fcecb1ef241ea27f3c46cc579f64",
     "spectrum-af69be2a1848/points.tsv":

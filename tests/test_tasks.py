@@ -11,6 +11,8 @@ from moodsig.tasks import (
     SeverityBucket,
     StateLabel,
     TaskConfig,
+    classification_windows,
+    loo_points,
     rollout_eligible,
     run_classification,
     run_score_prediction,
@@ -141,6 +143,17 @@ class TestClassification:
         assert report_to_dict(a.mrsf_report) == report_to_dict(b.mrsf_report)
         assert report_to_dict(a.naive_report) == report_to_dict(b.naive_report)
         for pa, pb in zip(a.loo_points, b.loo_points):
+            np.testing.assert_array_equal(pa.probs, pb.probs)
+
+    def test_loo_points_alone_equal_those_of_the_whole_run(self, small_cohort):
+        cfg = TaskConfig(task="classify", seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
+        records, X_mrsf, _ = classification_windows(small_cohort, cfg)
+        alone = loo_points(records, X_mrsf, cfg)
+        whole = run_classification(small_cohort, cfg).loo_points
+        assert [(p.participant_id, p.group) for p in alone] == [
+            (p.participant_id, p.group) for p in whole
+        ]
+        for pa, pb in zip(alone, whole):
             np.testing.assert_array_equal(pa.probs, pb.probs)
 
     def test_short_records_excluded(self):
