@@ -9,6 +9,7 @@ small smoke-scale pass (minutes become seconds)."""
 
 import argparse
 import json
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -57,6 +58,10 @@ def main():
         run(["spectrum"] + common + ["--source", source] + resolution)
     # observed proportions read neither the seed nor the model settings
     run(["spectrum", "-o", str(out), "--input", str(cohort), "--source", "true"] + resolution)
+    # each command ends the forest worker pool before it returns
+    alive = multiprocessing.active_children()
+    if alive:
+        sys.exit(f"forest worker processes outlived their command: {alive}")
 
     print("\n=== classification (one 20-week window per participant) ===")
     classify_dir = only("classify-*", out)

@@ -69,6 +69,9 @@ MAX_LEVEL = 5
 MAX_SIG_TERMS = 10**6
 # the largest spectrum resolution: each KDE grid holds resolution**2 floats
 MAX_RESOLUTION = 1_000
+# the most trees per forest: a worker holds every tree of its share of a
+# fit until the share is grown
+MAX_TREES = 10_000
 # the most bootstrap resamples per report, each drawn and scored in turn
 MAX_BOOTSTRAP_SAMPLES = 100_000
 STATE_VERTEX_LABELS = ("NoAnswer", "Normal", "Elevated")
@@ -270,6 +273,8 @@ class RunConfig:
             raise ValueError(f"unknown spectrum_source {self.spectrum_source!r}")
         if not 2 <= self.resolution <= MAX_RESOLUTION:
             raise ValueError(f"resolution must be 2..{MAX_RESOLUTION}, got {self.resolution}")
+        if not 1 <= self.n_trees <= MAX_TREES:
+            raise ValueError(f"n_trees must be 1..{MAX_TREES}, got {self.n_trees}")
         if not 1 <= self.bootstrap_samples <= MAX_BOOTSTRAP_SAMPLES:
             raise ValueError(
                 f"bootstrap_samples must be 1..{MAX_BOOTSTRAP_SAMPLES}, "

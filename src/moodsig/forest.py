@@ -5,9 +5,10 @@ Gini impurity (classification) or variance reduction (regression), scanning
 ceil(sqrt(f)) randomly chosen candidate features per node. Fitted ensembles
 are immutable; each tree draws from its own generator seeded by
 (master seed, tree index) so the build order never matters. That is what
-lets a fit grow contiguous ranges of trees in worker processes, one per
-CPU the process may run on, and concatenate them in index order, and lets
-a stream of independent fits (`fit_many`) share those workers.
+lets every fit split its trees into contiguous ranges, one per CPU the
+process may run on, grow them in one pool of worker processes and
+concatenate them in index order; a stream of independent fits (`fit_many`)
+keeps two fits' ranges in the pool at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
 
 import numpy as np
 
@@ -213,32 +213,27 @@ def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids):
 
 
 # The worker pool is created by the first fit that uses more than one
-# worker and kept for later fits; shutdown_pool() ends it (cli.main calls it
-# before returning, and it runs at interpreter exit for library callers).
+# worker, with one worker per CPU, and kept for later fits; shutdown_pool()
+# ends it (cli.main calls it before returning, and it runs at interpreter
+# exit for library callers).
 _pool = None
-_pool_size = 0
+
+# every job is split over all the workers, so two jobs read ahead give each
+# worker a task running and one queued while the consumer handles a result
+_JOBS_IN_FLIGHT = 2
 
 
-def _worker_count(n_trees):
-    # the CPUs this process may run on, at most n_trees (None: a stream of
-    # several jobs, one task each); without an affinity mask (not Linux)
-    # trees are grown in-process
+def _worker_count():
+    # the CPUs this process may run on; without an affinity mask (not
+    # Linux) trees are grown in-process
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return cpus if n_trees is None else min(cpus, n_trees)
-
-
-def _jobs_in_flight(workers):
-    # a job running and one queued per worker, so the workers stay busy
-    # while the consumer handles a result
-    return 2 * workers
+    return len(os.sched_getaffinity(0))
 
 
 def _executor(workers):
-    global _pool, _pool_size
-    if _pool is None or _pool_size < workers:
-        shutdown_pool()
+    global _pool
+    if _pool is None:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -247,14 +242,13 @@ def _executor(workers):
         # it starts its own threads, an earlier pool's are joined, and
         # numpy's OpenBLAS stops its own threads before a fork.
         _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        _pool_size = workers
     return _pool
 
 
 def shutdown_pool():
     """Stop the tree-growing worker processes, if any, and wait for them."""
-    global _pool, _pool_size
-    pool, _pool, _pool_size = _pool, None, 0
+    global _pool
+    pool, _pool = _pool, None
     if pool is not None:
         pool.shutdown(cancel_futures=True)
 
@@ -333,21 +327,14 @@ def fit_many(jobs):
 
     `jobs` is an iterable of `fit` argument tuples, `(X, y, mode[, config[,
     seed[, n_classes]]])`; each ensemble is the one `fit` returns for its
-    tuple. All the jobs' trees are grown in the one worker pool. Jobs are
-    read lazily: a few more than the ensembles already yielded, a bound set
-    by the worker count. A job that fails fit's checks raises fit's error
-    in its place, after the ensembles before it. Closing the generator
-    early cancels the jobs read ahead and waits for those already growing.
+    tuple. Each job's trees are split over the workers of the one pool.
+    Jobs are read lazily, at most two ahead of the ensembles already
+    yielded. A job that fails fit's checks raises fit's error in its
+    place, after the ensembles before it. Closing the generator early
+    cancels the jobs read ahead and waits for those already growing.
     """
     jobs = _checked_jobs(jobs)
-    head = list(islice(jobs, 2))
-    if not head:
-        return
-    # a lone job (fit) spreads its trees over the workers; several jobs are
-    # one task each, which keeps the workers busy without a barrier per job
-    lone = len(head) == 1 and not isinstance(head[0], Exception)
-    workers = _worker_count(head[0][1]["config"].n_trees if lone else None)
-    jobs = chain(head, jobs)
+    workers = _worker_count()
     if workers <= 1:
         for job in jobs:
             if isinstance(job, Exception):
@@ -360,20 +347,20 @@ def fit_many(jobs):
     from concurrent.futures import wait
     from concurrent.futures.process import BrokenProcessPool
 
-    bound = _jobs_in_flight(workers)
     pending = deque()  # per job read ahead: (fields, futures), or its exception
     try:
         pool = _executor(workers)
         while True:
-            while len(pending) < bound and (job := next(jobs, None)) is not None:
+            while len(pending) < _JOBS_IN_FLIGHT and (job := next(jobs, None)) is not None:
                 if isinstance(job, Exception):
                     pending.append(job)
                     continue
                 grow_args, fields = job
-                ranges = _tree_ranges(fields["config"].n_trees, workers if lone else 1)
-                pending.append(
-                    (fields, [pool.submit(_grow_trees, *grow_args, r) for r in ranges])
-                )
+                n_trees = fields["config"].n_trees
+                pending.append((fields, [
+                    pool.submit(_grow_trees, *grow_args, r)
+                    for r in _tree_ranges(n_trees, min(workers, n_trees))
+                ]))
             if not pending:
                 return
             job = pending.popleft()

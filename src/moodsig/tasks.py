@@ -212,18 +212,20 @@ def classification_windows(cohort, config):
 
 
 def loo_points(records, X_mrsf, config):
-    """Leave-one-out probability vectors: participant `i`'s MRSF row scored
-    by a forest fit on every other row with seed `(seed, 106, i)`."""
+    """Leave-one-out probability vectors of the participants in
+    `config.group_list`: participant `i`'s MRSF row scored by a forest fit
+    on every other row, of all groups, with seed `(seed, 106, i)`."""
     y = np.array([r.group.index for r in records])
+    scored = [i for i, r in enumerate(records) if r.group in config.group_list]
     # the fits are independent, so they share the worker pool as one
     # stream; each model is freed once its point is taken
     fits = fit_many(
         (np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, config.forest,
          (config.seed, 106, i), 3)
-        for i in range(len(records))
+        for i in scored
     )
-    return tuple(ProbabilityPoint(rec.id, rec.group, model.predict_proba(X_mrsf[i]))
-                 for i, (model, rec) in enumerate(zip(fits, records)))
+    return tuple(ProbabilityPoint(records[i].id, records[i].group, model.predict_proba(X_mrsf[i]))
+                 for i, model in zip(scored, fits))
 
 
 def run_classification(cohort, config):

@@ -538,7 +538,7 @@ def test_run_directory_mode_follows_the_umask(tmp_path):
 
 def test_no_forest_worker_outlives_main(tmp_path, monkeypatch):
     csv_path = _synth_csv(tmp_path)
-    monkeypatch.setattr(forest, "_worker_count", lambda n_trees: 2)
+    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
     argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
             "--bootstrap-samples", "50", "-o", str(tmp_path / "runs")]
     assert main(argv) == 0
@@ -546,11 +546,24 @@ def test_no_forest_worker_outlives_main(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_importing_the_cli_loads_no_pool_modules():
+    # the pool modules are imported by the first pooled fit, so a command
+    # that fits no forest does not pay for them at startup
+    src = str(Path(moodsig.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, moodsig.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_dead_forest_worker_is_a_clean_error(tmp_path, capsys, monkeypatch):
     csv_path = _synth_csv(tmp_path)
     # workers forked after the patch inherit it and die on their first tree
     forest.shutdown_pool()
-    monkeypatch.setattr(forest, "_worker_count", lambda n_trees: 2)
+    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
     monkeypatch.setattr(forest, "_grow_tree", lambda *args: os._exit(1))
     argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
             "--bootstrap-samples", "50", "-o", str(tmp_path / "runs")]
@@ -577,7 +590,7 @@ def _die_on_loo_fits(XT, stats, mode, cfg, n_candidates, key, tree_ids):
 
 def test_dead_worker_in_the_loo_stream_is_a_clean_error(tmp_path, capsys, monkeypatch):
     csv_path = _synth_csv(tmp_path)
-    monkeypatch.setattr(forest, "_worker_count", lambda n_trees: 2)
+    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
     monkeypatch.setattr(forest, "_grow_trees", _die_on_loo_fits)
     argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
             "--bootstrap-samples", "50", "-o", str(tmp_path / "runs")]
@@ -762,6 +775,7 @@ def test_sig_command_prints_signature(tmp_path, capsys):
          "groups must be distinct and nonempty"),
         (["spectrum", "--source", "true", "--groups", ","],
          "groups must be distinct and nonempty, got []"),
+        (["classify", "--n-trees", "1000000000"], "n_trees must be 1..10000, got 1000000000"),
     ],
 )
 def test_out_of_range_settings_fail_before_any_work(tmp_path, capsys, argv, match):

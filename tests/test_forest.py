@@ -186,15 +186,15 @@ class TestInvariants:
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
 def test_trees_do_not_depend_on_worker_count(monkeypatch, mode):
     # 1 worker grows in-process; 2 and 3 split the trees into contiguous
-    # chunks, unevenly for 5 and 7 trees, with empty chunks when there are
-    # fewer trees than workers
+    # chunks, unevenly for 5 and 7 trees, with one chunk per tree when there
+    # are fewer trees than workers
     rng = np.random.default_rng(41)
     X = rng.normal(size=(36, 5))
     y = rng.integers(0, 3, size=36) if mode == CLASSIFY else rng.normal(size=36)
     for n_trees in (1, 2, 5, 7):
         fitted = {}
         for workers in (1, 2, 3):
-            monkeypatch.setattr(forest, "_worker_count", lambda n, w=workers: w)
+            monkeypatch.setattr(forest, "_worker_count", lambda w=workers: w)
             fitted[workers] = fit(X, y, mode, ForestConfig(n_trees=n_trees), seed=(8, n_trees))
             if workers > 1:
                 assert forest._pool is not None
@@ -264,14 +264,13 @@ def _submitted_futures(monkeypatch):
 
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
 def test_fit_many_equals_fit_per_job(monkeypatch, mode):
-    # 0 jobs, a lone job (its trees split over the workers) and more jobs
-    # than the largest in-flight bound (one task per job), read from a
+    # 0 jobs, one job and more jobs than are read ahead, read from a
     # generator; the per-job fits run in-process
-    n_many = forest._jobs_in_flight(3) + 2
-    monkeypatch.setattr(forest, "_worker_count", lambda n: 1)
+    n_many = forest._JOBS_IN_FLIGHT + 6
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
     expected = [fit(*job) for job in _stream_jobs(mode, n_many)]
     for workers in (1, 2, 3):
-        monkeypatch.setattr(forest, "_worker_count", lambda n, w=workers: w)
+        monkeypatch.setattr(forest, "_worker_count", lambda w=workers: w)
         for n_jobs in (0, 1, n_many):
             models = list(forest.fit_many(_stream_jobs(mode, n_jobs)))
             assert len(models) == n_jobs
@@ -281,8 +280,8 @@ def test_fit_many_equals_fit_per_job(monkeypatch, mode):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fit_many_reads_jobs_lazily(monkeypatch, workers):
-    monkeypatch.setattr(forest, "_worker_count", lambda n: workers)
-    bound = forest._jobs_in_flight(workers)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    bound = forest._JOBS_IN_FLIGHT
     n_jobs = bound + 6
     pulled = []
     for taken, _ in enumerate(forest.fit_many(_stream_jobs(CLASSIFY, n_jobs, pulled)), 1):
@@ -297,12 +296,12 @@ def test_fit_many_raises_a_bad_job_in_its_place(monkeypatch, workers):
     # job 5 has a NaN feature: the four before it are yielded, then fit's
     # own error; nothing read ahead is left growing, and the pool still
     # grows the same trees as an in-process fit
-    monkeypatch.setattr(forest, "_worker_count", lambda n: 1)
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
     expected = [fit(*job) for job in _stream_jobs(CLASSIFY, 4)]
     with pytest.raises(ValueError) as fit_error:
         fit(*list(_stream_jobs(CLASSIFY, 5, bad=4))[4])
     futures = _submitted_futures(monkeypatch)
-    monkeypatch.setattr(forest, "_worker_count", lambda n: workers)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
     got = []
     with pytest.raises(ValueError) as stream_error:
         for model in forest.fit_many(_stream_jobs(CLASSIFY, 12, bad=4)):
@@ -316,10 +315,28 @@ def test_fit_many_raises_a_bad_job_in_its_place(monkeypatch, workers):
 
 
 def test_closing_fit_many_leaves_no_work_running(monkeypatch):
-    monkeypatch.setattr(forest, "_worker_count", lambda n: 2)
+    # jobs 0 and 1 (1 and 2 trees) are read ahead: three tasks on two workers
+    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
     futures = _submitted_futures(monkeypatch)
     stream = forest.fit_many(_stream_jobs(REGRESS, 20))
     next(stream)
     stream.close()
-    assert 1 < len(futures) <= 1 + forest._jobs_in_flight(2)
+    assert 1 < len(futures) <= 2 * forest._JOBS_IN_FLIGHT
     assert all(fut.done() for fut in futures)
+
+
+def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
+    # a stream's jobs are split like a lone fit's, and a later fit asking
+    # for more workers reuses the pool instead of forking another
+    forest.shutdown_pool()
+    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
+    futures = _submitted_futures(monkeypatch)
+    jobs = [(job[0], job[1], CLASSIFY, ForestConfig(n_trees=4), job[4])
+            for job in _stream_jobs(CLASSIFY, 3)]
+    assert len(list(forest.fit_many(jobs))) == 3
+    assert len(futures) == 6
+    pool = forest._pool
+    monkeypatch.setattr(forest, "_worker_count", lambda: 3)
+    fit(*jobs[0])
+    assert forest._pool is pool
+    assert len(futures) == 9

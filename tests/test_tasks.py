@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from moodsig import tasks
 from moodsig.encode import MISSING, Cohort, Group, ParticipantRecord, weekly
 from moodsig.errors import InsufficientDataError
 from moodsig.forest import ForestConfig
@@ -154,6 +157,24 @@ class TestClassification:
             (p.participant_id, p.group) for p in whole
         ]
         for pa, pb in zip(alone, whole):
+            np.testing.assert_array_equal(pa.probs, pb.probs)
+
+    def test_loo_points_fit_only_the_requested_groups(self, small_cohort, monkeypatch):
+        # the BD points of an all-groups run, from one fit per BD participant
+        cfg = TaskConfig(task="classify", seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
+        records, X_mrsf, _ = classification_windows(small_cohort, cfg)
+        every = loo_points(records, X_mrsf, cfg)
+        jobs, real = [], tasks.fit_many
+
+        def counted(stream):
+            return real(jobs.append(job) or job for job in stream)
+
+        monkeypatch.setattr(tasks, "fit_many", counted)
+        bd = loo_points(records, X_mrsf, replace(cfg, groups=(Group.BD,)))
+        assert len(jobs) == len(bd) == 8
+        expected = [p for p in every if p.group is Group.BD]
+        assert [p.participant_id for p in bd] == [p.participant_id for p in expected]
+        for pa, pb in zip(bd, expected):
             np.testing.assert_array_equal(pa.probs, pb.probs)
 
     def test_short_records_excluded(self):
