@@ -32,23 +32,24 @@ from .encode import (
     Cohort,
     Group,
     ParticipantRecord,
+    mrsf_width,
     weekly,
 )
 from .errors import CohortValidationError, CsvParseError
 from .forest import ForestConfig, shutdown_pool
 from .metrics import report_to_dict
 from .sigcore import stream_signature
-from .spectrum import emit_plot, kde2d, simplex_project, true_proportions
+from .spectrum import emit_plot, kde2d, simplex_project
 from .synth import CohortSpec, generate_cohort
 from .tasks import (
     CLASSIFY_TASK,
     SCORE_TASK,
     STATE_TASK,
     Instrument,
-    ProbabilityPoint,
     TaskConfig,
     classification_windows,
     loo_points,
+    observed_proportions,
     run_classification,
     run_score_prediction,
     run_state_prediction,
@@ -74,6 +75,9 @@ MAX_RESOLUTION = 1_000
 MAX_TREES = 10_000
 # the most bootstrap resamples per report, each drawn and scored in turn
 MAX_BOOTSTRAP_SAMPLES = 100_000
+# the most participant-weeks synth generates: each is drawn in turn, and
+# the whole cohort is held until it is written
+MAX_SYNTH_WEEKS = 1_000_000
 STATE_VERTEX_LABELS = ("NoAnswer", "Normal", "Elevated")
 
 log = logging.getLogger(TOOL)
@@ -280,9 +284,22 @@ class RunConfig:
                 f"bootstrap_samples must be 1..{MAX_BOOTSTRAP_SAMPLES}, "
                 f"got {self.bootstrap_samples}"
             )
-        # weeks are numbered from 0, and ingest reads none above MAX_WEEK
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # weeks are numbered from 0, and ingest reads none above MAX_WEEK,
+        # so no participant has a longer run of weeks
         if self.synth_weeks > MAX_WEEK + 1:
             raise ValueError(f"synth_weeks must be at most {MAX_WEEK + 1}, got {self.synth_weeks}")
+        if self.window_length is not None and self.window_length > MAX_WEEK + 1:
+            raise ValueError(
+                f"window_length must be at most {MAX_WEEK + 1}, got {self.window_length}"
+            )
+        participant_weeks = sum(self.synth_sizes) * self.synth_weeks
+        if participant_weeks > MAX_SYNTH_WEEKS:
+            raise ValueError(
+                f"synth_sizes times synth_weeks must be at most {MAX_SYNTH_WEEKS} "
+                f"participant-weeks, got {participant_weeks}"
+            )
         if not 1 <= self.signature_level <= MAX_LEVEL:
             raise ValueError(
                 f"signature_level must be 1..{MAX_LEVEL}, got {self.signature_level}"
@@ -360,7 +377,18 @@ def load_config(args):
     if given:
         raise argparse.ArgumentError(
             None, f"spectrum --source {cfg.spectrum_source} does not read {', '.join(given)}")
-    return replace(cfg, **{f.name: f.default for f in fields(cfg) if f.name in unread})
+    cfg = replace(cfg, **{f.name: f.default for f in fields(cfg) if f.name in unread})
+    if cfg.features_per_split is not None:
+        # spectrum fits only MRSF models; the other commands also fit the
+        # naive model, one mean per instrument
+        model, width = (("MRSF", mrsf_width(cfg.signature_level)) if args.command == "spectrum"
+                        else ("naive", 2))
+        if cfg.features_per_split > width:
+            raise ValueError(
+                f"features_per_split must be at most {width}, the {model} model's "
+                f"feature count, got {cfg.features_per_split}"
+            )
+    return cfg
 
 
 def _task_config(cfg, task):
@@ -521,20 +549,14 @@ def cmd_spectrum(cfg, command):
         vertex_labels = tuple(g.name for g in Group)
         for g in tcfg.group_list:
             plot_sets.append((g, None, [p for p in points if p.group == g]))
-    elif source == "state":
-        for rollout in run_state_rollout(cohort, tcfg):
-            skipped += [[rollout.instrument.name, *skip] for skip in rollout.skipped]
-            for g in tcfg.group_list:
-                pts = [p for p in rollout.points if p.group == g]
-                plot_sets.append((g, rollout.instrument, pts))
     else:
-        for instrument in tcfg.instruments:
+        # per instrument, the rolled-out or the observed state proportions
+        run = run_state_rollout if source == "state" else observed_proportions
+        for result in run(cohort, tcfg):
+            skipped += [[result.instrument.name, *skip] for skip in result.skipped]
             for g in tcfg.group_list:
-                pts = [
-                    ProbabilityPoint(r.id, g, true_proportions(r, instrument))
-                    for r in cohort.by_group(g)
-                ]
-                plot_sets.append((g, instrument, pts))
+                pts = [p for p in result.points if p.group == g]
+                plot_sets.append((g, result.instrument, pts))
 
     def write(run_dir, run_hash):
         rows = []

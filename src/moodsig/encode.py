@@ -85,12 +85,10 @@ def _scores(weeks) -> np.ndarray:
 
 def _windows(weeks, window_length):
     """The (n_windows, window_length, 2) float scores of every run of
-    `window_length` consecutive weeks, as a strided view."""
-    raw = _scores(weeks)
-    if len(raw) < window_length:
-        return np.empty((0, window_length, 2))
+    `window_length` consecutive weeks, as a strided view; `weeks` holds at
+    least one window."""
     # (n_windows, 2, wl) view -> (n_windows, wl, 2)
-    windows = np.lib.stride_tricks.sliding_window_view(raw, window_length, axis=0)
+    windows = np.lib.stride_tricks.sliding_window_view(_scores(weeks), window_length, axis=0)
     return windows.swapaxes(-1, -2)
 
 
@@ -151,6 +149,12 @@ def normalize_and_cumulate(
     return path
 
 
+def mrsf_width(level: int) -> int:
+    """The length of an `mrsf` row: the signature terms of levels 1..level
+    of the 3-channel path."""
+    return sum(3**k for k in range(1, level + 1))
+
+
 def mrsf(
     weeks: np.recarray,
     level: int = 2,
@@ -167,11 +171,14 @@ def mrsf(
     weeks, where row s equals ``mrsf(weeks[s:s + window_length], level)``
     exactly.  Every window is encoded at once and all their signatures come
     from one stacked ``stream_signature`` call; fewer weeks than
-    ``window_length`` give a (0, length) table.
+    ``window_length`` give a (0, length) table at once.
     """
     wl = len(weeks) if window_length is None else window_length
     if wl < 2:
         raise InsufficientDataError("need at least 2 weeks for signature features")
+    if len(weeks) < wl:
+        # no window to encode; the encoding's arrays grow with wl
+        return np.empty((0, mrsf_width(level)))
     path = normalize_and_cumulate(*_fill(_windows(weeks, wl)), wl)
     features = stream_signature(path, level).flatten()
     return features[0] if window_length is None else features
@@ -181,11 +188,14 @@ def naive_features(weeks: np.recarray, window_length: int | None = None) -> np.n
     """Per-instrument mean over valid scores only; an all-missing instrument yields 0.
 
     Sliding form as in `mrsf`: with ``window_length`` set, one row per
-    window of ``window_length`` consecutive weeks, an (n_windows, 2) table.
+    window of ``window_length`` consecutive weeks, an (n_windows, 2) table;
+    fewer weeks than ``window_length`` give a (0, 2) table at once.
     """
     wl = len(weeks) if window_length is None else window_length
     if wl < 1:
         raise InsufficientDataError("window must contain at least one week")
+    if len(weeks) < wl:
+        return np.empty((0, 2))
     windows = _windows(weeks, wl)
     valid = windows != MISSING
     # integer sums are exact in any order, so each mean is bit-exact

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
-from .tasks import StateLabel, state_labels
 
 TEXT_FORMAT = "moodsig.spectrum/1"
 
@@ -55,14 +54,6 @@ def simplex_project(probs):
         raise ValueError(f"probabilities sum to {total}, not 1")
     probs = probs / total
     return SimplexPoint(probs=probs, xy=probs @ VERTICES)
-
-
-def true_proportions(record, instrument):
-    """Observed frequency of (NoAnswer, Normal, Elevated) over the record."""
-    if record.n_weeks < 1:
-        raise InsufficientDataError("record has no weeks")
-    labels = state_labels(record.weeks[instrument.value], instrument)
-    return np.bincount(labels, minlength=len(StateLabel)) / record.n_weeks
 
 
 def _inside_triangle(x, y, tol=1e-9):

@@ -1,7 +1,8 @@
 """The three experiments: diagnostic-group classification, next-week mood
 state prediction, and next-week score/severity prediction, each run with
 signature features (MRSF) and a mean-score naive baseline under identical
-window draws, splits, and seeds, so the feature map is the only variable.
+window draws, splits, and seeds, so the feature map is the only variable;
+plus the rolled-out and the observed state proportions of the state spectra.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .metrics import EvalReport, evaluate_classification, evaluate_regression, m
 CLASSIFY_TASK = "classify"
 STATE_TASK = "state_predict"
 SCORE_TASK = "score_predict"
+HORIZON = 5  # the rollout predicts each participant's last HORIZON states
 
 
 class Instrument(Enum):
@@ -155,10 +157,33 @@ class PredictionResult:
 
 
 @dataclass(frozen=True)
-class RolloutResult:
+class StatePoints:
+    """One instrument's per-participant state proportions and (id, reason) skips."""
+
     instrument: Instrument
     points: tuple[ProbabilityPoint, ...]
-    skipped: tuple[tuple[str, str], ...]
+    skipped: tuple[tuple[str, str], ...] = ()
+
+
+def _proportions(labels):
+    """The frequency of each `StateLabel` among `labels`."""
+    return np.bincount(labels, minlength=len(StateLabel)) / len(labels)
+
+
+def true_proportions(record, instrument):
+    """Observed frequency of (NoAnswer, Normal, Elevated) over the record."""
+    if record.n_weeks < 1:
+        raise InsufficientDataError("record has no weeks")
+    return _proportions(state_labels(record.weeks[instrument.value], instrument))
+
+
+def observed_proportions(cohort, config):
+    """The `true_proportions` of every record of the requested groups, group
+    by group, as one `StatePoints` per instrument."""
+    records = [r for g in config.group_list for r in cohort.by_group(g)]
+    return tuple(StatePoints(ins, tuple(ProbabilityPoint(r.id, r.group, true_proportions(r, ins))
+                                        for r in records))
+                 for ins in config.instruments)
 
 
 def _split_indices(n, fraction, rng):
@@ -363,58 +388,45 @@ def run_score_prediction(cohort, config):
     return tuple(results)
 
 
-def rollout_eligible(record, window_length=10, horizon=5):
-    """More than `horizon` sliding windows with a next-week target."""
-    return record.n_weeks - window_length > horizon
+def rollout_eligible(record, window_length=10):
+    """More than `HORIZON` sliding windows with a next-week target."""
+    return record.n_weeks - window_length > HORIZON
 
 
-def run_state_rollout(cohort, config, horizon=5):
+def run_state_rollout(cohort, config):
     """For each eligible participant, train a per-participant model on one
     random (window, next week) instance from every other same-group
     participant with such an instance (a donor), then predict the
-    participant's last `horizon` states and return their frequencies over
-    the three state labels. A participant with fewer than 2 donors is
-    skipped."""
+    participant's last `HORIZON` states and return their proportions. A
+    participant with fewer than 2 donors is skipped. Everything but the
+    labels, the fit and the prediction is decided once for both instruments."""
     wl = config.window_length
-    # per group, shared by both instruments: the MRSF rows of every window
-    # with a next week, and the donors, the records with such a window
-    groups = {}
+    points = {instrument: [] for instrument in config.instruments}
+    skipped = []
     for g in config.group_list:
         recs = cohort.by_group(g)
+        # the MRSF rows of every window with a next week
         table = [mrsf(r.weeks[:-1], config.signature_level, wl) for r in recs]
-        groups[g] = recs, table, [k for k, r in enumerate(recs) if r.n_weeks >= wl + 1]
-    results = []
-    for instrument in config.instruments:
-        points, skipped = [], []
-        for g, (recs, table, donors) in groups.items():
-            states = [state_labels(r.weeks[wl:][instrument.value], instrument) for r in recs]
-            for i, rec in enumerate(recs):
-                if not rollout_eligible(rec, wl, horizon):
-                    skipped.append(
-                        (rec.id, f"needs > {horizon} windows of {wl} weeks")
-                    )
-                    continue
-                rest = [k for k in donors if k != i]
-                if len(rest) < 2:
-                    skipped.append(
-                        (rec.id, f"needs 2 other participants with > {wl} weeks, has {len(rest)}")
-                    )
-                    continue
-                X, y = [], []
-                for j, k in enumerate(rest):
-                    rng = np.random.default_rng((config.seed, 401, g.index, i, j))
-                    start = int(rng.integers(0, len(states[k])))
-                    X.append(table[k][start])
-                    y.append(states[k][start])
-                model = fit(
-                    np.array(X), np.array(y, dtype=int), CLASSIFY, config.forest,
-                    seed=(config.seed, 402, g.index, i), n_classes=3,
+        for i, rec in enumerate(recs):
+            if not rollout_eligible(rec, wl):
+                skipped.append((rec.id, f"needs > {HORIZON} windows of {wl} weeks"))
+                continue
+            donors = [k for k, rows in enumerate(table) if len(rows) and k != i]
+            if len(donors) < 2:
+                skipped.append(
+                    (rec.id, f"needs 2 other participants with > {wl} weeks, has {len(donors)}")
                 )
-                labels = model.predict(table[i][-horizon:])
-                probs = np.bincount(labels.astype(int), minlength=3) / horizon
-                points.append(ProbabilityPoint(rec.id, g, probs))
-        results.append(
-            RolloutResult(instrument=instrument, points=tuple(points),
-                          skipped=tuple(skipped))
-        )
-    return tuple(results)
+                continue
+            starts = [int(np.random.default_rng((config.seed, 401, g.index, i, j))
+                          .integers(0, len(table[k]))) for j, k in enumerate(donors)]
+            X = np.array([table[k][s] for k, s in zip(donors, starts)])
+            # the week after each drawn window
+            targets = [recs[k].weeks[wl + s] for k, s in zip(donors, starts)]
+            for instrument, pts in points.items():
+                y = state_labels([w[instrument.value] for w in targets], instrument)
+                model = fit(X, y, CLASSIFY, config.forest,
+                            seed=(config.seed, 402, g.index, i), n_classes=3)
+                labels = model.predict(table[i][-HORIZON:]).astype(int)
+                pts.append(ProbabilityPoint(rec.id, g, _proportions(labels)))
+    return tuple(StatePoints(instrument, tuple(pts), tuple(skipped))
+                 for instrument, pts in points.items())

@@ -776,14 +776,50 @@ def test_sig_command_prints_signature(tmp_path, capsys):
         (["spectrum", "--source", "true", "--groups", ","],
          "groups must be distinct and nonempty, got []"),
         (["classify", "--n-trees", "1000000000"], "n_trees must be 1..10000, got 1000000000"),
+        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["classify", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["spectrum", "--source", "state", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["synth", "--sizes", "1000000000,1,1"],
+         "synth_sizes times synth_weeks must be at most 1000000 participant-weeks, "
+         "got 51000000102"),
+        # no participant has more than 10,001 weeks
+        (["spectrum", "--source", "state", "--window-length", "1000000000000"],
+         "window_length must be at most 10001, got 1000000000000"),
+        # each of these commands also fits the 2-feature naive model
+        (["classify", "--features-per-split", "3"],
+         "features_per_split must be at most 2, the naive model's feature count, got 3"),
+        (["predict-state", "--features-per-split", "3"],
+         "features_per_split must be at most 2, the naive model's feature count, got 3"),
+        (["predict-score", "--features-per-split", "3"],
+         "features_per_split must be at most 2, the naive model's feature count, got 3"),
+        (["spectrum", "--source", "classify", "--features-per-split", "13"],
+         "features_per_split must be at most 12, the MRSF model's feature count, got 13"),
     ],
 )
 def test_out_of_range_settings_fail_before_any_work(tmp_path, capsys, argv, match):
     # the input does not exist: the range check must come first
     out = tmp_path / "runs"
-    assert main(argv + ["--input", str(tmp_path / "absent.csv"), "-o", str(out)]) == 1
+    # synth reads no input
+    if argv[0] != "synth":
+        argv = argv + ["--input", str(tmp_path / "absent.csv")]
+    assert main(argv + ["-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("moodsig: error:") and match in err
+    assert not out.exists()
+
+
+def test_spectrum_takes_features_per_split_up_to_the_mrsf_width(tmp_path, capsys):
+    # spectrum fits no naive model, so the 12 MRSF features bound it
+    csv_path = _synth_cohort(tmp_path, "3,3,3", 24)
+    argv = ["spectrum", "--input", str(csv_path), "--source", "state", "--n-trees", "4",
+            "--resolution", "16", "--instrument", "ASRM"]
+    assert main(argv + ["--features-per-split", "12", "-o", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(argv + ["--features-per-split", "13", "-o", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("moodsig: error: features_per_split must be at most 12, "
+                    "the MRSF model's feature count, got 13")
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moodsig import encode
 from moodsig.encode import (
     MISSING,
     WEEK,
@@ -155,6 +156,17 @@ class TestMrsf:
         assert mrsf(weeks, 2, window_length=5).shape == (0, 12)
         assert mrsf(weeks, 3, window_length=5).shape == (0, 39)
         assert mrsf(weeks, 2, window_length=4).shape == (1, 12)
+
+    def test_window_longer_than_the_run_encodes_nothing(self, monkeypatch):
+        # however long the window, a run shorter than it is not signed
+        def no_signature(*args):
+            raise AssertionError("stream_signature called")
+
+        monkeypatch.setattr(encode, "stream_signature", no_signature)
+        weeks = weekly(obs(t, 3, 4) for t in range(4))
+        for wl in (5, 10**6):
+            assert mrsf(weeks, 2, window_length=wl).shape == (0, 12)
+            assert naive_features(weeks, wl).shape == (0, 2)
 
 
 def _coverage_weeks():

@@ -1,7 +1,10 @@
 """Triangle projection, KDE density grid, contour mass, and plot emission."""
 
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import joined_plot_svg, joined_plot_text, loop_marching_squares, read_plot_text
 
+import moodsig
 from moodsig.encode import MISSING, Group, ParticipantRecord, weekly
 from moodsig.errors import InsufficientDataError
 from moodsig.spectrum import (
@@ -19,9 +23,8 @@ from moodsig.spectrum import (
     emit_plot,
     kde2d,
     simplex_project,
-    true_proportions,
 )
-from moodsig.tasks import Instrument, state_labels
+from moodsig.tasks import Instrument, state_labels, true_proportions
 
 
 def test_vertices_map_to_corners():
@@ -403,3 +406,14 @@ def test_grid_is_plain_dataclass():
     assert isinstance(grid, DensityGrid)
     assert set(grid.thresholds) == {0.25, 0.5, 0.75}
     assert set(grid.contours) == {0.25, 0.5, 0.75}
+
+
+def test_importing_the_spectrum_loads_no_task_module():
+    # spectrum only plots; the state proportions it is given come from tasks
+    src = str(Path(moodsig.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, moodsig.spectrum; print('moodsig.tasks' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

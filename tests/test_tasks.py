@@ -16,6 +16,7 @@ from moodsig.tasks import (
     TaskConfig,
     classification_windows,
     loo_points,
+    observed_proportions,
     rollout_eligible,
     run_classification,
     run_score_prediction,
@@ -23,6 +24,7 @@ from moodsig.tasks import (
     run_state_rollout,
     severity_buckets,
     state_labels,
+    true_proportions,
 )
 
 SMALL_FOREST = ForestConfig(n_trees=10)
@@ -287,6 +289,22 @@ class TestRollout:
         )
         assert [p.group for p in result.points] == [Group.HC] * 3 + [Group.BPD] * 3
 
+    def test_both_instruments_equal_one_run_each(self):
+        # the skip decisions, donors and windows drawn are shared by both
+        base = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=7))
+        cohort = Cohort(records=base.records + (_record(Group.BD, [(2, 3)] * 15, pid="edge15"),))
+        cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST)
+        both = run_state_rollout(cohort, cfg)
+        assert [r.instrument for r in both] == list(Instrument)
+        for result in both:
+            (alone,) = run_state_rollout(cohort, replace(cfg, instrument=result.instrument))
+            assert result.skipped == alone.skipped
+            assert [s[0] for s in result.skipped] == ["edge15"]
+            assert ([(p.participant_id, p.group) for p in result.points]
+                    == [(p.participant_id, p.group) for p in alone.points])
+            for p, q in zip(result.points, alone.points):
+                np.testing.assert_array_equal(p.probs, q.probs)
+
     def test_proportions_quantized(self, small_cohort):
         cfg = TaskConfig(task="state_predict", seed=1, forest=SMALL_FOREST,
                          instrument=Instrument.QIDS)
@@ -305,3 +323,16 @@ class TestRollout:
         result = run_state_rollout(cohort, cfg)[0]
         for p in result.points:
             np.testing.assert_array_equal(p.probs, [0.0, 1.0, 0.0])
+
+
+def test_observed_proportions_are_the_true_proportions_of_the_requested_groups(small_cohort):
+    cfg = TaskConfig(task="state_predict", groups=(Group.HC, Group.BD))
+    records = small_cohort.by_group(Group.HC) + small_cohort.by_group(Group.BD)
+    results = observed_proportions(small_cohort, cfg)
+    assert [r.instrument for r in results] == list(Instrument)
+    for result in results:
+        assert result.skipped == ()
+        assert ([(p.participant_id, p.group) for p in result.points]
+                == [(r.id, r.group) for r in records])
+        for p, r in zip(result.points, records):
+            np.testing.assert_array_equal(p.probs, true_proportions(r, result.instrument))
