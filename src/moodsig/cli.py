@@ -42,9 +42,6 @@ from .sigcore import stream_signature
 from .spectrum import emit_plot, kde2d, simplex_project
 from .synth import CohortSpec, generate_cohort
 from .tasks import (
-    CLASSIFY_TASK,
-    SCORE_TASK,
-    STATE_TASK,
     Instrument,
     TaskConfig,
     classification_windows,
@@ -391,9 +388,9 @@ def load_config(args):
     return cfg
 
 
-def _task_config(cfg, task):
+def _task_config(cfg):
     return TaskConfig(
-        task=task, window_length=cfg.window_length, signature_level=cfg.signature_level,
+        window_length=cfg.window_length, signature_level=cfg.signature_level,
         split_fraction=cfg.split_fraction, seed=cfg.seed, bootstrap_samples=cfg.bootstrap_samples,
         instrument=Instrument[cfg.instrument] if cfg.instrument else None,
         groups=tuple(Group[g] for g in cfg.groups) if cfg.groups else None,
@@ -474,7 +471,7 @@ def cmd_synth(cfg, command):
 
 
 def cmd_classify(cfg, command):
-    tcfg = _task_config(cfg, CLASSIFY_TASK)
+    tcfg = _task_config(cfg)
     cohort = _require_input(cfg, command)
     result = run_classification(cohort, tcfg)
 
@@ -505,7 +502,7 @@ def cmd_predict(cfg, command):
     naive reports side by side per group x instrument, plus the severity
     report for scores."""
     score = command == "predict-score"
-    tcfg = _task_config(cfg, SCORE_TASK if score else STATE_TASK)
+    tcfg = _task_config(cfg)
     cohort = _require_input(cfg, command)
     results = (run_score_prediction if score else run_state_prediction)(cohort, tcfg)
     entries = []
@@ -536,16 +533,15 @@ def cmd_predict(cfg, command):
 
 
 def cmd_spectrum(cfg, command):
-    tcfg = _task_config(cfg, STATE_TASK)
+    tcfg = _task_config(cfg)
     cohort = _require_input(cfg, command)
     source = cfg.spectrum_source
     # one plot per (group, instrument or None, points), in file order
     plot_sets, skipped = [], []
     vertex_labels = STATE_VERTEX_LABELS
     if source == "classify":
-        ctcfg = _task_config(cfg, CLASSIFY_TASK)
-        records, X_mrsf, _ = classification_windows(cohort, ctcfg)
-        points = loo_points(records, X_mrsf, ctcfg)
+        records, X_mrsf, _ = classification_windows(cohort, tcfg)
+        points = loo_points(records, X_mrsf, tcfg)
         vertex_labels = tuple(g.name for g in Group)
         for g in tcfg.group_list:
             plot_sets.append((g, None, [p for p in points if p.group == g]))

@@ -24,9 +24,8 @@ from .errors import InsufficientDataError
 from .forest import CLASSIFY, REGRESS, ForestConfig, fit, fit_many
 from .metrics import EvalReport, evaluate_classification, evaluate_regression, mae
 
-CLASSIFY_TASK = "classify"
-STATE_TASK = "state_predict"
-SCORE_TASK = "score_predict"
+CLASSIFY_WINDOW = 20  # weeks in a classification window
+PREDICT_WINDOW = 10  # weeks in a prediction or rollout window
 HORIZON = 5  # the rollout predicts each participant's last HORIZON states
 
 
@@ -87,10 +86,10 @@ def severity_buckets(scores, instrument):
 
 @dataclass(frozen=True)
 class TaskConfig:
-    """Shared experiment settings; window_length defaults to 20 for
-    classification and 10 for the prediction tasks."""
+    """Shared experiment settings; `window_length=None` means each task's own
+    window: `CLASSIFY_WINDOW` weeks for classification, `PREDICT_WINDOW` for
+    the prediction tasks and the rollout."""
 
-    task: str
     window_length: int | None = None
     signature_level: int = 2
     split_fraction: float = 0.7
@@ -101,12 +100,7 @@ class TaskConfig:
     bootstrap_samples: int = 1000
 
     def __post_init__(self):
-        if self.task not in (CLASSIFY_TASK, STATE_TASK, SCORE_TASK):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.window_length is None:
-            default = 20 if self.task == CLASSIFY_TASK else 10
-            object.__setattr__(self, "window_length", default)
-        if self.window_length < 2:
+        if self.window_length is not None and self.window_length < 2:
             raise ValueError("window_length must be >= 2")
         if not 0.0 < self.split_fraction < 1.0:
             raise ValueError("split_fraction must lie in (0,1)")
@@ -203,14 +197,13 @@ def _eligible(records, groups, min_weeks):
     return eligible
 
 
-def _feature_table(runs, config):
+def _feature_table(runs, level, wl):
     """The sliding-window feature table of each run of weeks: the list of
-    MRSF matrices and the list of naive matrices, one per run, where row `s`
-    is the window of `window_length` weeks starting at the run's week `s`.
-    A run shorter than a window gets empty matrices. Each run costs one
-    sliding `mrsf` and one sliding `naive_features` call."""
-    wl = config.window_length
-    return ([mrsf(run, config.signature_level, wl) for run in runs],
+    MRSF matrices at signature `level` and the list of naive matrices, one
+    per run, where row `s` is the window of `wl` weeks starting at the run's
+    week `s`. A run shorter than a window gets empty matrices. Each run
+    costs one sliding `mrsf` and one sliding `naive_features` call."""
+    return ([mrsf(run, level, wl) for run in runs],
             [naive_features(run, wl) for run in runs])
 
 
@@ -228,11 +221,12 @@ def classification_windows(cohort, config):
     """One random window of `window_length` weeks per participant of every
     group, its start drawn from `(seed, 101)`: the eligible records, their
     MRSF rows and their naive rows."""
-    wl = config.window_length
+    wl = config.window_length or CLASSIFY_WINDOW
     records = _eligible(cohort.records, tuple(Group), wl)
     window_rng = np.random.default_rng((config.seed, 101))
     starts = [int(window_rng.integers(0, r.n_weeks - wl + 1)) for r in records]
-    tables = _feature_table([r.weeks[s:s + wl] for r, s in zip(records, starts)], config)
+    tables = _feature_table([r.weeks[s:s + wl] for r, s in zip(records, starts)],
+                            config.signature_level, wl)
     return records, *map(np.vstack, tables)
 
 
@@ -296,11 +290,11 @@ def _paired_forests(cohort, config, seeds, targets, mode, n_classes=None):
     features, each forest fit on the same rows with seed
     `(seed, seeds[1], group)`; consume it before taking the next item."""
     split_ns, fit_ns = seeds
-    wl = config.window_length
+    wl = config.window_length or PREDICT_WINDOW
     eligible = _eligible(cohort.records, config.group_list, wl + 1)
     for g in config.group_list:
         recs = [r for r in eligible if r.group is g]
-        tables = _feature_table([r.weeks[:-1] for r in recs], config)
+        tables = _feature_table([r.weeks[:-1] for r in recs], config.signature_level, wl)
         split_rng = np.random.default_rng((config.seed, split_ns, g.index))
         tr, te = _split_indices(len(recs), config.split_fraction, split_rng)
         for instrument in config.instruments:
@@ -388,8 +382,9 @@ def run_score_prediction(cohort, config):
     return tuple(results)
 
 
-def rollout_eligible(record, window_length=10):
-    """More than `HORIZON` sliding windows with a next-week target."""
+def rollout_eligible(record, window_length=PREDICT_WINDOW):
+    """Whether `record` has more than `HORIZON` sliding windows of
+    `window_length` weeks with a next-week target, as the rollout needs."""
     return record.n_weeks - window_length > HORIZON
 
 
@@ -400,7 +395,7 @@ def run_state_rollout(cohort, config):
     participant's last `HORIZON` states and return their proportions. A
     participant with fewer than 2 donors is skipped. Everything but the
     labels, the fit and the prediction is decided once for both instruments."""
-    wl = config.window_length
+    wl = config.window_length or PREDICT_WINDOW
     points = {instrument: [] for instrument in config.instruments}
     skipped = []
     for g in config.group_list:

@@ -24,9 +24,6 @@ from moodsig.sigcore import chen_product, identity_signature, stream_signature
 from moodsig.spectrum import contour_mass_fraction, kde2d, simplex_project
 from moodsig.synth import CohortSpec, GroupParams, generate_cohort
 from moodsig.tasks import (
-    CLASSIFY_TASK,
-    SCORE_TASK,
-    STATE_TASK,
     Instrument,
     TaskConfig,
     rollout_eligible,
@@ -161,7 +158,7 @@ def test_criterion_3_metric_oracles():
 )
 def test_criterion_4_directional_benchmark(benchmark_cohort):
     start = time.perf_counter()
-    result = run_classification(benchmark_cohort, TaskConfig(task=CLASSIFY_TASK, seed=0))
+    result = run_classification(benchmark_cohort, TaskConfig(seed=0))
     elapsed = time.perf_counter() - start
     mrsf_acc = result.mrsf_report.accuracy_mean
     naive_acc = result.naive_report.accuracy_mean
@@ -191,7 +188,7 @@ def test_criterion_5_no_signal_control():
         missing_repeat_boost=0.22,
     )
     cohort = generate_cohort(CohortSpec(params={g: shared for g in Group}))
-    result = run_classification(cohort, TaskConfig(task=CLASSIFY_TASK, seed=0))
+    result = run_classification(cohort, TaskConfig(seed=0))
     for report in (result.mrsf_report, result.naive_report):
         assert 0.23 <= report.accuracy_mean <= 0.43, report.accuracy_mean
 
@@ -201,7 +198,7 @@ def test_criterion_5_no_signal_control():
     desc="state prediction: MRSF >= naive per group and instrument; rollout sums; 15/16-week edges",
 )
 def test_criterion_6_state_prediction(benchmark_cohort):
-    results = run_state_prediction(benchmark_cohort, TaskConfig(task=STATE_TASK, seed=0))
+    results = run_state_prediction(benchmark_cohort, TaskConfig(seed=0))
     assert {(r.group, r.instrument) for r in results} == {
         (g, i) for g in Group for i in Instrument
     }
@@ -212,7 +209,7 @@ def test_criterion_6_state_prediction(benchmark_cohort):
             f"naive {r.naive_report.accuracy_mean:.4f}"
         )
 
-    rollouts = run_state_rollout(benchmark_cohort, TaskConfig(task=STATE_TASK, seed=0))
+    rollouts = run_state_rollout(benchmark_cohort, TaskConfig(seed=0))
     assert len(rollouts) == 2
     for rollout in rollouts:
         assert rollout.skipped == ()
@@ -232,7 +229,7 @@ def test_criterion_6_state_prediction(benchmark_cohort):
     desc="score prediction: MRSF MAE <= naive; constant scores give MAE 0; severity sweep",
 )
 def test_criterion_7_score_prediction(benchmark_cohort):
-    results = run_score_prediction(benchmark_cohort, TaskConfig(task=SCORE_TASK, seed=0))
+    results = run_score_prediction(benchmark_cohort, TaskConfig(seed=0))
     mrsf_mae = np.mean([r.mrsf_report.mae for r in results])
     naive_mae = np.mean([r.naive_report.mae for r in results])
     assert mrsf_mae <= naive_mae, f"mrsf {mrsf_mae:.4f} vs naive {naive_mae:.4f}"
@@ -251,7 +248,7 @@ def test_criterion_7_score_prediction(benchmark_cohort):
     )
     flat_results = run_score_prediction(
         flat_cohort,
-        TaskConfig(task=SCORE_TASK, seed=0, bootstrap_samples=100),
+        TaskConfig(seed=0, bootstrap_samples=100),
     )
     for r in flat_results:
         assert r.mrsf_report.mae == 0.0

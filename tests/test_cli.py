@@ -174,6 +174,8 @@ def test_load_config_merges_file_and_flags(tmp_path):
     assert cfg.seed == 9
     assert cfg.n_trees == 40
     assert cfg.groups == ("BD", "HC")
+    # the command line and the library default every task setting alike
+    assert cli._task_config(RunConfig()) == tasks.TaskConfig()
 
 
 @pytest.mark.parametrize(
@@ -794,6 +796,11 @@ def test_sig_command_prints_signature(tmp_path, capsys):
          "features_per_split must be at most 2, the naive model's feature count, got 3"),
         (["spectrum", "--source", "classify", "--features-per-split", "13"],
          "features_per_split must be at most 12, the MRSF model's feature count, got 13"),
+        (["classify", "--window-length", "1"], "window_length must be >= 2"),
+        (["spectrum", "--source", "classify", "--window-length", "1"],
+         "window_length must be >= 2"),
+        (["classify", "--min-leaf", "0"], "min_leaf must be >= 1"),
+        (["classify", "--max-depth", "0"], "max_depth must be >= 1"),
     ],
 )
 def test_out_of_range_settings_fail_before_any_work(tmp_path, capsys, argv, match):

@@ -98,21 +98,30 @@ class TestSeverityBucket:
 
 
 class TestTaskConfig:
-    def test_window_defaults(self):
-        assert TaskConfig(task="classify").window_length == 20
-        assert TaskConfig(task="state_predict").window_length == 10
-        assert TaskConfig(task="score_predict").window_length == 10
+    def test_window_defaults(self, small_cohort, monkeypatch):
+        # unset, the window is the task's own: 20 weeks for classification,
+        # 10 for prediction and the rollout; set, it is the same for every task
+        lengths, real = [], tasks.mrsf
+        monkeypatch.setattr(tasks, "mrsf", lambda weeks, level, wl: lengths.append(wl)
+                            or real(weeks, level, wl))
+        cfg = TaskConfig(instrument=Instrument.ASRM, groups=(Group.HC,), forest=SMALL_FOREST,
+                         bootstrap_samples=1)
+        runs = (classification_windows, run_state_prediction, run_score_prediction,
+                run_state_rollout)
+        for run, default in zip(runs, (20, 10, 10, 10)):
+            for window_length, expected in ((None, default), (12, 12)):
+                lengths.clear()
+                run(small_cohort, replace(cfg, window_length=window_length))
+                assert set(lengths) == {expected}, run.__name__
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TaskConfig(task="cluster")
+            TaskConfig(split_fraction=1.0)
         with pytest.raises(ValueError):
-            TaskConfig(task="classify", split_fraction=1.0)
-        with pytest.raises(ValueError):
-            TaskConfig(task="classify", window_length=1)
+            TaskConfig(window_length=1)
 
 
-def _check_insufficient_group(run, task):
+def _check_insufficient_group(run):
     # every task shares one eligibility rule: two participants per group
     # with enough weeks, here one BPD record and one too short for any task
     cohort = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=3))
@@ -122,7 +131,7 @@ def _check_insufficient_group(run, task):
         records=tuple(r for r in cohort.records if r.group is not Group.BPD) + (bpd, short)
     )
     with pytest.raises(InsufficientDataError, match="group BPD has < 2 eligible participants"):
-        run(one_bpd, TaskConfig(task=task, seed=0, forest=SMALL_FOREST))
+        run(one_bpd, TaskConfig(seed=0, forest=SMALL_FOREST))
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +141,7 @@ def small_cohort():
 
 class TestClassification:
     def test_result_shape_and_probabilities(self, small_cohort):
-        cfg = TaskConfig(task="classify", seed=1, forest=SMALL_FOREST, bootstrap_samples=30)
+        cfg = TaskConfig(seed=1, forest=SMALL_FOREST, bootstrap_samples=30)
         res = run_classification(small_cohort, cfg)
         assert len(res.loo_points) == 24
         for point in res.loo_points:
@@ -142,7 +151,7 @@ class TestClassification:
         assert res.n_train + res.n_test == 24
 
     def test_deterministic_reruns(self, small_cohort):
-        cfg = TaskConfig(task="classify", seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
+        cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
         a = run_classification(small_cohort, cfg)
         b = run_classification(small_cohort, cfg)
         assert report_to_dict(a.mrsf_report) == report_to_dict(b.mrsf_report)
@@ -151,7 +160,7 @@ class TestClassification:
             np.testing.assert_array_equal(pa.probs, pb.probs)
 
     def test_loo_points_alone_equal_those_of_the_whole_run(self, small_cohort):
-        cfg = TaskConfig(task="classify", seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
+        cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
         records, X_mrsf, _ = classification_windows(small_cohort, cfg)
         alone = loo_points(records, X_mrsf, cfg)
         whole = run_classification(small_cohort, cfg).loo_points
@@ -163,7 +172,7 @@ class TestClassification:
 
     def test_loo_points_fit_only_the_requested_groups(self, small_cohort, monkeypatch):
         # the BD points of an all-groups run, from one fit per BD participant
-        cfg = TaskConfig(task="classify", seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
+        cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
         records, X_mrsf, _ = classification_windows(small_cohort, cfg)
         every = loo_points(records, X_mrsf, cfg)
         jobs, real = [], tasks.fit_many
@@ -183,17 +192,17 @@ class TestClassification:
         cohort = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=2))
         short = _record(Group.BD, [(2, 3)] * 15, pid="short0")
         cohort = Cohort(records=cohort.records + (short,))
-        cfg = TaskConfig(task="classify", seed=1, forest=SMALL_FOREST, bootstrap_samples=20)
+        cfg = TaskConfig(seed=1, forest=SMALL_FOREST, bootstrap_samples=20)
         res = run_classification(cohort, cfg)
         assert all(p.participant_id != "short0" for p in res.loo_points)
 
     def test_insufficient_group(self):
-        _check_insufficient_group(run_classification, "classify")
+        _check_insufficient_group(run_classification)
 
 
 class TestStatePrediction:
     def test_reports_per_group_and_instrument(self, small_cohort):
-        cfg = TaskConfig(task="state_predict", seed=2, forest=SMALL_FOREST, bootstrap_samples=30)
+        cfg = TaskConfig(seed=2, forest=SMALL_FOREST, bootstrap_samples=30)
         results = run_state_prediction(small_cohort, cfg)
         combos = {(r.group, r.instrument) for r in results}
         assert combos == {(g, i) for g in Group for i in Instrument}
@@ -204,7 +213,7 @@ class TestStatePrediction:
     def test_quiet_cohort_perfect_normal(self):
         spec = CohortSpec(sizes=(4, 4, 4), weeks=25, seed=4, params=_quiet_params())
         cohort = generate_cohort(spec)
-        cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST, bootstrap_samples=10)
+        cfg = TaskConfig(seed=0, forest=SMALL_FOREST, bootstrap_samples=10)
         for r in run_state_prediction(cohort, cfg):
             assert r.mrsf_report.accuracy_mean == 1.0
             assert r.naive_report.accuracy_mean == 1.0
@@ -212,11 +221,10 @@ class TestStatePrediction:
             assert r.mrsf_report.confusion[StateLabel.NORMAL, StateLabel.NORMAL] == r.n_test
 
     def test_insufficient_group(self):
-        _check_insufficient_group(run_state_prediction, "state_predict")
+        _check_insufficient_group(run_state_prediction)
 
     def test_group_filter(self, small_cohort):
-        cfg = TaskConfig(
-            task="state_predict", seed=2, forest=SMALL_FOREST,
+        cfg = TaskConfig(seed=2, forest=SMALL_FOREST,
             bootstrap_samples=10, groups=(Group.BD,), instrument=Instrument.ASRM,
         )
         results = run_state_prediction(small_cohort, cfg)
@@ -228,7 +236,7 @@ class TestScorePrediction:
     def test_constant_scores_zero_error(self):
         spec = CohortSpec(sizes=(4, 4, 4), weeks=25, seed=5, params=_quiet_params())
         cohort = generate_cohort(spec)
-        cfg = TaskConfig(task="score_predict", seed=0, forest=SMALL_FOREST, bootstrap_samples=10)
+        cfg = TaskConfig(seed=0, forest=SMALL_FOREST, bootstrap_samples=10)
         for r in run_score_prediction(cohort, cfg):
             assert r.mrsf_report.mae == 0.0
             assert r.naive_report.mae == 0.0
@@ -236,10 +244,10 @@ class TestScorePrediction:
             assert r.severity_report.mae == 0.0
 
     def test_insufficient_group(self):
-        _check_insufficient_group(run_score_prediction, "score_predict")
+        _check_insufficient_group(run_score_prediction)
 
     def test_reports_finite_on_noisy_cohort(self, small_cohort):
-        cfg = TaskConfig(task="score_predict", seed=3, forest=SMALL_FOREST, bootstrap_samples=20)
+        cfg = TaskConfig(seed=3, forest=SMALL_FOREST, bootstrap_samples=20)
         results = run_score_prediction(small_cohort, cfg)
         assert len(results) == 6
         for r in results:
@@ -248,7 +256,7 @@ class TestScorePrediction:
             assert r.severity_report.confusion.shape == (5, 5)
 
     def test_deterministic_reruns(self, small_cohort):
-        cfg = TaskConfig(task="score_predict", seed=6, forest=SMALL_FOREST,
+        cfg = TaskConfig(seed=6, forest=SMALL_FOREST,
                          bootstrap_samples=20, instrument=Instrument.QIDS,
                          groups=(Group.HC,))
         a = run_score_prediction(small_cohort, cfg)
@@ -270,7 +278,7 @@ class TestRollout:
         # no sliding window with a next week: an empty feature table
         shorter = _record(Group.BD, [(2, 3)] * 8, pid="edge8")
         cohort = Cohort(records=base.records + (short, shorter))
-        cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST,
+        cfg = TaskConfig(seed=0, forest=SMALL_FOREST,
                          instrument=Instrument.ASRM)
         result = run_state_rollout(cohort, cfg)[0]
         for pid in ("edge15", "edge8"):
@@ -280,7 +288,7 @@ class TestRollout:
     def test_two_participant_group_skipped_with_reason(self):
         # each BD participant has one donor: one row is too few for a forest
         cohort = generate_cohort(CohortSpec(sizes=(2, 3, 3), weeks=30, seed=7))
-        cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST,
+        cfg = TaskConfig(seed=0, forest=SMALL_FOREST,
                          instrument=Instrument.ASRM)
         (result,) = run_state_rollout(cohort, cfg)
         assert result.skipped == tuple(
@@ -293,7 +301,7 @@ class TestRollout:
         # the skip decisions, donors and windows drawn are shared by both
         base = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=7))
         cohort = Cohort(records=base.records + (_record(Group.BD, [(2, 3)] * 15, pid="edge15"),))
-        cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST)
+        cfg = TaskConfig(seed=0, forest=SMALL_FOREST)
         both = run_state_rollout(cohort, cfg)
         assert [r.instrument for r in both] == list(Instrument)
         for result in both:
@@ -306,7 +314,7 @@ class TestRollout:
                 np.testing.assert_array_equal(p.probs, q.probs)
 
     def test_proportions_quantized(self, small_cohort):
-        cfg = TaskConfig(task="state_predict", seed=1, forest=SMALL_FOREST,
+        cfg = TaskConfig(seed=1, forest=SMALL_FOREST,
                          instrument=Instrument.QIDS)
         result = run_state_rollout(small_cohort, cfg)[0]
         assert len(result.points) == 24
@@ -318,7 +326,7 @@ class TestRollout:
     def test_always_normal_cohort(self):
         spec = CohortSpec(sizes=(3, 3, 3), weeks=25, seed=8, params=_quiet_params())
         cohort = generate_cohort(spec)
-        cfg = TaskConfig(task="state_predict", seed=0, forest=SMALL_FOREST,
+        cfg = TaskConfig(seed=0, forest=SMALL_FOREST,
                          instrument=Instrument.ASRM)
         result = run_state_rollout(cohort, cfg)[0]
         for p in result.points:
@@ -326,7 +334,7 @@ class TestRollout:
 
 
 def test_observed_proportions_are_the_true_proportions_of_the_requested_groups(small_cohort):
-    cfg = TaskConfig(task="state_predict", groups=(Group.HC, Group.BD))
+    cfg = TaskConfig(groups=(Group.HC, Group.BD))
     records = small_cohort.by_group(Group.HC) + small_cohort.by_group(Group.BD)
     results = observed_proportions(small_cohort, cfg)
     assert [r.instrument for r in results] == list(Instrument)
