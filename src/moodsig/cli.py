@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .encode import (
     ASRM_MAX,
+    MIN_WEEKS,
     MISSING,
     QIDS_MAX,
     Cohort,
@@ -55,7 +56,6 @@ from .tasks import (
 
 TOOL = "moodsig"
 CSV_HEADER = ["participant_id", "group", "week", "asrm", "qids"]
-MIN_WEEKS = 20
 # a week number above this is rejected: ingest materialises every week of
 # a participant's span, so this cap bounds its memory
 MAX_WEEK = 10_000
@@ -111,7 +111,7 @@ def ingest(path):
     Keeps the first row per (participant, week), drops exact duplicates with
     it, inserts missing-sentinel observations for skipped week numbers inside
     a participant's span, and excludes (with a logged reason) participants
-    whose span is shorter than 20 weeks."""
+    whose span is shorter than `MIN_WEEKS` weeks."""
     weeks_of = {}
     group_of = {}
     with open(path, "rb") as fh:
@@ -409,6 +409,18 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _new_dir(stem):
+    """Make and return the directory `<stem>-<n>` for the least `n` whose
+    name is free, so each call gets a new one whatever earlier runs left."""
+    for n in itertools.count():
+        path = stem.with_name(f"{stem.name}-{n}")
+        try:
+            path.mkdir()
+        except FileExistsError:
+            continue
+        return path
+
+
 def _publish(cfg, command, write):
     """Publish a run as `<output>/<command>-<hash12>/` and return its path.
 
@@ -419,23 +431,26 @@ def _publish(cfg, command, write):
     run_hash = config_hash(cfg)
     run_dir = Path(cfg.output) / f"{command}-{run_hash[:12]}"
     run_dir.parent.mkdir(parents=True, exist_ok=True)
-    # the pid keeps two processes writing the same run apart
-    staging = run_dir.with_name(f".{run_dir.name}-{os.getpid()}")
-    old = staging.with_name(staging.name + "-old")
-    staging.mkdir()
+    # the pid keeps two processes writing the same run apart, and the number
+    # a new attempt apart from what a killed one of the same pid left behind
+    stem = run_dir.with_name(f".{run_dir.name}-{os.getpid()}")
+    staging, old = _new_dir(stem), None
     try:
         meta = _stamp(command, run_hash)
         meta["config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
         meta.update(write(staging, run_hash))
         _write_json(staging / "meta.json", meta)
-        # rename cannot replace a non-empty directory, so the old run moves aside
+        # rename cannot replace a non-empty directory but can an empty one,
+        # so the old run moves aside onto a new empty directory
         if run_dir.exists():
+            old = _new_dir(stem.with_name(f"{stem.name}-old"))
             run_dir.rename(old)
         staging.rename(run_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    shutil.rmtree(old, ignore_errors=True)
+    if old is not None:
+        shutil.rmtree(old, ignore_errors=True)
     return run_dir
 
 
@@ -536,7 +551,8 @@ def cmd_spectrum(cfg, command):
     tcfg = _task_config(cfg)
     cohort = _require_input(cfg, command)
     source = cfg.spectrum_source
-    # one plot per (group, instrument or None, points), in file order
+    # one plot per (group, instrument or None, points, what its error adds),
+    # in file order
     plot_sets, skipped = [], []
     vertex_labels = STATE_VERTEX_LABELS
     if source == "classify":
@@ -544,7 +560,7 @@ def cmd_spectrum(cfg, command):
         points = loo_points(records, X_mrsf, tcfg)
         vertex_labels = tuple(g.name for g in Group)
         for g in tcfg.group_list:
-            plot_sets.append((g, None, [p for p in points if p.group == g]))
+            plot_sets.append((g, None, [p for p in points if p.group == g], ""))
     else:
         # per instrument, the rolled-out or the observed state proportions
         run = run_state_rollout if source == "state" else observed_proportions
@@ -552,11 +568,16 @@ def cmd_spectrum(cfg, command):
             skipped += [[result.instrument.name, *skip] for skip in result.skipped]
             for g in tcfg.group_list:
                 pts = [p for p in result.points if p.group == g]
-                plot_sets.append((g, result.instrument, pts))
+                ids = {r.id for r in cohort.by_group(g)}
+                skips = [(pid, reason) for pid, reason in result.skipped if pid in ids]
+                # the skip reasons are otherwise only in the meta.json of a run
+                note = (f"; the rollout skipped {len(skips)} of {len(ids)} {g.name} participants, "
+                        f"the first {skips[0][0]}: {skips[0][1]}" if skips else "")
+                plot_sets.append((g, result.instrument, pts, note))
 
     def write(run_dir, run_hash):
         rows = []
-        for g, instrument, pts in plot_sets:
+        for g, instrument, pts, note in plot_sets:
             meta = {"source": source, "group": g.name}
             if instrument is not None:
                 meta["instrument"] = instrument.name
@@ -571,7 +592,7 @@ def cmd_spectrum(cfg, command):
                     metadata={"tool": TOOL, "version": __version__, "config_hash": run_hash, **meta},
                 )
             except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from exc
+                raise ValueError(f"{name}: {exc}{note}") from exc
             rows += [(p.participant_id, g.name, meta.get("instrument", ""), p.probs) for p in pts]
         _write_points_tsv(
             run_dir / "points.tsv", run_hash, [("source", source)],

@@ -21,6 +21,9 @@ from .sigcore import stream_signature
 MISSING = -1
 ASRM_MAX = 20
 QIDS_MAX = 27
+# the fewest weeks a participant's span may have: ingest excludes a shorter
+# one, and synth generates no shorter cohort
+MIN_WEEKS = 20
 
 
 class Group(Enum):
@@ -83,13 +86,23 @@ def _scores(weeks) -> np.ndarray:
     return np.stack([weeks["asrm"], weeks["qids"]], axis=-1).astype(float)
 
 
-def _windows(weeks, window_length):
-    """The (n_windows, window_length, 2) float scores of every run of
-    `window_length` consecutive weeks, as a strided view; `weeks` holds at
-    least one window."""
+# the most weeks, summed over its windows, that one block of a sliding
+# encoding holds: its arrays take about 100 bytes per week at level 2, so
+# memory stays bounded whatever the run length. Each block is signed in one
+# Python step per week of its window, so a smaller bound is slower on long
+# windows.
+BLOCK_WEEKS = 1 << 18
+
+
+def _window_blocks(weeks, window_length):
+    """The (n, window_length, 2) float scores of every run of `window_length`
+    consecutive weeks, in order, as strided views of at most `BLOCK_WEEKS`
+    weeks (and at least one window) each; `weeks` holds at least one window."""
     # (n_windows, 2, wl) view -> (n_windows, wl, 2)
     windows = np.lib.stride_tricks.sliding_window_view(_scores(weeks), window_length, axis=0)
-    return windows.swapaxes(-1, -2)
+    windows = windows.swapaxes(-1, -2)
+    step = max(BLOCK_WEEKS // window_length, 1)
+    return [windows[s:s + step] for s in range(0, len(windows), step)]
 
 
 def _fill(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +182,9 @@ def mrsf(
     Sliding form: with ``window_length`` set, ``weeks`` is a run of weeks
     and the result has one row per window of ``window_length`` consecutive
     weeks, where row s equals ``mrsf(weeks[s:s + window_length], level)``
-    exactly.  Every window is encoded at once and all their signatures come
-    from one stacked ``stream_signature`` call; fewer weeks than
-    ``window_length`` give a (0, length) table at once.
+    exactly.  The windows are encoded in blocks of at most `BLOCK_WEEKS`
+    weeks, each signed by one stacked ``stream_signature`` call; fewer weeks
+    than ``window_length`` give a (0, length) table at once.
     """
     wl = len(weeks) if window_length is None else window_length
     if wl < 2:
@@ -179,8 +192,10 @@ def mrsf(
     if len(weeks) < wl:
         # no window to encode; the encoding's arrays grow with wl
         return np.empty((0, mrsf_width(level)))
-    path = normalize_and_cumulate(*_fill(_windows(weeks, wl)), wl)
-    features = stream_signature(path, level).flatten()
+    features = np.concatenate([
+        stream_signature(normalize_and_cumulate(*_fill(block), wl), level).flatten()
+        for block in _window_blocks(weeks, wl)
+    ])
     return features[0] if window_length is None else features
 
 
@@ -188,19 +203,22 @@ def naive_features(weeks: np.recarray, window_length: int | None = None) -> np.n
     """Per-instrument mean over valid scores only; an all-missing instrument yields 0.
 
     Sliding form as in `mrsf`: with ``window_length`` set, one row per
-    window of ``window_length`` consecutive weeks, an (n_windows, 2) table;
-    fewer weeks than ``window_length`` give a (0, 2) table at once.
+    window of ``window_length`` consecutive weeks, an (n_windows, 2) table
+    computed in the same blocks; fewer weeks than ``window_length`` give a
+    (0, 2) table at once.
     """
     wl = len(weeks) if window_length is None else window_length
     if wl < 1:
         raise InsufficientDataError("window must contain at least one week")
     if len(weeks) < wl:
         return np.empty((0, 2))
-    windows = _windows(weeks, wl)
-    valid = windows != MISSING
-    # integer sums are exact in any order, so each mean is bit-exact
-    count = valid.sum(axis=-2)
-    total = np.where(valid, windows, 0.0).sum(axis=-2)
-    means = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+    means = []
+    for windows in _window_blocks(weeks, wl):
+        valid = windows != MISSING
+        # integer sums are exact in any order, so each mean is bit-exact
+        count = valid.sum(axis=-2)
+        total = np.where(valid, windows, 0.0).sum(axis=-2)
+        means.append(np.divide(total, count, out=np.zeros_like(total), where=count > 0))
+    means = np.concatenate(means)
     return means[0] if window_length is None else means
 

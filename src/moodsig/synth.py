@@ -16,6 +16,7 @@ import numpy as np
 
 from .encode import (
     ASRM_MAX,
+    MIN_WEEKS,
     MISSING,
     QIDS_MAX,
     Cohort,
@@ -124,8 +125,8 @@ class CohortSpec:
     def __post_init__(self):
         if len(self.sizes) != 3 or any(s < 1 for s in self.sizes):
             raise ValueError("sizes must be three counts >= 1")
-        if self.weeks < 20:
-            raise ValueError("weeks must be >= 20")
+        if self.weeks < MIN_WEEKS:
+            raise ValueError(f"weeks must be >= {MIN_WEEKS}")
         if set(self.params) != set(Group):
             raise ValueError("params must cover all three groups")
 

@@ -538,6 +538,29 @@ def test_run_directory_mode_follows_the_umask(tmp_path):
     assert stat.S_IMODE(run_dir.stat().st_mode) == 0o777 & ~0o027
 
 
+def test_leftovers_of_killed_runs_block_no_later_run(tmp_path, monkeypatch):
+    # every process gets one pid, as under a container's entrypoint
+    monkeypatch.setattr(cli.os, "getpid", lambda: 4242)
+    argv = ["synth", "--sizes", "4,4,4", "--weeks", "24", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    (run_dir,) = tmp_path.iterdir()
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    # two runs killed before their cleanup: one leaves the earlier run it
+    # moved aside, the other its half-written staging directory
+    with monkeypatch.context() as m:
+        m.setattr(cli.shutil, "rmtree", lambda path, ignore_errors=False: None)
+        assert main(argv) == 0
+        m.setattr(cli, "write_cohort", _write_then_fail(cli.write_cohort))
+        assert main(argv) == 1
+    leftovers = sorted(p for p in tmp_path.iterdir() if p != run_dir)
+    assert len(leftovers) == 2 and all(p.name.startswith(".") for p in leftovers)
+    # each later run needs a staging directory and moves the earlier run aside
+    for _ in range(2):
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+    assert sorted(p for p in tmp_path.iterdir() if p != run_dir) == leftovers
+
+
 def test_no_forest_worker_outlives_main(tmp_path, monkeypatch):
     csv_path = _synth_csv(tmp_path)
     monkeypatch.setattr(forest, "_worker_count", lambda: 2)
@@ -734,7 +757,9 @@ def test_two_participant_rollout_group_fails_naming_its_plot(tmp_path, capsys):
     assert main(["spectrum", "--input", str(csv_path), "--source", "state", "--groups", "BD,HC",
                  "--n-trees", "3", "--resolution", "16", "-o", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == "moodsig: error: spectrum_state_BD_ASRM: kde2d needs at least 2 points"
+    assert line == ("moodsig: error: spectrum_state_BD_ASRM: kde2d needs at least 2 points; "
+                    "the rollout skipped 2 of 2 BD participants, the first BD000: "
+                    "needs 2 other participants with > 10 weeks, has 1")
     assert not out.exists() or not any(out.iterdir())
 
 

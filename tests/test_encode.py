@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -192,6 +194,35 @@ def test_sliding_mrsf_rows_equal_each_window_exactly(weeks, window_length, level
         assert np.array_equal(table[s], mrsf(window, level))
         assert np.array_equal(naive[s], naive_features(window))
         assert np.array_equal(naive[s], loop_naive(window))
+
+
+def test_sliding_rows_do_not_depend_on_the_block_size(monkeypatch):
+    weeks = weekly(
+        missing_week(t) if t % 5 in (0, 3) and t % 7 else obs(t, t % 21, (3 * t) % 28)
+        for t in range(40)
+    )
+    # each table is one block at the default size
+    tables = {wl: (mrsf(weeks, 2, wl), naive_features(weeks, wl)) for wl in (2, 3, 8, 25)}
+    for wl, (table, naive) in tables.items():
+        # from one window per block up to one window short of the whole table
+        for block_weeks in (1, 2 * wl, 7 * wl + 3, (40 - wl) * wl):
+            monkeypatch.setattr(encode, "BLOCK_WEEKS", block_weeks)
+            assert np.array_equal(mrsf(weeks, 2, wl), table)
+            assert np.array_equal(naive_features(weeks, wl), naive)
+
+
+def test_sliding_memory_is_bounded_by_the_block_size():
+    # one call held every window's encoding at once: 99 MiB here, and about
+    # 2.5 GiB at 10,001 weeks in windows of 5,000
+    weeks = weekly(obs(t, t % 21, (3 * t) % 28) for t in range(2001))
+    for encode_all in (lambda: mrsf(weeks, 2, 1000), lambda: naive_features(weeks, 1000)):
+        tracemalloc.start()
+        try:
+            encode_all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
 
 
 class TestNaiveFeatures:
