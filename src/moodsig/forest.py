@@ -9,6 +9,16 @@ lets every fit split its trees into contiguous ranges, one per CPU the
 process may run on, grow them in one pool of worker processes and
 concatenate them in index order; a stream of independent fits (`fit_many`)
 keeps two fits' ranges in the pool at a time.
+
+A node costs a fixed, small number of numpy calls. A classification node
+never sums its rows: its class counts are exact integers, taken from its
+parent's prefix sums at the split. Prediction concatenates the trees' nodes
+and walks every (tree, row) pair at once, one numpy step per tree level, in
+groups of consecutive trees of at most 2^12 nodes (or one larger tree) and
+blocks of rows of at most 2^13 pairs, so its temporaries stay a few hundred
+KB unless one tree alone is larger; the per-tree results are added in tree
+order. Trees and predictions are bit for bit those of the per-node
+grower and the tree-at-a-time traversal kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -55,16 +65,52 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def apply(self, X):
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] >= 0
-        while active.any():
-            idx = np.nonzero(active)[0]
-            nd = node[idx]
-            go_left = X[idx, self.feature[nd]] <= self.threshold[nd]
-            node[idx] = np.where(go_left, self.left[nd], self.right[nd])
-            active[idx] = self.feature[node[idx]] >= 0
-        return node
+
+# predict concatenates the nodes of consecutive trees, at most
+# _NODES_PER_GROUP of them (or one larger tree), and walks blocks of rows
+# holding at most _PAIRS_PER_BLOCK (tree, row) pairs (one row when a group
+# has more trees), so the number of rows or trees does not grow its
+# temporaries
+_NODES_PER_GROUP = 1 << 12
+_PAIRS_PER_BLOCK = 1 << 13
+
+
+def _tree_groups(trees):
+    group, nodes = [], 0
+    for tree in trees:
+        if group and nodes + len(tree.feature) > _NODES_PER_GROUP:
+            yield group
+            group, nodes = [], 0
+        group.append(tree)
+        nodes += len(tree.feature)
+    yield group
+
+
+def _concatenated(trees, classify):
+    # every tree's nodes end to end: each tree's root, node features and
+    # thresholds, children as global (left, right) index pairs, leaf values
+    # (class fractions or mean target), and the deepest leaf's depth. A leaf
+    # is its own child and reads feature 0, so a walk stays put once it
+    # reaches one.
+    sizes = [len(t.feature) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([t.feature for t in trees])
+    leaf = feature < 0
+    children = np.empty((feature.size, 2), dtype=np.intp)
+    np.concatenate([t.left for t in trees], out=children[:, 0])
+    np.concatenate([t.right for t in trees], out=children[:, 1])
+    children += np.repeat(roots, sizes)[:, None]
+    children[leaf] = np.flatnonzero(leaf)[:, None]
+    feature[leaf] = 0
+    value = np.concatenate([t.value for t in trees])
+    if classify:
+        value /= value.sum(axis=1, keepdims=True)
+    depth, level = 0, roots
+    while (level := level[~leaf[level]]).size:
+        level = children[level].ravel()
+        depth += 1
+    threshold = np.concatenate([t.threshold for t in trees])
+    return roots, feature, threshold, children, value, depth
 
 
 @dataclass(frozen=True)
@@ -78,16 +124,38 @@ class TreeEnsemble:
     seed: int
     trees: tuple[_Tree, ...] = field(repr=False)
 
+    def _tree_mean(self, X):
+        # the trees' leaf values averaged per row: one numpy step per tree
+        # level walks every (tree, row) pair of a block
+        out = np.zeros((X.shape[0], self.trees[0].value.shape[1]))
+        for trees in _tree_groups(self.trees):
+            roots, feature, threshold, children, leaf_value, depth = _concatenated(
+                trees, self.mode == CLASSIFY)
+            step = max(1, _PAIRS_PER_BLOCK // len(trees))
+            for lo in range(0, X.shape[0], step):
+                block = X[lo : lo + step]
+                rows = np.tile(np.arange(block.shape[0]), len(trees))
+                node = np.repeat(roots, block.shape[0])
+                for _ in range(depth):
+                    # inputs are finite, so > is exactly "not <=", the split rule
+                    go_right = block[rows, feature[node]] > threshold[node]
+                    node = children[node, go_right.view(np.uint8)]
+                # the running sums, then the group's leaf values tree by tree:
+                # accumulate adds them in tree order, so each row's sum is
+                # 0 + v0 + v1 + ... bit for bit
+                sums = np.empty((len(trees) + 1, block.shape[0], out.shape[1]))
+                sums[0] = out[lo : lo + step]
+                sums[1:] = leaf_value[node].reshape(len(trees), block.shape[0], -1)
+                out[lo : lo + step] = np.add.accumulate(sums, axis=0, out=sums)[-1]
+        out /= len(self.trees)
+        return out
+
     def predict_proba(self, x):
         """Average of per-tree leaf class frequencies, rows summing to 1."""
         if self.mode != CLASSIFY:
             raise ValueError("predict_proba requires classify mode")
         X, single = _as_matrix(x, self.feature_count)
-        probs = np.zeros((X.shape[0], self.n_classes))
-        for tree in self.trees:
-            counts = tree.value[tree.apply(X)]
-            probs += counts / counts.sum(axis=1, keepdims=True)
-        probs /= len(self.trees)
+        probs = self._tree_mean(X)
         return probs[0] if single else probs
 
     def predict(self, x):
@@ -96,10 +164,7 @@ class TreeEnsemble:
         if self.mode == CLASSIFY:
             out = np.argmax(self.predict_proba(X), axis=1)
         else:
-            out = np.zeros(X.shape[0])
-            for tree in self.trees:
-                out += tree.value[tree.apply(X), 0]
-            out /= len(self.trees)
+            out = self._tree_mean(X)[:, 0]
         return out[0] if single else out
 
 
@@ -115,79 +180,89 @@ def _as_matrix(x, feature_count):
     return X, single
 
 
-def _best_split(X_cand, stats, totals, min_leaf):
-    """Best (candidate index, threshold) over all positions, or None.
-
-    X_cand is n x q, one column per candidate feature. stats is n x s with
-    per-row sufficient statistics: one-hot class indicators (classify) or
-    the target values (regress). The score maximized is
-    sum(left_stats^2)/n_left + sum(right_stats^2)/n_right, a monotone
-    equivalent of Gini gain and of variance reduction.
-    """
-    n, q = X_cand.shape
-    order = X_cand.argsort(axis=0, kind="stable")
-    sorted_vals = X_cand[order, np.arange(q)]
-    # only the n-1 positions with a nonempty right side are scored, so
-    # neither denominator is ever 0
-    left = np.add.accumulate(stats[order[:-1]], axis=0)
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    score = np.add.reduce(left * left, axis=2) / left_n
-    right = totals - left
-    score += np.add.reduce(right * right, axis=2) / (n - left_n)
-    valid = sorted_vals[:-1] < sorted_vals[1:]
-    valid[: min_leaf - 1] = False
-    valid[n - min_leaf :] = False
-    if not valid.any():
-        return None
-    score[~valid] = -np.inf
-    pos, j = divmod(int(score.argmax()), q)
-    thr = (sorted_vals[pos, j] + sorted_vals[pos + 1, j]) / 2.0
-    if thr >= sorted_vals[pos + 1, j]:
-        # fp midpoint of 1-ulp neighbors can collapse onto the upper value,
-        # which would route every sample left; fall back to the lower value
-        thr = sorted_vals[pos, j]
-    return j, thr
-
-
 def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
-    # XT is the bootstrap sample transposed (features x rows): a node's
-    # candidate columns are one gather of whole feature rows
+    # XT is the bootstrap sample transposed (features x rows), stats its
+    # one-hot class rows (classes x rows, classify) or targets (regress). A
+    # node gathers its candidate columns as whole feature rows, sorts each
+    # stably in row order and scores every split position by
+    # sum(left_stats^2)/n_left + sum(right_stats^2)/n_right, a monotone
+    # equivalent of Gini gain and of variance reduction, taking the first
+    # maximum in position-major order.
     f, n_total = XT.shape
-    min_leaf, max_depth = cfg.min_leaf, cfg.max_depth
+    min_leaf = cfg.min_leaf
+    max_depth = n_total if cfg.max_depth is None else cfg.max_depth
     classify = mode == CLASSIFY
+    cand_cols = np.arange(n_candidates)
+    # left sizes 1..n-1 of a node's split positions; reversed, its right sizes
+    sizes = np.arange(1, n_total, dtype=np.float64)[:, None]
     feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [None]
+    if classify:
+        # class counts are exact integers: a child's are its parent's
+        # prefix sums at the split, so a node never sums its rows
+        counts = np.empty((2 * n_total - 1, stats.shape[0]))
+        np.add.reduce(stats, axis=1, out=counts[0])
     stack = [(0, np.arange(n_total), 0)]
     while stack:
         node_id, idx, depth = stack.pop()
-        node_stats = stats[idx]
-        totals = node_stats.sum(axis=0)
-        value[node_id] = totals if classify else np.array([node_stats.mean()])
-        if (
-            idx.size < 2 * min_leaf
-            or (max_depth is not None and depth >= max_depth)
-            or (
-                np.count_nonzero(totals) <= 1
-                if classify
-                else node_stats.min() == node_stats.max()
-            )
-        ):
-            continue
+        n = idx.size
+        if classify:
+            total = counts[node_id]
+            if n < 2 * min_leaf or depth >= max_depth or np.count_nonzero(total) <= 1:
+                continue
+        else:
+            y = stats[idx]
+            total = np.add.reduce(y)
+            value[node_id] = total / n
+            if (n < 2 * min_leaf or depth >= max_depth
+                    or np.minimum.reduce(y) == np.maximum.reduce(y)):
+                continue
         cand = rng.choice(f, size=n_candidates, replace=False)
-        X_cand = XT[cand[:, None], idx].T
-        found = _best_split(X_cand, node_stats, totals, min_leaf)
-        if found is None:
+        x_cand = XT.take(cand, 0).take(idx, 1).T
+        order = x_cand.argsort(axis=0, kind="stable")
+        x_sorted = x_cand[order, cand_cols]
+        # only the n-1 positions with a nonempty right side are scored, so
+        # neither size is ever 0
+        below = order[:-1]
+        left_n, right_n = sizes[: n - 1], sizes[n - 2 :: -1]
+        if classify:
+            left_stats = np.add.accumulate(stats.take(idx.take(below), 1), axis=1)
+            right_stats = total[:, None, None] - left_stats
+            score = np.add.reduce(left_stats * left_stats, axis=0) / left_n
+            score += np.add.reduce(right_stats * right_stats, axis=0) / right_n
+        else:
+            left_stats = np.add.accumulate(y.take(below), axis=0)
+            right_stats = total - left_stats
+            score = left_stats * left_stats / left_n
+            score += right_stats * right_stats / right_n
+        invalid = x_sorted[:-1] >= x_sorted[1:]
+        if min_leaf > 1:
+            invalid[: min_leaf - 1] = True
+            invalid[n - min_leaf :] = True
+        score[invalid] = -np.inf
+        pos, j = divmod(int(score.argmax()), n_candidates)
+        if invalid[pos, j]:
             continue
-        j, thr = found
+        lo, hi = x_sorted[pos : pos + 2, j].tolist()
+        thr = (lo + hi) / 2.0
+        if thr >= hi:
+            # fp midpoint of 1-ulp neighbors can collapse onto the upper
+            # value, which would route every sample left; fall back to the
+            # lower value
+            thr = lo
         feature[node_id] = int(cand[j])
         threshold[node_id] = thr
-        go_left = X_cand[:, j] <= thr
         child = len(feature)
         left[node_id], right[node_id] = child, child + 1
         feature += [-1, -1]
         threshold += [0.0, 0.0]
         left += [-1, -1]
         right += [-1, -1]
-        value += [None, None]
+        if classify:
+            counts[child] = left_stats[:, pos, j]
+            counts[child + 1] = right_stats[:, pos, j]
+        else:
+            value += [None, None]
+        go_left = x_cand[:, j] <= thr
         stack.append((child, idx[go_left], depth + 1))
         stack.append((child + 1, idx[~go_left], depth + 1))
 
@@ -196,19 +271,21 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
         threshold=np.asarray(threshold, dtype=np.float64),
         left=np.asarray(left, dtype=np.int32),
         right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
+        value=(counts[: len(feature)].copy() if classify
+               else np.asarray(value, dtype=np.float64)[:, None]),
     )
 
 
 def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids):
     """The trees numbered tree_ids, each grown from its own (key, t)
-    generator: its bootstrap draw, then one candidate draw per node."""
+    generator: its bootstrap draw, then one candidate draw per node, in
+    right-subtree-first depth-first order."""
     m = XT.shape[1]
     trees = []
     for t in tree_ids:
         rng = np.random.default_rng((*key, t))
         boot = rng.integers(0, m, size=m)
-        trees.append(_grow_tree(XT[:, boot], stats[boot], mode, cfg, n_candidates, rng))
+        trees.append(_grow_tree(XT[:, boot], stats[..., boot], mode, cfg, n_candidates, rng))
     return trees
 
 
@@ -279,13 +356,13 @@ def _checked(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
             n_classes = int(y.max()) + 1
         if y.min() < 0 or y.max() >= n_classes:
             raise ValueError("labels out of range")
-        stats_all = np.eye(n_classes)[y]
+        stats_all = np.eye(n_classes)[:, y]
     elif mode == REGRESS:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (m,) or not np.isfinite(y).all():
             raise ValueError("regress mode needs m finite targets")
         n_classes = 0
-        stats_all = y[:, None]
+        stats_all = y
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

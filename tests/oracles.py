@@ -9,6 +9,11 @@ sliding naive means replaced, kept as their bit-exact references;
 table-driven one replaced, kept the same way, and `joined_plot_text` and
 `joined_plot_svg` are the whole-file string builders that `emit_plot`'s
 row-by-row streams replaced, kept as their byte-exact references.
+`loop_grow_tree` (with its `_best_split`) is the per-node CART grower
+that `forest._grow_tree` replaced, and `loop_apply`, `loop_predict_proba`
+and `loop_predict` the tree-at-a-time traversal that the ensemble-wide walk
+replaced; both are kept as their bit-exact references, and `loop_fit_trees`
+grows a fit's trees with the first under the same random protocol.
 `sig_length` and `missing_rate` are sizes and rates the tests check
 against. The Riemann signature oracle
 integrates the iterated integrals directly on a fine
@@ -18,11 +23,13 @@ touching the tensor-exponential / Chen-product code path it is checking.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
 
 from moodsig.encode import MISSING
+from moodsig.forest import CLASSIFY, _seed_key, _Tree
 from moodsig.spectrum import (
     _CONTOUR_COLORS,
     _MARGIN,
@@ -368,3 +375,143 @@ def joined_plot_svg(grid, points, label, vertex_labels, metadata):
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _best_split(X_cand, stats, totals, min_leaf):
+    """Best (candidate index, threshold) over all positions, or None.
+
+    X_cand is n x q, one column per candidate feature. stats is n x s with
+    per-row sufficient statistics: one-hot class indicators (classify) or
+    the target values (regress). The score maximized is
+    sum(left_stats^2)/n_left + sum(right_stats^2)/n_right, a monotone
+    equivalent of Gini gain and of variance reduction.
+    """
+    n, q = X_cand.shape
+    order = X_cand.argsort(axis=0, kind="stable")
+    sorted_vals = X_cand[order, np.arange(q)]
+    # only the n-1 positions with a nonempty right side are scored, so
+    # neither denominator is ever 0
+    left = np.add.accumulate(stats[order[:-1]], axis=0)
+    left_n = np.arange(1, n, dtype=np.float64)[:, None]
+    score = np.add.reduce(left * left, axis=2) / left_n
+    right = totals - left
+    score += np.add.reduce(right * right, axis=2) / (n - left_n)
+    valid = sorted_vals[:-1] < sorted_vals[1:]
+    valid[: min_leaf - 1] = False
+    valid[n - min_leaf :] = False
+    if not valid.any():
+        return None
+    score[~valid] = -np.inf
+    pos, j = divmod(int(score.argmax()), q)
+    thr = (sorted_vals[pos, j] + sorted_vals[pos + 1, j]) / 2.0
+    if thr >= sorted_vals[pos + 1, j]:
+        # fp midpoint of 1-ulp neighbors can collapse onto the upper value,
+        # which would route every sample left; fall back to the lower value
+        thr = sorted_vals[pos, j]
+    return j, thr
+
+
+def loop_grow_tree(XT, stats, mode, cfg, n_candidates, rng):
+    """One tree, node by node: XT is the bootstrap sample transposed
+    (features x rows), stats its one-hot class rows or its targets as an
+    m x 1 column."""
+    f, n_total = XT.shape
+    min_leaf, max_depth = cfg.min_leaf, cfg.max_depth
+    classify = mode == CLASSIFY
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [None]
+    stack = [(0, np.arange(n_total), 0)]
+    while stack:
+        node_id, idx, depth = stack.pop()
+        node_stats = stats[idx]
+        totals = node_stats.sum(axis=0)
+        value[node_id] = totals if classify else np.array([node_stats.mean()])
+        if (
+            idx.size < 2 * min_leaf
+            or (max_depth is not None and depth >= max_depth)
+            or (
+                np.count_nonzero(totals) <= 1
+                if classify
+                else node_stats.min() == node_stats.max()
+            )
+        ):
+            continue
+        cand = rng.choice(f, size=n_candidates, replace=False)
+        X_cand = XT[cand[:, None], idx].T
+        found = _best_split(X_cand, node_stats, totals, min_leaf)
+        if found is None:
+            continue
+        j, thr = found
+        feature[node_id] = int(cand[j])
+        threshold[node_id] = thr
+        go_left = X_cand[:, j] <= thr
+        child = len(feature)
+        left[node_id], right[node_id] = child, child + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        value += [None, None]
+        stack.append((child, idx[go_left], depth + 1))
+        stack.append((child + 1, idx[~go_left], depth + 1))
+
+    return _Tree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def loop_fit_trees(X, y, mode, config, seed, n_classes=None):
+    """The trees `forest.fit(X, y, mode, config, seed, n_classes)` grows,
+    one at a time by `loop_grow_tree`: tree t draws its bootstrap rows and
+    then its candidates from its own `default_rng((*seed key, t))`."""
+    X = np.asarray(X, dtype=np.float64)
+    m, f = X.shape
+    if mode == CLASSIFY:
+        stats = np.eye(int(y.max()) + 1 if n_classes is None else n_classes)[y]
+    else:
+        stats = np.asarray(y, dtype=np.float64)[:, None]
+    n_candidates = config.features_per_split or math.ceil(math.sqrt(f))
+    XT = np.ascontiguousarray(X.T)
+    trees = []
+    for t in range(config.n_trees):
+        rng = np.random.default_rng((*_seed_key(seed), t))
+        boot = rng.integers(0, m, size=m)
+        trees.append(loop_grow_tree(XT[:, boot], stats[boot], mode, config, n_candidates, rng))
+    return trees
+
+
+def loop_apply(tree, X):
+    """The leaf each row of X reaches in one tree."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    active = tree.feature[node] >= 0
+    while active.any():
+        idx = np.nonzero(active)[0]
+        nd = node[idx]
+        go_left = X[idx, tree.feature[nd]] <= tree.threshold[nd]
+        node[idx] = np.where(go_left, tree.left[nd], tree.right[nd])
+        active[idx] = tree.feature[node[idx]] >= 0
+    return node
+
+
+def loop_predict_proba(model, X):
+    """`model.predict_proba` for a row matrix X, one tree at a time."""
+    probs = np.zeros((X.shape[0], model.n_classes))
+    for tree in model.trees:
+        counts = tree.value[loop_apply(tree, X)]
+        probs += counts / counts.sum(axis=1, keepdims=True)
+    probs /= len(model.trees)
+    return probs
+
+
+def loop_predict(model, X):
+    """`model.predict` for a row matrix X, one tree at a time."""
+    if model.mode == CLASSIFY:
+        return np.argmax(loop_predict_proba(model, X), axis=1)
+    out = np.zeros(X.shape[0])
+    for tree in model.trees:
+        out += tree.value[loop_apply(tree, X), 0]
+    out /= len(model.trees)
+    return out

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,9 @@ from moodsig.forest import (
     _Tree,
     fit,
 )
+from oracles import loop_fit_trees, loop_predict, loop_predict_proba
+
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
 
 
 def _leaf_tree(value):
@@ -26,10 +31,20 @@ def _leaf_tree(value):
 
 
 def _tree_arrays(model):
-    return [
-        [getattr(t, name).tolist() for name in ("feature", "threshold", "left", "right", "value")]
-        for t in model.trees
-    ]
+    return [[getattr(t, name).tolist() for name in _NODE_ARRAYS] for t in model.trees]
+
+
+def _assert_same_bytes(ours, base):
+    ours, base = np.asarray(ours), np.asarray(base)
+    assert (ours.dtype, ours.shape) == (base.dtype, base.shape)
+    assert ours.tobytes() == base.tobytes()
+
+
+def _assert_same_trees(trees, expected):
+    assert len(trees) == len(expected)
+    for ours, base in zip(trees, expected):
+        for name in _NODE_ARRAYS:
+            _assert_same_bytes(getattr(ours, name), getattr(base, name))
 
 
 def _toy_clusters(rng, n_per, centers, spread=0.6):
@@ -200,9 +215,7 @@ def test_trees_do_not_depend_on_worker_count(monkeypatch, mode):
                 assert forest._pool is not None
         for workers in (2, 3):
             assert len(fitted[workers].trees) == n_trees
-            for ours, base in zip(fitted[workers].trees, fitted[1].trees):
-                for name in ("feature", "threshold", "left", "right", "value"):
-                    assert np.array_equal(getattr(ours, name), getattr(base, name))
+            _assert_same_trees(fitted[workers].trees, fitted[1].trees)
 
 
 @settings(max_examples=15, deadline=None)
@@ -239,10 +252,7 @@ def _stream_jobs(mode, n_jobs, pulled=None, bad=None):
 def _assert_same_ensemble(ours, base):
     assert (ours.mode, ours.feature_count, ours.n_classes, ours.config, ours.seed) == (
         base.mode, base.feature_count, base.n_classes, base.config, base.seed)
-    assert len(ours.trees) == len(base.trees)
-    for a, b in zip(ours.trees, base.trees):
-        for name in ("feature", "threshold", "left", "right", "value"):
-            assert np.array_equal(getattr(a, name), getattr(b, name))
+    _assert_same_trees(ours.trees, base.trees)
 
 
 def _submitted_futures(monkeypatch):
@@ -340,3 +350,135 @@ def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
     fit(*jobs[0])
     assert forest._pool is pool
     assert len(futures) == 9
+
+
+_ULPS = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
+
+
+def _column(rng, kind, m):
+    # real values, few distinct values (ties), values one ulp apart, or
+    # signed zeros, which compare equal but differ in their bytes
+    if kind == "real":
+        return rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+    if kind == "ties":
+        return rng.integers(0, 4, size=m).astype(float)
+    if kind == "zeros":
+        return rng.choice([0.0, -0.0], size=m)
+    return _ULPS[rng.integers(0, 3, size=m)]
+
+
+@st.composite
+def _fit_cases(draw):
+    """fit arguments over both modes, ties and ulp-adjacent values, and
+    every ForestConfig knob."""
+    mode = draw(st.sampled_from([CLASSIFY, REGRESS]))
+    m, f = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = ("real", "ties", "ulp", "zeros")
+    X = np.column_stack([_column(rng, draw(st.sampled_from(kinds)), m) for _ in range(f)])
+    n_classes = None
+    if mode == CLASSIFY:
+        n_classes = draw(st.integers(2, 5))
+        y = rng.integers(0, n_classes, size=m)
+        if draw(st.booleans()):
+            n_classes = None  # inferred as max(y) + 1
+    else:
+        y = _column(rng, draw(st.sampled_from(kinds)), m)
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 4)),
+        max_depth=draw(st.none() | st.integers(1, 6)),
+        min_leaf=draw(st.integers(1, 4)),
+        features_per_split=draw(st.none() | st.integers(1, f)),
+    )
+    return X, y, mode, config, (draw(st.integers(0, 2**16)), 7), n_classes
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fit_cases())
+def test_grower_matches_the_node_loop_oracle(case):
+    # every node array of every tree is byte-equal to the per-node loop's,
+    # grown in-process and in the pool
+    expected = loop_fit_trees(*case)
+    for workers in (1, 2):
+        with mock.patch.object(forest, "_worker_count", lambda w=workers: w):
+            model = fit(*case)
+        _assert_same_trees(model.trees, expected)
+
+
+def _assert_traversal_matches(model, X):
+    # a matrix and its first row alone, against the tree-at-a-time loop
+    if model.mode == CLASSIFY:
+        expected = loop_predict_proba(model, X)
+        _assert_same_bytes(model.predict_proba(X), expected)
+        _assert_same_bytes(model.predict_proba(X[0]), expected[0])
+    expected = loop_predict(model, X)
+    _assert_same_bytes(model.predict(X), expected)
+    _assert_same_bytes(model.predict(X[0]), expected[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fit_cases(), st.integers(1, 9), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_traversal_matches_the_tree_loop_oracle(case, pairs_per_block, nodes_per_group,
+                                                probe_seed):
+    # training rows land on thresholds' neighbours; tiny blocks and groups
+    # make most batches cross several blocks and most ensembles several
+    # groups of trees
+    with mock.patch.object(forest, "_worker_count", lambda: 1):
+        model = fit(*case)
+    X = case[0]
+    rng = np.random.default_rng(probe_seed)
+    probe = np.vstack([X, rng.normal(size=(5, X.shape[1])), rng.permutation(X)])
+    with mock.patch.multiple(forest, _PAIRS_PER_BLOCK=pairs_per_block,
+                             _NODES_PER_GROUP=nodes_per_group):
+        _assert_traversal_matches(model, probe)
+
+
+def _chain_tree(depth, mode):
+    # internal node 2k splits feature 0 at k + 0.5; its left child 2k + 1
+    # is a leaf, its right child 2k + 2 the next internal node or a leaf
+    n = 2 * depth + 1
+    feature = np.full(n, -1, dtype=np.int32)
+    feature[0:-1:2] = 0
+    left = np.full(n, -1, dtype=np.int32)
+    right = np.full(n, -1, dtype=np.int32)
+    left[0:-1:2] = np.arange(1, n, 2)
+    right[0:-1:2] = np.arange(2, n + 1, 2)
+    threshold = np.zeros(n)
+    threshold[0:-1:2] = np.arange(depth) + 0.5
+    k = np.arange(n, dtype=np.float64)
+    value = np.column_stack([k + 1, (3 * k) % 5, k % 2]) if mode == CLASSIFY else (0.37 * k)[:, None]
+    return _Tree(feature=feature, threshold=threshold, left=left, right=right, value=value)
+
+
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_traversal_of_mixed_depths_and_real_blocks(mode):
+    # a single-leaf tree, a depth-1 tree and a depth-35 tree in one group of
+    # trees, on more rows than one block of (tree, row) pairs holds
+    trees = (_leaf_tree([2.0, 1.0, 0.0] if mode == CLASSIFY else [1.25]),
+             _chain_tree(1, mode), _chain_tree(35, mode))
+    model = TreeEnsemble(mode=mode, feature_count=2, n_classes=3 if mode == CLASSIFY else 0,
+                         config=ForestConfig(n_trees=3), seed=0, trees=trees)
+    assert forest._concatenated(trees, mode == CLASSIFY)[-1] == 35
+    rows = 2 * (forest._PAIRS_PER_BLOCK // len(trees)) + 5
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.integers(-2, 40, size=rows) + rng.choice([0.0, 0.5, 0.7], size=rows),
+                         rng.normal(size=rows)])
+    _assert_traversal_matches(model, X)
+
+
+@pytest.mark.parametrize("nodes_per_group", [1, 5, forest._NODES_PER_GROUP])
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_traversal_adds_many_trees_in_tree_order(monkeypatch, mode, nodes_per_group):
+    # 33 leaves of mixed magnitudes, in one group or many: a pairwise or
+    # regrouped sum over the trees would round differently from the
+    # tree-at-a-time loop
+    monkeypatch.setattr(forest, "_NODES_PER_GROUP", nodes_per_group)
+    rng = np.random.default_rng(5)
+    if mode == CLASSIFY:
+        values = rng.integers(1, 9, size=(33, 4)).astype(float)
+    else:
+        values = rng.normal(size=(33, 1)) * 10.0 ** rng.integers(-8, 9, size=(33, 1))
+    model = TreeEnsemble(mode=mode, feature_count=2, n_classes=4 if mode == CLASSIFY else 0,
+                         config=ForestConfig(n_trees=33), seed=0,
+                         trees=tuple(_leaf_tree(v) for v in values))
+    _assert_traversal_matches(model, rng.normal(size=(3, 2)))
