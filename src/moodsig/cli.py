@@ -4,7 +4,10 @@ runs, and triangle-spectrum plots.
 Every command resolves a RunConfig (JSON file plus flag overrides), hashes
 it, and writes its artifacts under `<output>/<command>-<hash12>/`. Reports
 and plots embed the config hash and tool version; reruns with the same
-config are byte-identical."""
+config are byte-identical.
+
+Each run setting is declared once, as its RunConfig row (`_setting`); its
+flag, default, bounds and TaskConfig entry all derive from that row."""
 
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import os
 import shutil
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +68,6 @@ MAX_LEVEL = 5
 # sig's top level holds d**level floats for d columns, and so does each of
 # its intermediate products; a larger request is rejected before any work
 MAX_SIG_TERMS = 10**6
-# the largest spectrum resolution: each KDE grid holds resolution**2 floats
-MAX_RESOLUTION = 1_000
-# the most trees per forest: a worker holds every tree of its share of a
-# fit until the share is grown
-MAX_TREES = 10_000
-# the most bootstrap resamples per report, each drawn and scored in turn
-MAX_BOOTSTRAP_SAMPLES = 100_000
 # the most participant-weeks synth generates: each is drawn in turn, and
 # the whole cohort is held until it is written
 MAX_SYNTH_WEEKS = 1_000_000
@@ -225,30 +221,59 @@ _TYPE_CHECKS = {
         isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v))
     ),
 }
+# the flag type of each annotation read as a number; any other is text
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float}
+
+
+def _setting(parent, default=None, bounds=(None, None), flags=None, **options):
+    """A RunConfig row: the parent parser of the commands that read it, the
+    inclusive (lo, hi) bounds (None for an open side), the option strings if
+    not `--<field-name>`, and the flag's other options (`choices`, `help`)."""
+    return field(default=default, metadata={
+        "parent": parent, "bounds": bounds, "flags": flags, "options": options})
+
+
+def _check_bounds(name, value, bounds):
+    lo, hi = bounds
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"at most {hi}" if lo is None else f"{lo}..{hi}"
+        raise ValueError(f"{name} must be {span}, got {value}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Cross-command run settings; everything except `output` is hashed."""
+    """Cross-command run settings; everything except `output` is hashed.
+    A setting the library also takes has the library's default."""
 
-    input: str | None = None
-    output: str = "runs"
-    seed: int = 0
-    window_length: int | None = None
-    signature_level: int = 2
-    split_fraction: float = 0.7
-    instrument: str | None = None
-    groups: tuple[str, ...] | None = None
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_leaf: int = 1
-    features_per_split: int | None = None
-    bootstrap_samples: int = 1000
-    synth_sizes: tuple[int, ...] = (49, 45, 32)
-    synth_weeks: int = 51
-    spectrum_source: str = "classify"
-    resolution: int = 200
-    bandwidth: float | tuple[float, float] | None = None
+    input: str | None = _setting("task", help="cohort CSV path")
+    output: str = _setting("run", "runs", flags=("-o", "--output"),
+                           help="output root (default runs/)")
+    seed: int = _setting("run", TaskConfig.seed, (0, None))
+    # this and synth_weeks: weeks are numbered from 0, and ingest reads none
+    # above MAX_WEEK, so no participant has a longer run of weeks
+    window_length: int | None = _setting("task", TaskConfig.window_length, (None, MAX_WEEK + 1))
+    signature_level: int = _setting("task", TaskConfig.signature_level, (1, MAX_LEVEL))
+    split_fraction: float = _setting("evaluate", TaskConfig.split_fraction)
+    instrument: str | None = _setting("subset", help="ASRM or QIDS (default both)")
+    groups: tuple[str, ...] | None = _setting("subset", help="comma-separated subset of BD,HC,BPD")
+    # a worker holds every tree of its share of a fit until the share is grown
+    n_trees: int = _setting("task", ForestConfig.n_trees, (1, 10_000))
+    max_depth: int | None = _setting("task", ForestConfig.max_depth)
+    min_leaf: int = _setting("task", ForestConfig.min_leaf)
+    features_per_split: int | None = _setting("task", ForestConfig.features_per_split)
+    # per report, each resample drawn and scored in turn
+    bootstrap_samples: int = _setting("evaluate", TaskConfig.bootstrap_samples, (1, 100_000))
+    synth_sizes: tuple[int, ...] = _setting("synth", CohortSpec.sizes, flags=("--sizes",),
+                                            help="BD,HC,BPD counts")
+    synth_weeks: int = _setting("synth", CohortSpec.weeks, (None, MAX_WEEK + 1), flags=("--weeks",))
+    spectrum_source: str = _setting(
+        "spectrum", "classify", flags=("--source",), choices=["classify", "state", "true"],
+        help="leave-one-out class probabilities (classify; no --instrument), rolled-out states "
+        "(state) or observed proportions (true; no --seed or model flags)")
+    # each KDE grid holds resolution**2 floats
+    resolution: int = _setting("spectrum", 200, (2, 1_000))
+    bandwidth: float | tuple[float, float] | None = _setting(
+        "spectrum", help="hx or hx,hy (default Scott's rule)")
 
     def __post_init__(self):
         for f in fields(self):
@@ -261,6 +286,8 @@ class RunConfig:
                 object.__setattr__(self, f.name, float(value))
             elif "tuple[float, float]" in kinds and isinstance(value, tuple):
                 object.__setattr__(self, f.name, tuple(float(v) for v in value))
+            if value is not None:
+                _check_bounds(f.name, value, f.metadata["bounds"])
         if self.instrument is not None and self.instrument not in ("ASRM", "QIDS"):
             raise ValueError(f"instrument must be ASRM or QIDS, got {self.instrument!r}")
         if self.groups is not None:
@@ -272,34 +299,11 @@ class RunConfig:
                 raise ValueError(f"groups must be distinct and nonempty, got {list(self.groups)}")
         if self.spectrum_source not in ("classify", "state", "true"):
             raise ValueError(f"unknown spectrum_source {self.spectrum_source!r}")
-        if not 2 <= self.resolution <= MAX_RESOLUTION:
-            raise ValueError(f"resolution must be 2..{MAX_RESOLUTION}, got {self.resolution}")
-        if not 1 <= self.n_trees <= MAX_TREES:
-            raise ValueError(f"n_trees must be 1..{MAX_TREES}, got {self.n_trees}")
-        if not 1 <= self.bootstrap_samples <= MAX_BOOTSTRAP_SAMPLES:
-            raise ValueError(
-                f"bootstrap_samples must be 1..{MAX_BOOTSTRAP_SAMPLES}, "
-                f"got {self.bootstrap_samples}"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # weeks are numbered from 0, and ingest reads none above MAX_WEEK,
-        # so no participant has a longer run of weeks
-        if self.synth_weeks > MAX_WEEK + 1:
-            raise ValueError(f"synth_weeks must be at most {MAX_WEEK + 1}, got {self.synth_weeks}")
-        if self.window_length is not None and self.window_length > MAX_WEEK + 1:
-            raise ValueError(
-                f"window_length must be at most {MAX_WEEK + 1}, got {self.window_length}"
-            )
         participant_weeks = sum(self.synth_sizes) * self.synth_weeks
         if participant_weeks > MAX_SYNTH_WEEKS:
             raise ValueError(
                 f"synth_sizes times synth_weeks must be at most {MAX_SYNTH_WEEKS} "
                 f"participant-weeks, got {participant_weeks}"
-            )
-        if not 1 <= self.signature_level <= MAX_LEVEL:
-            raise ValueError(
-                f"signature_level must be 1..{MAX_LEVEL}, got {self.signature_level}"
             )
         if self.bandwidth is not None:
             values = self.bandwidth if isinstance(self.bandwidth, tuple) else (self.bandwidth,)
@@ -389,14 +393,13 @@ def load_config(args):
 
 
 def _task_config(cfg):
-    return TaskConfig(
-        window_length=cfg.window_length, signature_level=cfg.signature_level,
-        split_fraction=cfg.split_fraction, seed=cfg.seed, bootstrap_samples=cfg.bootstrap_samples,
-        instrument=Instrument[cfg.instrument] if cfg.instrument else None,
-        groups=tuple(Group[g] for g in cfg.groups) if cfg.groups else None,
-        forest=ForestConfig(n_trees=cfg.n_trees, max_depth=cfg.max_depth, min_leaf=cfg.min_leaf,
-                            features_per_split=cfg.features_per_split),
-    )
+    """The TaskConfig of `cfg`: each library field takes the setting of its name."""
+    def build(cls, **converted):
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if hasattr(cfg, f.name)}
+                   | converted)
+    return build(TaskConfig, forest=build(ForestConfig),
+                 instrument=Instrument[cfg.instrument] if cfg.instrument else None,
+                 groups=tuple(Group[g] for g in cfg.groups) if cfg.groups else None)
 
 
 def _stamp(command, run_hash):
@@ -608,8 +611,7 @@ def cmd_spectrum(cfg, command):
 
 
 def cmd_sig(args):
-    if not 1 <= args.level <= MAX_LEVEL:
-        raise ValueError(f"--level must be 1..{MAX_LEVEL}, got {args.level}")
+    _check_bounds("--level", args.level, _LEVEL.metadata["bounds"])
     try:
         with warnings.catch_warnings():
             # an empty file fails below, as too few points, without a warning
@@ -637,6 +639,21 @@ def cmd_sig(args):
     return 0
 
 
+# each parent parser and those it extends, in the order made; "evaluate" is
+# the held-out split and its bootstrap reports, which spectrum does not make
+_PARENTS = {"run": (), "task": ("run",), "subset": ("task",), "evaluate": (),
+            "synth": ("run",), "spectrum": ("subset",)}
+_SUBCOMMANDS = [
+    ("synth", ("synth",), "generate a synthetic cohort CSV"),
+    ("classify", ("task", "evaluate"), "3-group classification from one window per participant"),
+    ("predict-state", ("subset", "evaluate"), "next-week state-label prediction per group"),
+    ("predict-score", ("subset", "evaluate"), "next-week raw-score prediction per group"),
+    ("spectrum", ("spectrum",), "triangle density plots per group"),
+]
+# sig --level takes signature_level's default and bounds
+_LEVEL = RunConfig.__dataclass_fields__["signature_level"]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog=TOOL,
@@ -648,47 +665,26 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each command's flags are exactly the RunConfig fields it reads
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("-c", "--config", help="JSON run-config file")
-    run.add_argument("-o", "--output", help="output root (default runs/)")
-    run.add_argument("--seed", type=int)
-    task = argparse.ArgumentParser(add_help=False, parents=[run])
-    task.add_argument("--input", help="cohort CSV path")
-    task.add_argument("--window-length", type=int)
-    task.add_argument("--signature-level", type=int)
-    task.add_argument("--n-trees", type=int)
-    task.add_argument("--max-depth", type=int)
-    task.add_argument("--min-leaf", type=int)
-    task.add_argument("--features-per-split", type=int)
-    subset = argparse.ArgumentParser(add_help=False, parents=[task])
-    subset.add_argument("--instrument", help="ASRM or QIDS (default both)")
-    subset.add_argument("--groups", help="comma-separated subset of BD,HC,BPD")
-    # the held-out split and its bootstrap reports, which spectrum does not make
-    evaluate = argparse.ArgumentParser(add_help=False)
-    evaluate.add_argument("--split-fraction", type=float)
-    evaluate.add_argument("--bootstrap-samples", type=int)
-
-    sp = sub.add_parser("synth", parents=[run], help="generate a synthetic cohort CSV")
-    sp.add_argument("--sizes", dest="synth_sizes", help="BD,HC,BPD counts")
-    sp.add_argument("--weeks", type=int, dest="synth_weeks")
-    sub.add_parser("classify", parents=[task, evaluate],
-                   help="3-group classification from one window per participant")
-    sub.add_parser("predict-state", parents=[subset, evaluate],
-                   help="next-week state-label prediction per group")
-    sub.add_parser("predict-score", parents=[subset, evaluate],
-                   help="next-week raw-score prediction per group")
-    sp = sub.add_parser("spectrum", parents=[subset], help="triangle density plots per group")
-    sp.add_argument("--source", dest="spectrum_source", choices=["classify", "state", "true"],
-                    help="leave-one-out class probabilities (classify; no --instrument), "
-                    "rolled-out states (state) or observed proportions (true; no --seed "
-                    "or model flags)")
-    sp.add_argument("--resolution", type=int)
-    sp.add_argument("--bandwidth", help="hx or hx,hy (default Scott's rule)")
+    # each command's flags are exactly the RunConfig rows it reads. A child
+    # parser copies its parents' flags when it is made, so each parent is
+    # filled before a later one names it
+    parents = {}
+    for name, bases in _PARENTS.items():
+        parent = parents[name] = argparse.ArgumentParser(
+            add_help=False, parents=[parents[b] for b in bases])
+        if name == "run":
+            parent.add_argument("-c", "--config", help="JSON run-config file")
+        for f in fields(RunConfig):
+            if f.metadata["parent"] == name:
+                parent.add_argument(
+                    *f.metadata["flags"] or ["--" + f.name.replace("_", "-")], dest=f.name,
+                    type=_FLAG_TYPES.get(f.type), **f.metadata["options"])
+    for command, bases, text in _SUBCOMMANDS:
+        sub.add_parser(command, parents=[parents[b] for b in bases], help=text)
 
     sp = sub.add_parser("sig", help="print the signature of a CSV of points")
     sp.add_argument("--points", required=True, help="CSV, one point per row")
-    sp.add_argument("--level", type=int, default=2)
+    sp.add_argument("--level", type=int, default=_LEVEL.default)
     return parser
 
 

@@ -6,6 +6,7 @@ deterministic SVG / delimited-text emission."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,9 @@ def kde2d(points, bandwidth=None, resolution=200):
 
     bandwidth: None for Scott's rule (n^(-1/6) per-axis std, floored at
     1e-3), a scalar, or an (hx, hy) pair. A bandwidth so small that the
-    normalising constant or the kernel's exponent overflows is a
-    ValueError."""
+    normalising constant or the kernel's exponent overflows, or so large
+    that the normalising constant is not a positive normal float (the
+    density would read 0 everywhere), is a ValueError."""
     if len(points) < 2:
         raise InsufficientDataError("kde2d needs at least 2 points")
     xy = np.array([p.xy for p in points])
@@ -105,7 +107,7 @@ def kde2d(points, bandwidth=None, resolution=200):
         hx = hy = float(bandwidth)
     else:
         hx, hy = (float(b) for b in bandwidth)
-    if hx <= 0 or hy <= 0:
+    if not (hx > 0 and hy > 0):
         raise ValueError("bandwidth must be positive")
 
     xs = np.linspace(0.0, 1.0, resolution)
@@ -115,6 +117,8 @@ def kde2d(points, bandwidth=None, resolution=200):
     norm = 1.0 / denominator if denominator else math.inf
     if math.isinf(norm):
         raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too small to normalise the density")
+    if not norm >= sys.float_info.min:
+        raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too large to normalise the density")
     # grid-to-point offsets are at most 1 per axis, so the kernel's exponent
     # ((x - xi) / hx) ** 2 + ((y - yi) / hy) ** 2 is finite if this bound is
     with np.errstate(over="ignore"):

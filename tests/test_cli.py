@@ -913,10 +913,13 @@ _ONE_BPD = [
         # (1 / hx) ** 2 overflows in the kernel's exponent
         (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e-200,1e200"],
          "spectrum_true_BD_ASRM: bandwidth (1e-200, 1e+200) is too small"),
+        # n * 2 * pi * hx * hy overflows, so the density would be 0 everywhere
+        (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e200"],
+         "spectrum_true_BD_ASRM: bandwidth (1e+200, 1e+200) is too large to normalise"),
     ],
     ids=["synth-weeks", "synth-sizes", "synth-weeks-above-cap", "classify", "predict-state",
          "spectrum-state", "spectrum-true", "spectrum-underflowing-bandwidth",
-         "spectrum-overflowing-bandwidth"],
+         "spectrum-overflowing-bandwidth", "spectrum-huge-bandwidth"],
 )
 def test_failed_command_leaves_no_run_directory(tmp_path, capsys, argv, match):
     out = tmp_path / "runs"

@@ -230,6 +230,14 @@ def test_explicit_bandwidth_forms():
     # hx * hy is 1, but (1 / hx) ** 2 overflows in the kernel's exponent
     with pytest.raises(ValueError, match="too small for the kernel's exponent"):
         kde2d(pts, bandwidth=(1e-200, 1e200), resolution=40)
+    # n * 2 * pi * hx * hy overflows to inf, or leaves the normalising
+    # constant subnormal: the density would be 0 everywhere
+    for bandwidth in (1e200, 1e300, (1e154, 1e154), (1e300, 1e10)):
+        with pytest.raises(ValueError, match="too large to normalise the density"):
+            kde2d(pts, bandwidth=bandwidth, resolution=40)
+    # the largest bandwidths whose normalising constant stays normal still work
+    grid = kde2d(pts, bandwidth=1e150, resolution=40)
+    assert (grid.density[grid.inside] > 0).all()
 
 
 def test_contours_stay_in_bounding_box():
