@@ -66,20 +66,20 @@ def main():
     print("\n=== classification (one 20-week window per participant) ===")
     classify_dir = only("classify-*", out)
     for model_name in ("mrsf", "naive"):
-        doc = json.loads((classify_dir / f"report_{model_name}.json").read_text())
+        doc = json.loads((classify_dir / f"report_{model_name}.json").read_text(encoding="utf-8"))
         rep = doc["report"]
         print(f"  {model_name:5s} accuracy {rep['accuracy_mean']:.3f} "
               f"(bootstrap std {rep['accuracy_std']:.3f})")
 
     print("\n=== next-week state prediction ===")
-    doc = json.loads((only("predict-state-*", out) / "reports.json").read_text())
+    doc = json.loads((only("predict-state-*", out) / "reports.json").read_text(encoding="utf-8"))
     for r in doc["results"]:
         print(f"  {r['group']:3s}/{r['instrument']}: "
               f"mrsf {r['mrsf']['accuracy_mean']:.3f}  "
               f"naive {r['naive']['accuracy_mean']:.3f}")
 
     print("\n=== next-week score prediction (MAE) ===")
-    doc = json.loads((only("predict-score-*", out) / "reports.json").read_text())
+    doc = json.loads((only("predict-score-*", out) / "reports.json").read_text(encoding="utf-8"))
     for r in doc["results"]:
         print(f"  {r['group']:3s}/{r['instrument']}: "
               f"mrsf {r['mrsf']['mae']:.3f}  naive {r['naive']['mae']:.3f}  "

@@ -97,7 +97,8 @@ def kde2d(points, bandwidth=None, resolution=200):
     1e-3), a scalar, or an (hx, hy) pair. A bandwidth so small that the
     normalising constant or the kernel's exponent overflows, or so large
     that the normalising constant is not a positive normal float (the
-    density would read 0 everywhere), is a ValueError."""
+    density would read 0 everywhere) or that the density has one positive
+    value over the whole triangle, is a ValueError."""
     if len(points) < 2:
         raise InsufficientDataError("kde2d needs at least 2 points")
     xy = np.array([p.xy for p in points])
@@ -131,6 +132,11 @@ def kde2d(points, bandwidth=None, resolution=200):
         dy2 = ((ys[iy] - xy[:, 1]) / hy) ** 2
         density[iy] = norm * np.exp(-0.5 * (dx2 + dy2[None, :])).sum(axis=1)
     density[~inside] = 0.0
+    # every kernel term rounds to exp(-0.0): each contour would enclose all
+    # of the triangle
+    if density[inside].min() == density[inside].max() > 0:
+        raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too large: the density "
+                         "has one value over the whole triangle")
 
     thresholds = _mass_thresholds(density, inside)
     contours = {

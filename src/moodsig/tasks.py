@@ -18,6 +18,7 @@ from .encode import (
     QIDS_MAX,
     Group,
     mrsf,
+    mrsf_width,
     naive_features,
 )
 from .errors import InsufficientDataError
@@ -198,13 +199,30 @@ def _eligible(records, groups, min_weeks):
 
 
 def _feature_table(runs, level, wl):
-    """The sliding-window feature table of each run of weeks: the list of
-    MRSF matrices at signature `level` and the list of naive matrices, one
-    per run, where row `s` is the window of `wl` weeks starting at the run's
-    week `s`. A run shorter than a window gets empty matrices. Each run
-    costs one sliding `mrsf` and one sliding `naive_features` call."""
-    return ([mrsf(run, level, wl) for run in runs],
-            [naive_features(run, wl) for run in runs])
+    """The sliding-window feature table of a list of runs of weeks, stacked
+    run by run: the MRSF matrix at signature `level`, the naive matrix and
+    `owner`, the run index of each row. Run k owns `max(len(run) - wl + 1,
+    0)` rows, its windows of `wl` weeks in order of their first week, from
+    one sliding `mrsf` and one sliding `naive_features` call copied into
+    the preallocated matrices."""
+    counts = [max(len(run) - wl + 1, 0) for run in runs]
+    owner = np.repeat(np.arange(len(runs)), counts)
+    X_mrsf = np.empty((len(owner), mrsf_width(level)))
+    X_naive = np.empty((len(owner), 2))
+    for run, stop, n in zip(runs, np.cumsum(counts), counts):
+        X_mrsf[stop - n:stop] = mrsf(run, level, wl)
+        X_naive[stop - n:stop] = naive_features(run, wl)
+    return X_mrsf, X_naive, owner
+
+
+def _paired_models(tables, y, train, test, mode, config, seed, n_classes=None):
+    """Yields `(model, X_test)` for the MRSF and then the naive matrix of
+    `tables`: one `fit` to `y` on rows `train` with `seed`, and rows `test`,
+    so the feature map is the only variable between the two models. Lazy,
+    so each model is freed once the caller takes the next."""
+    for X in tables:
+        yield (fit(X[train], y[train], mode, config.forest, seed=seed, n_classes=n_classes),
+               X[test])
 
 
 def _classification_report(model, X, y, config, seed):
@@ -225,9 +243,8 @@ def classification_windows(cohort, config):
     records = _eligible(cohort.records, tuple(Group), wl)
     window_rng = np.random.default_rng((config.seed, 101))
     starts = [int(window_rng.integers(0, r.n_weeks - wl + 1)) for r in records]
-    tables = _feature_table([r.weeks[s:s + wl] for r, s in zip(records, starts)],
-                            config.signature_level, wl)
-    return records, *map(np.vstack, tables)
+    runs = [r.weeks[s:s + wl] for r, s in zip(records, starts)]
+    return records, *_feature_table(runs, config.signature_level, wl)[:2]
 
 
 def loo_points(records, X_mrsf, config):
@@ -251,7 +268,7 @@ def run_classification(cohort, config):
     """The windows of `classification_windows`; stratified 70/30 split;
     identical split and forest seed for the MRSF and naive models; plus
     the `loo_points` of the MRSF rows."""
-    records, X_mrsf, X_naive = classification_windows(cohort, config)
+    records, *tables = classification_windows(cohort, config)
     y = np.array([r.group.index for r in records])
 
     split_rng = np.random.default_rng((config.seed, 102))
@@ -264,61 +281,46 @@ def run_classification(cohort, config):
     train_idx, test_idx = np.sort(train_idx), np.sort(test_idx)
 
     reports = [
-        _classification_report(
-            fit(X[train_idx], y[train_idx], CLASSIFY, config.forest,
-                seed=(config.seed, 103), n_classes=3),
-            X[test_idx], y[test_idx], config, (config.seed, 104),
-        )
-        for X in (X_mrsf, X_naive)
+        _classification_report(model, X_test, y[test_idx], config, (config.seed, 104))
+        for model, X_test in _paired_models(tables, y, train_idx, test_idx, CLASSIFY, config,
+                                            (config.seed, 103), n_classes=3)
     ]
 
     return ClassificationResult(
-        *reports, loo_points(records, X_mrsf, config), len(train_idx), len(test_idx)
+        *reports, loo_points(records, tables[0], config), len(train_idx), len(test_idx)
     )
 
 
 def _paired_forests(cohort, config, seeds, targets, mode, n_classes=None):
-    """The skeleton of both prediction tasks, so that the feature map is the
-    only variable between the MRSF and the naive model.
+    """The skeleton of both prediction tasks.
 
-    Per group: the feature table of every window with a next week, and a
+    Per group: one `_feature_table` of every window with a next week, and a
     participant split seeded by `(seed, seeds[0], group)`, so no participant
     contributes windows to both sides. Per instrument: `targets(weeks,
     instrument)` gives one participant's next-week targets and the mask of
-    windows kept. Yields `(group, instrument, y_train, y_test, fitted)`,
-    where `fitted` yields `(model, X_test)` for the MRSF and then the naive
-    features, each forest fit on the same rows with seed
-    `(seed, seeds[1], group)`; consume it before taking the next item."""
+    windows kept, and each side's rows are the kept rows its participants
+    own. Yields `(group, instrument, y_train, y_test, models)`, where
+    `models` is the `_paired_models` of those rows with seed `(seed,
+    seeds[1], group)`; items may be used in any order."""
     split_ns, fit_ns = seeds
     wl = config.window_length or PREDICT_WINDOW
     eligible = _eligible(cohort.records, config.group_list, wl + 1)
     for g in config.group_list:
         recs = [r for r in eligible if r.group is g]
-        tables = _feature_table([r.weeks[:-1] for r in recs], config.signature_level, wl)
+        *tables, owner = _feature_table([r.weeks[:-1] for r in recs], config.signature_level, wl)
         split_rng = np.random.default_rng((config.seed, split_ns, g.index))
         tr, te = _split_indices(len(recs), config.split_fraction, split_rng)
         for instrument in config.instruments:
-            y, keep = zip(*(targets(r.weeks[wl:], instrument) for r in recs))
-            y_train = np.concatenate([y[i][keep[i]] for i in tr])
-            y_test = np.concatenate([y[i][keep[i]] for i in te])
-            if len(y_train) < 2 or len(y_test) < 1:
+            y, keep = map(np.concatenate, zip(*(targets(r.weeks[wl:], instrument) for r in recs)))
+            train, test = (np.flatnonzero(keep & np.isin(owner, side)) for side in (tr, te))
+            if len(train) < 2 or len(test) < 1:
                 raise InsufficientDataError(
                     f"group {g.name} lacks next-week {instrument.name} targets "
                     "on one side of the split"
                 )
-
-            def stack(table, side):
-                return np.vstack([table[i][keep[i]] for i in side])
-
-            # lazy, so each forest is fit when the caller takes it and is
-            # freed when the caller moves on
-            fitted = (
-                (fit(stack(table, tr), y_train, mode, config.forest,
-                     seed=(config.seed, fit_ns, g.index), n_classes=n_classes),
-                 stack(table, te))
-                for table in tables
+            yield g, instrument, y[train], y[test], _paired_models(
+                tables, y, train, test, mode, config, (config.seed, fit_ns, g.index), n_classes
             )
-            yield g, instrument, y_train, y_test, fitted
 
 
 def _state_targets(weeks, instrument):
@@ -336,12 +338,12 @@ def run_state_prediction(cohort, config):
     each sliding window; participants are split 70/30 so no participant
     contributes instances to both sides."""
     results = []
-    for g, instrument, y_train, y_test, fitted in _paired_forests(
+    for g, instrument, y_train, y_test, models in _paired_forests(
         cohort, config, (201, 202), _state_targets, CLASSIFY, n_classes=3
     ):
         mrsf_report, naive_report = (
             _classification_report(model, X_test, y_test, config, (config.seed, 203, g.index))
-            for model, X_test in fitted
+            for model, X_test in models
         )
         results.append(PredictionResult(
             g, instrument, mrsf_report, naive_report, len(y_train), len(y_test)
@@ -354,20 +356,16 @@ def run_score_prediction(cohort, config):
     where that response is present; predictions are clipped to the
     instrument range; the severity report buckets the MRSF predictions."""
     results = []
-    for g, instrument, y_train, y_test, fitted in _paired_forests(
+    for g, instrument, y_train, y_test, models in _paired_forests(
         cohort, config, (301, 302), _score_targets, REGRESS
     ):
-        preds = []
-        reports = []
-        for model, X_test in fitted:
-            pred = np.clip(model.predict(X_test), 0, instrument.max_score)
-            preds.append(pred)
-            reports.append(
-                evaluate_regression(
-                    y_test, pred, n_resamples=config.bootstrap_samples,
-                    seed=(config.seed, 303, g.index),
-                )
-            )
+        preds = [np.clip(model.predict(X_test), 0, instrument.max_score)
+                 for model, X_test in models]
+        reports = [
+            evaluate_regression(y_test, pred, n_resamples=config.bootstrap_samples,
+                                seed=(config.seed, 303, g.index))
+            for pred in preds
+        ]
         bucket_true = severity_buckets(y_test.astype(int), instrument)
         bucket_pred = severity_buckets(np.rint(preds[0]).astype(int), instrument)
         severity = evaluate_classification(

@@ -916,10 +916,14 @@ _ONE_BPD = [
         # n * 2 * pi * hx * hy overflows, so the density would be 0 everywhere
         (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e200"],
          "spectrum_true_BD_ASRM: bandwidth (1e+200, 1e+200) is too large to normalise"),
+        # every kernel term is exp(-0.0), so the density is flat
+        (["spectrum", "--source", "true", "--resolution", "16", "--bandwidth", "1e150"],
+         "spectrum_true_BD_ASRM: bandwidth (1e+150, 1e+150) is too large: the density"),
     ],
     ids=["synth-weeks", "synth-sizes", "synth-weeks-above-cap", "classify", "predict-state",
          "spectrum-state", "spectrum-true", "spectrum-underflowing-bandwidth",
-         "spectrum-overflowing-bandwidth", "spectrum-huge-bandwidth"],
+         "spectrum-overflowing-bandwidth", "spectrum-huge-bandwidth",
+         "spectrum-flattening-bandwidth"],
 )
 def test_failed_command_leaves_no_run_directory(tmp_path, capsys, argv, match):
     out = tmp_path / "runs"

@@ -1,6 +1,7 @@
 """Triangle projection, KDE density grid, contour mass, and plot emission."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -235,9 +236,23 @@ def test_explicit_bandwidth_forms():
     for bandwidth in (1e200, 1e300, (1e154, 1e154), (1e300, 1e10)):
         with pytest.raises(ValueError, match="too large to normalise the density"):
             kde2d(pts, bandwidth=bandwidth, resolution=40)
-    # the largest bandwidths whose normalising constant stays normal still work
-    grid = kde2d(pts, bandwidth=1e150, resolution=40)
-    assert (grid.density[grid.inside] > 0).all()
+    # the largest bandwidths whose normalising constant stays normal leave
+    # the density one value over the triangle
+    with pytest.raises(ValueError, match="has one value over the whole triangle"):
+        kde2d(pts, bandwidth=1e150, resolution=40)
+
+
+def test_flat_density_is_an_error():
+    # every kernel term rounds to exp(-0.0) from 1e8 on; at 1e7 the density
+    # is quantised to a few values but not flat
+    pts = _uniform_triangle_points(20, seed=0)
+    for bandwidth in (1e8, 1e150):
+        message = f"bandwidth ({bandwidth!r}, {bandwidth!r}) is too large: the density"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kde2d(pts, bandwidth=bandwidth, resolution=100)
+    for bandwidth in (0.1, 10, 1e7):
+        grid = kde2d(pts, bandwidth=bandwidth, resolution=100)
+        assert grid.density[grid.inside].min() < grid.density[grid.inside].max()
 
 
 def test_contours_stay_in_bounding_box():

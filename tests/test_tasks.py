@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from moodsig import tasks
-from moodsig.encode import MISSING, Cohort, Group, ParticipantRecord, weekly
+from moodsig.encode import (
+    MISSING,
+    Cohort,
+    Group,
+    ParticipantRecord,
+    mrsf,
+    mrsf_width,
+    naive_features,
+    weekly,
+)
 from moodsig.errors import InsufficientDataError
 from moodsig.forest import ForestConfig
 from moodsig.metrics import report_to_dict
@@ -263,6 +272,45 @@ class TestScorePrediction:
         b = run_score_prediction(small_cohort, cfg)
         assert report_to_dict(a[0].mrsf_report) == report_to_dict(b[0].mrsf_report)
         assert report_to_dict(a[0].severity_report) == report_to_dict(b[0].severity_report)
+
+
+class TestFeatureTable:
+    def test_rows_are_each_runs_windows_in_run_order(self):
+        cohort = generate_cohort(CohortSpec(sizes=(2, 2, 2), weeks=24, seed=1))
+        weeks = [r.weeks for r in cohort.records]
+        wl, level = 10, 3
+        # a run shorter than one window, in the middle, adds no row; a run of
+        # exactly one window adds one
+        runs = [weeks[0], weeks[1][:wl - 1], weeks[2][3:], weeks[3][:wl], weeks[4]]
+        X_mrsf, X_naive, owner = tasks._feature_table(runs, level, wl)
+        counts = [max(len(run) - wl + 1, 0) for run in runs]
+        assert counts[1] == 0 and counts[3] == 1
+        assert owner.tolist() == [k for k, n in enumerate(counts) for _ in range(n)]
+        assert X_mrsf.shape == (sum(counts), mrsf_width(level))
+        assert X_naive.shape == (sum(counts), 2)
+        for k, run in enumerate(runs):
+            np.testing.assert_array_equal(X_mrsf[owner == k], mrsf(run, level, wl))
+            np.testing.assert_array_equal(X_naive[owner == k], naive_features(run, wl))
+
+    @pytest.mark.parametrize("run", [run_state_prediction, run_score_prediction])
+    def test_paired_forests_items_may_be_used_in_any_order(self, small_cohort, monkeypatch, run):
+        # every item taken before any model is fit gives the reports of the
+        # interleaved order, for two groups and both instruments
+        cfg = TaskConfig(seed=4, forest=SMALL_FOREST, bootstrap_samples=10,
+                         groups=(Group.BD, Group.BPD))
+        interleaved = run(small_cohort, cfg)
+        real = tasks._paired_forests
+        monkeypatch.setattr(tasks, "_paired_forests", lambda *a, **k: iter(list(real(*a, **k))))
+        taken_first = run(small_cohort, cfg)
+        assert [(r.group, r.instrument) for r in taken_first] == [
+            (g, i) for g in cfg.groups for i in Instrument
+        ]
+        for a, b in zip(interleaved, taken_first, strict=True):
+            assert (a.n_train, a.n_test) == (b.n_train, b.n_test)
+            for name in ("mrsf_report", "naive_report", "severity_report"):
+                reports = getattr(a, name), getattr(b, name)
+                assert reports == (None, None) or (
+                    report_to_dict(reports[0]) == report_to_dict(reports[1]))
 
 
 class TestRollout:
