@@ -7,8 +7,10 @@ are immutable; each tree draws from its own generator seeded by
 (master seed, tree index) so the build order never matters. That is what
 lets every fit split its trees into contiguous ranges, one per CPU the
 process may run on, grow them in one pool of worker processes and
-concatenate them in index order; a stream of independent fits (`fit_many`)
-keeps two fits' ranges in the pool at a time.
+concatenate them in index order. One loop (`fit_many`) schedules every fit
+and keeps two fits' ranges in flight at a time; with one CPU, or no
+affinity mask, the same loop grows the trees in-process, still reading up
+to two jobs ahead.
 
 A node costs a fixed, small number of numpy calls. A classification node
 never sums its rows: its class counts are exact integers, taken from its
@@ -161,10 +163,8 @@ class TreeEnsemble:
     def predict(self, x):
         """Class label by argmax (ties toward the lowest index) or mean target."""
         X, single = _as_matrix(x, self.feature_count)
-        if self.mode == CLASSIFY:
-            out = np.argmax(self.predict_proba(X), axis=1)
-        else:
-            out = self._tree_mean(X)[:, 0]
+        mean = self._tree_mean(X)
+        out = np.argmax(mean, axis=1) if self.mode == CLASSIFY else mean[:, 0]
         return out[0] if single else out
 
 
@@ -301,15 +301,34 @@ _JOBS_IN_FLIGHT = 2
 
 
 def _worker_count():
-    # the CPUs this process may run on; without an affinity mask (not
-    # Linux) trees are grown in-process
+    # the CPUs this process may run on; with one, or without an affinity
+    # mask (not Linux), fit_many's one loop grows the trees in-process
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
+class _InProcess:
+    # the pool's stand-in for one worker: submit grows the share at once and
+    # returns a completed future, an error set on it rather than raised, so
+    # the error surfaces at its job's turn, as a pool future's does
+    @staticmethod
+    def submit(fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def _executor(workers):
+    # where trees grow: in-process for one worker, else in the one pool
     global _pool
+    if workers <= 1:
+        return _InProcess
     if _pool is None:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -375,22 +394,6 @@ def _checked(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
                            config=config, seed=seed)
 
 
-def _checked_jobs(jobs):
-    # the jobs' _checked results in order; a job that fails the checks, or
-    # an iterable that raises, ends the stream with that exception, which
-    # fit_many raises in the job's place
-    jobs = iter(jobs)
-    while True:
-        try:
-            job = _checked(*next(jobs))
-        except StopIteration:
-            return
-        except Exception as exc:
-            yield exc
-            return
-        yield job
-
-
 def _tree_ranges(n_trees, parts):
     # contiguous ranges of tree indices, concatenated in index order: each
     # tree depends only on (key, t), so the ensemble does not depend on the
@@ -404,48 +407,43 @@ def fit_many(jobs):
 
     `jobs` is an iterable of `fit` argument tuples, `(X, y, mode[, config[,
     seed[, n_classes]]])`; each ensemble is the one `fit` returns for its
-    tuple. Each job's trees are split over the workers of the one pool.
-    Jobs are read lazily, at most two ahead of the ensembles already
-    yielded. A job that fails fit's checks raises fit's error in its
-    place, after the ensembles before it. Closing the generator early
-    cancels the jobs read ahead and waits for those already growing.
+    tuple. One loop serves every worker count: each job's trees are split
+    over the workers of the one pool, or grown in-process through the same
+    loop with one worker. Jobs are read lazily, at most two ahead of the
+    ensembles already yielded. A job that fails fit's checks, or a job
+    source that raises, raises its error in the job's place, after the
+    ensembles before it. Closing the generator early cancels the jobs read
+    ahead and waits for those already growing.
     """
-    jobs = _checked_jobs(jobs)
+    from concurrent.futures import BrokenExecutor, wait
+
+    jobs = iter(jobs)
     workers = _worker_count()
-    if workers <= 1:
-        for job in jobs:
-            if isinstance(job, Exception):
-                raise job
-            grow_args, fields = job
-            trees = _grow_trees(*grow_args, range(fields["config"].n_trees))
-            yield TreeEnsemble(**fields, trees=tuple(trees))
-        return
-
-    from concurrent.futures import wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    pending = deque()  # per job read ahead: (fields, futures), or its exception
+    pending = deque()  # per job read ahead: (fields, futures)
+    error = None  # of the job after those pending, raised in its place
     try:
         pool = _executor(workers)
         while True:
-            while len(pending) < _JOBS_IN_FLIGHT and (job := next(jobs, None)) is not None:
-                if isinstance(job, Exception):
-                    pending.append(job)
-                    continue
-                grow_args, fields = job
+            while error is None and len(pending) < _JOBS_IN_FLIGHT:
+                try:
+                    grow_args, fields = _checked(*next(jobs))
+                except StopIteration:
+                    break
+                except Exception as exc:
+                    error = exc
+                    break
                 n_trees = fields["config"].n_trees
                 pending.append((fields, [
                     pool.submit(_grow_trees, *grow_args, r)
                     for r in _tree_ranges(n_trees, min(workers, n_trees))
                 ]))
             if not pending:
+                if error is not None:
+                    raise error
                 return
-            job = pending.popleft()
-            if isinstance(job, Exception):
-                raise job
-            fields, futures = job
+            fields, futures = pending.popleft()
             yield TreeEnsemble(**fields, trees=tuple(t for fut in futures for t in fut.result()))
-    except BrokenProcessPool as exc:
+    except BrokenExecutor as exc:
         # a broken pool refuses all further work; the next fit starts anew
         shutdown_pool()
         raise ChildProcessError(
@@ -454,7 +452,7 @@ def fit_many(jobs):
     finally:
         # jobs read ahead of an error or of an abandoned stream: none is
         # left growing
-        futures = [fut for job in pending if isinstance(job, tuple) for fut in job[1]]
+        futures = [fut for _, futs in pending for fut in futs]
         for fut in futures:
             fut.cancel()
         wait(futures)

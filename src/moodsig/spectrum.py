@@ -98,7 +98,11 @@ def kde2d(points, bandwidth=None, resolution=200):
     normalising constant or the kernel's exponent overflows, or so large
     that the normalising constant is not a positive normal float (the
     density would read 0 everywhere) or that the density has one positive
-    value over the whole triangle, is a ValueError."""
+    value over the whole triangle, is a ValueError.
+
+    resolution: grid points per axis, at least 2."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     if len(points) < 2:
         raise InsufficientDataError("kde2d needs at least 2 points")
     xy = np.array([p.xy for p in points])

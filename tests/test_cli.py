@@ -584,6 +584,25 @@ def test_importing_the_cli_loads_no_pool_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_a_one_worker_fit_loads_no_pool_modules():
+    # with one worker the trees grow in-process: the stream loop's futures
+    # need concurrent.futures, but nothing of the process pool
+    src = str(Path(moodsig.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np\n"
+        "from moodsig import forest\n"
+        "forest._worker_count = lambda: 1\n"
+        "X = np.random.default_rng(0).normal(size=(30, 3))\n"
+        "forest.fit(X, np.arange(30) % 2, forest.CLASSIFY, forest.ForestConfig(n_trees=3))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing',"
+        " 'concurrent.futures.process'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_dead_forest_worker_is_a_clean_error(tmp_path, capsys, monkeypatch):
     csv_path = _synth_csv(tmp_path)
     # workers forked after the patch inherit it and die on their first tree

@@ -324,6 +324,60 @@ def test_fit_many_raises_a_bad_job_in_its_place(monkeypatch, workers):
     _assert_same_ensemble(fit(*next(_stream_jobs(CLASSIFY, 1))), expected[0])
 
 
+def _failing_source(n_jobs):
+    yield from _stream_jobs(CLASSIFY, n_jobs)
+    raise RuntimeError("job source failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fit_many_raises_a_failing_job_source_in_its_place(monkeypatch, workers):
+    # the source fails after four jobs: those four are yielded, then its
+    # error, and nothing read ahead is left growing
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    expected = [fit(*job) for job in _stream_jobs(CLASSIFY, 4)]
+    futures = _submitted_futures(monkeypatch)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    got = []
+    with pytest.raises(RuntimeError, match="job source failed"):
+        for model in forest.fit_many(_failing_source(4)):
+            got.append(model)
+    assert len(got) == 4
+    for ours, base in zip(got, expected):
+        _assert_same_ensemble(ours, base)
+    assert all(fut.done() for fut in futures)
+
+
+_real_grow_trees = forest._grow_trees
+
+
+def _fail_on_job_4(XT, stats, mode, cfg, n_candidates, key, tree_ids):
+    if key == (9, 4):
+        raise ValueError("cannot grow job 4")
+    return _real_grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fit_many_raises_a_grow_error_at_its_jobs_turn(monkeypatch, workers):
+    # job 4's trees fail to grow: in-process as in a worker, the four jobs
+    # before it are yielded first. Workers forked after the patch inherit
+    # it, and none is left for later tests.
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    expected = [fit(*job) for job in _stream_jobs(CLASSIFY, 4)]
+    forest.shutdown_pool()
+    monkeypatch.setattr(forest, "_grow_trees", _fail_on_job_4)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    got = []
+    try:
+        with pytest.raises(ValueError, match="cannot grow job 4"):
+            for model in forest.fit_many(_stream_jobs(CLASSIFY, 12)):
+                got.append(model)
+    finally:
+        forest.shutdown_pool()
+    assert len(got) == 4
+    for ours, base in zip(got, expected):
+        _assert_same_ensemble(ours, base)
+
+
 def test_closing_fit_many_leaves_no_work_running(monkeypatch):
     # jobs 0 and 1 (1 and 2 trees) are read ahead: three tasks on two workers
     monkeypatch.setattr(forest, "_worker_count", lambda: 2)

@@ -242,6 +242,13 @@ def test_explicit_bandwidth_forms():
         kde2d(pts, bandwidth=1e150, resolution=40)
 
 
+def test_resolution_below_two_is_an_error():
+    pts = _uniform_triangle_points(20, seed=0)
+    for resolution in (0, 1):
+        with pytest.raises(ValueError, match=f"^resolution must be >= 2, got {resolution}$"):
+            kde2d(pts, resolution=resolution)
+
+
 def test_flat_density_is_an_error():
     # every kernel term rounds to exp(-0.0) from 1e8 on; at 1e7 the density
     # is quantised to a few values but not flat
