@@ -12,15 +12,18 @@ and keeps two fits' ranges in flight at a time; with one CPU, or no
 affinity mask, the same loop grows the trees in-process, still reading up
 to two jobs ahead.
 
-A node costs a fixed, small number of numpy calls. A classification node
-never sums its rows: its class counts are exact integers, taken from its
-parent's prefix sums at the split. Prediction concatenates the trees' nodes
-and walks every (tree, row) pair at once, one numpy step per tree level, in
-groups of consecutive trees of at most 2^12 nodes (or one larger tree) and
-blocks of rows of at most 2^13 pairs, so its temporaries stay a few hundred
-KB unless one tree alone is larger; the per-tree results are added in tree
-order. Trees and predictions are bit for bit those of the per-node
-grower and the tree-at-a-time traversal kept in tests/oracles.py.
+A node costs a fixed, small number of numpy calls. The grower writes each
+node into preallocated arrays, one per node field, with a row for each of
+the at most 2n-1 nodes of a tree on n rows, and the tree keeps exact-size
+copies of the rows it used. A classification node never sums its rows: its
+class counts are exact integers, taken from its parent's prefix sums at the
+split. Prediction concatenates the trees' nodes and walks every (tree, row)
+pair at once, one numpy step per tree level, in groups of consecutive trees
+of at most 2^12 nodes (or one larger tree) and blocks of rows of at most
+2^13 pairs, so its temporaries stay a few hundred KB unless one tree alone
+is larger; the per-tree results are added in tree order. Trees and
+predictions are bit for bit those of the per-node grower and the
+tree-at-a-time traversal kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -195,18 +198,21 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
     cand_cols = np.arange(n_candidates)
     # left sizes 1..n-1 of a node's split positions; reversed, its right sizes
     sizes = np.arange(1, n_total, dtype=np.float64)[:, None]
-    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [None]
+    # one row per node of the largest possible tree; value holds class
+    # counts (classify) or the node's mean target (regress)
+    rows = 2 * n_total - 1
+    feature, left, right = np.full((3, rows), -1, dtype=np.int32)
+    threshold = np.zeros(rows)
+    value = np.empty((rows, stats.shape[0] if classify else 1))
     if classify:
-        # class counts are exact integers: a child's are its parent's
-        # prefix sums at the split, so a node never sums its rows
-        counts = np.empty((2 * n_total - 1, stats.shape[0]))
-        np.add.reduce(stats, axis=1, out=counts[0])
+        np.add.reduce(stats, axis=1, out=value[0])
+    n_nodes = 1
     stack = [(0, np.arange(n_total), 0)]
     while stack:
         node_id, idx, depth = stack.pop()
         n = idx.size
         if classify:
-            total = counts[node_id]
+            total = value[node_id]
             if n < 2 * min_leaf or depth >= max_depth or np.count_nonzero(total) <= 1:
                 continue
         else:
@@ -251,29 +257,18 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
             thr = lo
         feature[node_id] = int(cand[j])
         threshold[node_id] = thr
-        child = len(feature)
+        child = n_nodes
+        n_nodes += 2
         left[node_id], right[node_id] = child, child + 1
-        feature += [-1, -1]
-        threshold += [0.0, 0.0]
-        left += [-1, -1]
-        right += [-1, -1]
         if classify:
-            counts[child] = left_stats[:, pos, j]
-            counts[child + 1] = right_stats[:, pos, j]
-        else:
-            value += [None, None]
+            value[child] = left_stats[:, pos, j]
+            value[child + 1] = right_stats[:, pos, j]
         go_left = x_cand[:, j] <= thr
         stack.append((child, idx[go_left], depth + 1))
         stack.append((child + 1, idx[~go_left], depth + 1))
 
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=(counts[: len(feature)].copy() if classify
-               else np.asarray(value, dtype=np.float64)[:, None]),
-    )
+    # exact-size copies, so a tree keeps none of the 2n-1 row buffers
+    return _Tree(*(a[:n_nodes].copy() for a in (feature, threshold, left, right, value)))
 
 
 def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids):

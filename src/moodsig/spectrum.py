@@ -97,8 +97,11 @@ def kde2d(points, bandwidth=None, resolution=200):
     1e-3), a scalar, or an (hx, hy) pair. A bandwidth so small that the
     normalising constant or the kernel's exponent overflows, or so large
     that the normalising constant is not a positive normal float (the
-    density would read 0 everywhere) or that the density has one positive
-    value over the whole triangle, is a ValueError.
+    density would read 0 everywhere) or that every kernel term at every
+    grid node inside the triangle rounds to exactly 1.0 (the density would
+    have one value over the whole triangle), is a ValueError. Equal
+    densities at every inside node with kernel terms below 1.0, as two
+    symmetric points give at resolution 2, are no error.
 
     resolution: grid points per axis, at least 2."""
     if resolution < 2:
@@ -132,13 +135,18 @@ def kde2d(points, bandwidth=None, resolution=200):
         raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too small for the kernel's exponent")
     density = np.zeros((resolution, resolution))
     dx2 = ((xs[:, None] - xy[None, :, 0]) / hx) ** 2
+    # every kernel term at an inside node rounds to exp(-0.0): each contour
+    # would enclose all of the triangle. Checked row by row until a term is
+    # not 1.0, so a usual bandwidth stops at the first row with inside nodes.
+    flat = True
     for iy in range(resolution):
         dy2 = ((ys[iy] - xy[:, 1]) / hy) ** 2
-        density[iy] = norm * np.exp(-0.5 * (dx2 + dy2[None, :])).sum(axis=1)
+        kernel = np.exp(-0.5 * (dx2 + dy2[None, :]))
+        flat = flat and bool((kernel.min(axis=1)[inside[iy]] == 1.0).all())
+        density[iy] = norm * kernel.sum(axis=1)
+        del kernel  # not held beside the next row's temporaries
     density[~inside] = 0.0
-    # every kernel term rounds to exp(-0.0): each contour would enclose all
-    # of the triangle
-    if density[inside].min() == density[inside].max() > 0:
+    if flat:
         raise ValueError(f"bandwidth ({hx!r}, {hy!r}) is too large: the density "
                          "has one value over the whole triangle")
 

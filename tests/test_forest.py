@@ -218,6 +218,23 @@ def test_trees_do_not_depend_on_worker_count(monkeypatch, mode):
             _assert_same_trees(fitted[workers].trees, fitted[1].trees)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_grown_trees_own_exact_size_node_arrays(monkeypatch, mode, workers):
+    # the grower writes each tree into buffers of 2n-1 rows; the tree keeps
+    # copies of its own rows only, grown in-process (1 worker) or in the pool
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(40, 4))
+    y = rng.integers(0, 3, size=40) if mode == CLASSIFY else rng.normal(size=40)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    for tree in fit(X, y, mode, ForestConfig(n_trees=4), seed=3).trees:
+        n_nodes = len(tree.feature)
+        assert 1 < n_nodes < 2 * 40 - 1
+        for name in _NODE_ARRAYS:
+            array = getattr(tree, name)
+            assert array.base is None and array.shape[0] == n_nodes
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_probability_rows_always_normalized(seed, n_classes):
