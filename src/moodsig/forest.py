@@ -12,6 +12,13 @@ and keeps two fits' ranges in flight at a time; with one CPU, or no
 affinity mask, the same loop grows the trees in-process, still reading up
 to two jobs ahead.
 
+The same loop serves `score_many`, for jobs that need only a fit's tree
+mean on a few rows (the leave-one-out points). Each tree is grown under
+the same protocol, but only until every scored row sits in a leaf, since
+the nodes the depth-first order visits later draw later from the tree's
+generator and cannot move them. A worker returns the rows' leaf values,
+not trees, and they are added in tree order as prediction adds them.
+
 A node costs a fixed, small number of numpy calls. The grower writes each
 node into preallocated arrays, one per node field, with a row for each of
 the at most 2n-1 nodes of a tree on n rows, and the tree keeps exact-size
@@ -118,6 +125,18 @@ def _concatenated(trees, classify):
     return roots, feature, threshold, children, value, depth
 
 
+def _add_in_tree_order(sums, leaf_values):
+    # adds the leaf values of consecutive trees, (trees, rows, C), to the
+    # running per-row sums, (rows, C), in place: accumulate adds them in tree
+    # order, so from zeros each row's sum is 0 + v0 + v1 + ... bit for bit,
+    # however the trees are split into calls. The tree mean divides the
+    # final sums by the number of trees.
+    steps = np.empty((len(leaf_values) + 1, *sums.shape))
+    steps[0] = sums
+    steps[1:] = leaf_values
+    sums[...] = np.add.accumulate(steps, axis=0, out=steps)[-1]
+
+
 @dataclass(frozen=True)
 class TreeEnsemble:
     """Immutable fitted ensemble; thread-safe for prediction."""
@@ -145,13 +164,8 @@ class TreeEnsemble:
                     # inputs are finite, so > is exactly "not <=", the split rule
                     go_right = block[rows, feature[node]] > threshold[node]
                     node = children[node, go_right.view(np.uint8)]
-                # the running sums, then the group's leaf values tree by tree:
-                # accumulate adds them in tree order, so each row's sum is
-                # 0 + v0 + v1 + ... bit for bit
-                sums = np.empty((len(trees) + 1, block.shape[0], out.shape[1]))
-                sums[0] = out[lo : lo + step]
-                sums[1:] = leaf_value[node].reshape(len(trees), block.shape[0], -1)
-                out[lo : lo + step] = np.add.accumulate(sums, axis=0, out=sums)[-1]
+                _add_in_tree_order(out[lo : lo + step],
+                                   leaf_value[node].reshape(len(trees), block.shape[0], -1))
         out /= len(self.trees)
         return out
 
@@ -183,7 +197,7 @@ def _as_matrix(x, feature_count):
     return X, single
 
 
-def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
+def _grow_tree(XT, stats, mode, cfg, n_candidates, rng, X_score=None):
     # XT is the bootstrap sample transposed (features x rows), stats its
     # one-hot class rows (classes x rows, classify) or targets (regress). A
     # node gathers its candidate columns as whole feature rows, sorts each
@@ -191,6 +205,13 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
     # sum(left_stats^2)/n_left + sum(right_stats^2)/n_right, a monotone
     # equivalent of Gini gain and of variance reduction, taking the first
     # maximum in position-major order.
+    #
+    # Without X_score the whole tree is grown and returned. With rows to
+    # score, each stack entry also holds the scored rows that reach its
+    # node, and the DFS stops once no entry holds any: every scored row then
+    # sits in its leaf, and a node not yet grown would only draw later from
+    # rng, so it cannot move them. The rows' leaf values (class fractions or
+    # mean target) are returned instead of the tree.
     f, n_total = XT.shape
     min_leaf = cfg.min_leaf
     max_depth = n_total if cfg.max_depth is None else cfg.max_depth
@@ -207,9 +228,22 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
     if classify:
         np.add.reduce(stats, axis=1, out=value[0])
     n_nodes = 1
-    stack = [(0, np.arange(n_total), 0)]
+    held = None
+    if X_score is not None:
+        # each scored row's deepest node so far, and how many scored rows
+        # the entries on the stack hold
+        held = np.arange(X_score.shape[0])
+        node_of = np.zeros(held.size, dtype=np.intp)
+        unsettled = held.size
+    stack = [(0, np.arange(n_total), 0, held)]
     while stack:
-        node_id, idx, depth = stack.pop()
+        node_id, idx, depth, held = stack.pop()
+        if held is not None:
+            if not unsettled:
+                break
+            if held.size:
+                node_of[held] = node_id
+                unsettled -= held.size
         n = idx.size
         if classify:
             total = value[node_id]
@@ -255,7 +289,8 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
             # value, which would route every sample left; fall back to the
             # lower value
             thr = lo
-        feature[node_id] = int(cand[j])
+        best = int(cand[j])
+        feature[node_id] = best
         threshold[node_id] = thr
         child = n_nodes
         n_nodes += 2
@@ -264,24 +299,37 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
             value[child] = left_stats[:, pos, j]
             value[child + 1] = right_stats[:, pos, j]
         go_left = x_cand[:, j] <= thr
-        stack.append((child, idx[go_left], depth + 1))
-        stack.append((child + 1, idx[~go_left], depth + 1))
+        held_left = held_right = held
+        if held is not None and held.size:
+            # the split rule predict walks: > goes right
+            scored_left = X_score[:, best][held] <= thr
+            held_left, held_right = held[scored_left], held[~scored_left]
+            unsettled += held.size
+        stack.append((child, idx[go_left], depth + 1, held_left))
+        stack.append((child + 1, idx[~go_left], depth + 1, held_right))
 
+    if X_score is not None:
+        leaf_value = value[node_of]
+        if classify:
+            leaf_value /= leaf_value.sum(axis=1, keepdims=True)
+        return leaf_value
     # exact-size copies, so a tree keeps none of the 2n-1 row buffers
     return _Tree(*(a[:n_nodes].copy() for a in (feature, threshold, left, right, value)))
 
 
-def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids):
+def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score=None):
     """The trees numbered tree_ids, each grown from its own (key, t)
     generator: its bootstrap draw, then one candidate draw per node, in
-    right-subtree-first depth-first order."""
+    right-subtree-first depth-first order. Given rows X_score, their leaf
+    values instead, one (rows, C) slice per tree, as one array."""
     m = XT.shape[1]
-    trees = []
+    grown = []
     for t in tree_ids:
         rng = np.random.default_rng((*key, t))
         boot = rng.integers(0, m, size=m)
-        trees.append(_grow_tree(XT[:, boot], stats[..., boot], mode, cfg, n_candidates, rng))
-    return trees
+        grown.append(_grow_tree(XT[:, boot], stats[..., boot], mode, cfg, n_candidates, rng,
+                                X_score))
+    return grown if X_score is None else np.array(grown)
 
 
 # The worker pool is created by the first fit that uses more than one
@@ -397,47 +445,64 @@ def _tree_ranges(n_trees, parts):
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def fit_many(jobs):
-    """Fit one ensemble per job and yield them in job order.
+def _fit_job(job):
+    # a fit_many job: fit's argument tuple; its shares are lists of trees
+    grow_args, fields = _checked(*job)
+    return grow_args, (), fields["config"].n_trees, lambda shares: TreeEnsemble(
+        **fields, trees=tuple(t for share in shares for t in share))
 
-    `jobs` is an iterable of `fit` argument tuples, `(X, y, mode[, config[,
-    seed[, n_classes]]])`; each ensemble is the one `fit` returns for its
-    tuple. One loop serves every worker count: each job's trees are split
-    over the workers of the one pool, or grown in-process through the same
-    loop with one worker. Jobs are read lazily, at most two ahead of the
-    ensembles already yielded. A job that fails fit's checks, or a job
-    source that raises, raises its error in the job's place, after the
-    ensembles before it. Closing the generator early cancels the jobs read
-    ahead and waits for those already growing.
-    """
+
+def _score_job(job):
+    # a score_many job: fit's argument tuple and the rows to score, checked
+    # as predict checks them; its shares are (trees, rows, C) leaf values
+    args, rows = job
+    grow_args, fields = _checked(*args)
+    X, single = _as_matrix(rows, fields["feature_count"])
+    n_trees = fields["config"].n_trees
+
+    def tree_mean(shares):
+        # one column per class, or one mean target (regress reads 0 classes)
+        mean = np.zeros((X.shape[0], fields["n_classes"] or 1))
+        for share in shares:
+            _add_in_tree_order(mean, share)
+        mean /= n_trees
+        return mean[0] if single else mean
+
+    return grow_args, (X,), n_trees, tree_mean
+
+
+def _stream(jobs, start):
+    # the one read-ahead loop of fit_many and score_many: `start(job)` checks
+    # a job and returns (grow_args, extra, n_trees, finish); each share of
+    # its trees grows as _grow_trees(*grow_args, tree_ids, *extra), and
+    # finish(the shares' results, in tree order) is what the job yields
     from concurrent.futures import BrokenExecutor, wait
 
     jobs = iter(jobs)
     workers = _worker_count()
-    pending = deque()  # per job read ahead: (fields, futures)
+    pending = deque()  # per job read ahead: (finish, futures)
     error = None  # of the job after those pending, raised in its place
     try:
         pool = _executor(workers)
         while True:
             while error is None and len(pending) < _JOBS_IN_FLIGHT:
                 try:
-                    grow_args, fields = _checked(*next(jobs))
+                    grow_args, extra, n_trees, finish = start(next(jobs))
                 except StopIteration:
                     break
                 except Exception as exc:
                     error = exc
                     break
-                n_trees = fields["config"].n_trees
-                pending.append((fields, [
-                    pool.submit(_grow_trees, *grow_args, r)
+                pending.append((finish, [
+                    pool.submit(_grow_trees, *grow_args, r, *extra)
                     for r in _tree_ranges(n_trees, min(workers, n_trees))
                 ]))
             if not pending:
                 if error is not None:
                     raise error
                 return
-            fields, futures = pending.popleft()
-            yield TreeEnsemble(**fields, trees=tuple(t for fut in futures for t in fut.result()))
+            finish, futures = pending.popleft()
+            yield finish(fut.result() for fut in futures)
     except BrokenExecutor as exc:
         # a broken pool refuses all further work; the next fit starts anew
         shutdown_pool()
@@ -451,6 +516,38 @@ def fit_many(jobs):
         for fut in futures:
             fut.cancel()
         wait(futures)
+
+
+def fit_many(jobs):
+    """Fit one ensemble per job and yield them in job order.
+
+    `jobs` is an iterable of `fit` argument tuples, `(X, y, mode[, config[,
+    seed[, n_classes]]])`; each ensemble is the one `fit` returns for its
+    tuple. One loop serves every worker count and `score_many` too: each
+    job's trees are split over the workers of the one pool, or grown
+    in-process through the same loop with one worker. Jobs are read lazily,
+    at most two ahead of the ensembles already yielded. A job that fails
+    fit's checks, or a job source that raises, raises its error in the job's
+    place, after the ensembles before it. Closing the generator early
+    cancels the jobs read ahead and waits for those already growing.
+    """
+    return _stream(jobs, _fit_job)
+
+
+def score_many(jobs):
+    """Yield, per job, the tree mean of `fit(*args)` on `rows`, without
+    building the ensemble.
+
+    `jobs` is an iterable of `(args, rows)` pairs: `args` a `fit` argument
+    tuple, `rows` a matrix (or one row) checked as `predict` checks it. Each
+    result is the per-row mean of the trees' leaf values, class fractions or
+    mean targets, so in classify mode it is byte for byte
+    `fit(*args).predict_proba(rows)`. Each tree is grown under fit's random
+    protocol only until every row sits in a leaf, and a worker returns the
+    rows' leaf values instead of trees. Jobs run through `fit_many`'s loop,
+    with its read-ahead, error order and cancellation.
+    """
+    return _stream(jobs, _score_job)
 
 
 def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):

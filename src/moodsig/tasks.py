@@ -22,7 +22,7 @@ from .encode import (
     naive_features,
 )
 from .errors import InsufficientDataError
-from .forest import CLASSIFY, REGRESS, ForestConfig, fit, fit_many
+from .forest import CLASSIFY, REGRESS, ForestConfig, fit, score_many
 from .metrics import EvalReport, evaluate_classification, evaluate_regression, mae
 
 CLASSIFY_WINDOW = 20  # weeks in a classification window
@@ -250,18 +250,20 @@ def classification_windows(cohort, config):
 def loo_points(records, X_mrsf, config):
     """Leave-one-out probability vectors of the participants in
     `config.group_list`: participant `i`'s MRSF row scored by a forest fit
-    on every other row, of all groups, with seed `(seed, 106, i)`."""
+    on every other row, of all groups, with seed `(seed, 106, i)`. The
+    vectors are those of `fit(...).predict_proba`, but no ensemble is
+    built: `score_many` grows each tree only until the held-out row sits in
+    a leaf."""
     y = np.array([r.group.index for r in records])
     scored = [i for i, r in enumerate(records) if r.group in config.group_list]
-    # the fits are independent, so they share the worker pool as one
-    # stream; each model is freed once its point is taken
-    fits = fit_many(
-        (np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, config.forest,
-         (config.seed, 106, i), 3)
+    # the fits are independent, so they share the worker pool as one stream
+    probs = score_many(
+        ((np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, config.forest,
+          (config.seed, 106, i), 3), X_mrsf[i : i + 1])
         for i in scored
     )
-    return tuple(ProbabilityPoint(records[i].id, records[i].group, model.predict_proba(X_mrsf[i]))
-                 for i, model in zip(scored, fits))
+    return tuple(ProbabilityPoint(records[i].id, records[i].group, p[0])
+                 for i, p in zip(scored, probs))
 
 
 def run_classification(cohort, config):

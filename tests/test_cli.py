@@ -603,6 +603,25 @@ def test_a_one_worker_fit_loads_no_pool_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_a_one_worker_scoring_run_loads_no_pool_modules():
+    # the scoring stream runs through the same loop, in-process with one worker
+    src = str(Path(moodsig.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np\n"
+        "from moodsig import forest\n"
+        "forest._worker_count = lambda: 1\n"
+        "X = np.random.default_rng(0).normal(size=(30, 3))\n"
+        "job = ((X, np.arange(30) % 2, forest.CLASSIFY, forest.ForestConfig(n_trees=3)), X[:2])\n"
+        "assert list(forest.score_many([job]))[0].shape == (2, 2)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing',"
+        " 'concurrent.futures.process'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_dead_forest_worker_is_a_clean_error(tmp_path, capsys, monkeypatch):
     csv_path = _synth_csv(tmp_path)
     # workers forked after the patch inherit it and die on their first tree
@@ -623,13 +642,15 @@ _grow_trees = forest._grow_trees
 _PARENT_PID = os.getpid()
 
 
-def _die_on_loo_fits(XT, stats, mode, cfg, n_candidates, key, tree_ids):
-    # a worker growing a leave-one-out fit (key namespace 106) dies; were
-    # one grown in-process, the test would fail rather than end pytest
+def _die_on_loo_fits(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score=None):
+    # a worker growing a leave-one-out fit (key namespace 106, its held-out
+    # row to score) dies; were one grown in-process, the test would fail
+    # rather than end pytest
     if key[1] == 106:
+        assert X_score is not None, "a leave-one-out fit was grown without its row to score"
         assert os.getpid() != _PARENT_PID, "a leave-one-out fit was grown in-process"
         os._exit(1)
-    return _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids)
+    return _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score)
 
 
 def test_dead_worker_in_the_loo_stream_is_a_clean_error(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -423,6 +424,65 @@ def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
     assert len(futures) == 9
 
 
+def _score_jobs(mode, n_jobs, bad_rows=None, **kwargs):
+    # _stream_jobs with rows to score: two training rows and a fresh one;
+    # job `bad_rows` scores rows of the wrong width
+    rng = np.random.default_rng(44)
+    for j, args in enumerate(_stream_jobs(mode, n_jobs, **kwargs)):
+        rows = np.vstack([args[0][:2], rng.normal(size=(1, 4))])
+        yield args, rows[:, :3] if j == bad_rows else rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_score_many_equals_the_tree_mean_of_fit(monkeypatch, mode, workers):
+    # more jobs than are read ahead, read from a generator
+    n_jobs = forest._JOBS_IN_FLIGHT + 4
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    expected = [fit(*args)._tree_mean(rows) for args, rows in _score_jobs(mode, n_jobs)]
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    got = list(forest.score_many(_score_jobs(mode, n_jobs)))
+    assert len(got) == n_jobs
+    for ours, base in zip(got, expected):
+        _assert_same_bytes(ours, base)
+
+
+@pytest.mark.parametrize("bad", ["features", "rows"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_score_many_raises_a_bad_job_in_its_place(monkeypatch, workers, bad):
+    # job 4 has a NaN feature, or rows of the wrong width: the four results
+    # before it are yielded, then the error fit or predict_proba raises, and
+    # nothing read ahead is left growing
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    expected = [fit(*args).predict_proba(rows) for args, rows in _score_jobs(CLASSIFY, 4)]
+    bad_job = {"features": dict(bad=4), "rows": dict(bad_rows=4)}[bad]
+    args, rows = list(_score_jobs(CLASSIFY, 5, **bad_job))[4]
+    with pytest.raises(ValueError) as direct_error:
+        fit(*args).predict_proba(rows)
+    futures = _submitted_futures(monkeypatch)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    got = []
+    with pytest.raises(ValueError) as stream_error:
+        for probs in forest.score_many(_score_jobs(CLASSIFY, 12, **bad_job)):
+            got.append(probs)
+    assert str(stream_error.value) == str(direct_error.value)
+    assert len(got) == 4
+    for ours, base in zip(got, expected):
+        _assert_same_bytes(ours, base)
+    assert all(fut.done() for fut in futures)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_closing_score_many_leaves_no_work_running(monkeypatch, workers):
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    futures = _submitted_futures(monkeypatch)
+    stream = forest.score_many(_score_jobs(REGRESS, 20))
+    next(stream)
+    stream.close()
+    assert 1 < len(futures) <= workers * forest._JOBS_IN_FLIGHT
+    assert all(fut.done() for fut in futures)
+
+
 _ULPS = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
 
 
@@ -502,6 +562,61 @@ def test_traversal_matches_the_tree_loop_oracle(case, pairs_per_block, nodes_per
     with mock.patch.multiple(forest, _PAIRS_PER_BLOCK=pairs_per_block,
                              _NODES_PER_GROUP=nodes_per_group):
         _assert_traversal_matches(model, probe)
+
+
+def _assert_scores_match(case, rows):
+    # score_many, grown in-process and in the pool, against the tree mean
+    # and prediction of fit's ensemble and of the per-node loop's trees
+    with mock.patch.object(forest, "_worker_count", lambda: 1):
+        model = fit(*case)
+    oracle = replace(model, trees=tuple(loop_fit_trees(*case)))
+    expected = model._tree_mean(rows)
+    if model.mode == CLASSIFY:
+        _assert_same_bytes(expected, model.predict_proba(rows))
+        _assert_same_bytes(expected, loop_predict_proba(oracle, rows))
+    else:
+        _assert_same_bytes(expected[:, 0], loop_predict(oracle, rows))
+    for workers in (1, 2):
+        with mock.patch.object(forest, "_worker_count", lambda w=workers: w):
+            got = list(forest.score_many([(case, rows), (case, rows[-1:]), (case, rows[-1])]))
+        assert len(got) == 3
+        for ours, base in zip(got, (expected, expected[-1:], expected[-1])):
+            _assert_same_bytes(ours, base)
+    return model
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fit_cases(), st.integers(0, 2**32 - 1))
+def test_score_many_matches_fit_and_the_oracles(case, probe_seed):
+    # training rows, rows sitting exactly on a split threshold (a training
+    # row with one node's feature set to its threshold) and fresh rows, in
+    # shuffled order: all together, and the last alone as a matrix and as
+    # one row
+    with mock.patch.object(forest, "_worker_count", lambda: 1):
+        model = fit(*case)
+    X = case[0]
+    rng = np.random.default_rng(probe_seed)
+    splits = [(f, thr) for tree in model.trees
+              for f, thr in zip(tree.feature.tolist(), tree.threshold.tolist()) if f >= 0]
+    on_threshold = X[rng.integers(0, len(X), size=len(splits))]
+    for row, (f, thr) in zip(on_threshold, splits):
+        row[f] = thr
+    rows = np.vstack([X, on_threshold, rng.normal(size=(3, X.shape[1]))])
+    _assert_scores_match(case, rng.permutation(rows))
+
+
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_score_many_when_the_root_is_a_leaf(mode):
+    # min_leaf 16 on 30 rows leaves every root a leaf; max_depth 1 stops
+    # every tree after one split
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(30, 3))
+    y = rng.integers(0, 3, size=30) if mode == CLASSIFY else rng.normal(size=30)
+    rows = np.vstack([X[:4], rng.normal(size=(2, 3))])
+    for config, most_nodes in ((ForestConfig(n_trees=5, min_leaf=16), 1),
+                               (ForestConfig(n_trees=5, max_depth=1), 3)):
+        model = _assert_scores_match((X, y, mode, config, 4), rows)
+        assert max(len(tree.feature) for tree in model.trees) == most_nodes
 
 
 def _chain_tree(depth, mode):

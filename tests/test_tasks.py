@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moodsig import tasks
+from moodsig import forest, tasks
 from moodsig.encode import (
     MISSING,
     Cohort,
@@ -15,7 +15,7 @@ from moodsig.encode import (
     weekly,
 )
 from moodsig.errors import InsufficientDataError
-from moodsig.forest import ForestConfig
+from moodsig.forest import CLASSIFY, ForestConfig, TreeEnsemble, fit
 from moodsig.metrics import report_to_dict
 from moodsig.synth import CohortSpec, GroupParams, generate_cohort
 from moodsig.tasks import (
@@ -180,22 +180,85 @@ class TestClassification:
             np.testing.assert_array_equal(pa.probs, pb.probs)
 
     def test_loo_points_fit_only_the_requested_groups(self, small_cohort, monkeypatch):
-        # the BD points of an all-groups run, from one fit per BD participant
+        # the BD points of an all-groups run, from one scoring job per BD
+        # participant
         cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
         records, X_mrsf, _ = classification_windows(small_cohort, cfg)
         every = loo_points(records, X_mrsf, cfg)
-        jobs, real = [], tasks.fit_many
+        jobs, real = [], tasks.score_many
 
         def counted(stream):
             return real(jobs.append(job) or job for job in stream)
 
-        monkeypatch.setattr(tasks, "fit_many", counted)
+        monkeypatch.setattr(tasks, "score_many", counted)
         bd = loo_points(records, X_mrsf, replace(cfg, groups=(Group.BD,)))
         assert len(jobs) == len(bd) == 8
         expected = [p for p in every if p.group is Group.BD]
         assert [p.participant_id for p in bd] == [p.participant_id for p in expected]
         for pa, pb in zip(bd, expected):
             np.testing.assert_array_equal(pa.probs, pb.probs)
+
+    def test_loo_points_are_per_participant_fits_without_an_ensemble(self, small_cohort,
+                                                                     monkeypatch):
+        # each point is predict_proba, on the held-out row, of the forest fit
+        # on every other row; grown in-process, loo_points gets there
+        # without predicting through an ensemble
+        cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
+        records, X_mrsf, _ = classification_windows(small_cohort, cfg)
+        y = np.array([r.group.index for r in records])
+        monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+        expected = [
+            fit(np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, cfg.forest,
+                (cfg.seed, 106, i), 3).predict_proba(X_mrsf[i])
+            for i in range(len(records))
+        ]
+
+        def refuse(*args):
+            raise AssertionError("loo_points predicted through an ensemble")
+
+        monkeypatch.setattr(TreeEnsemble, "predict_proba", refuse)
+        points = loo_points(records, X_mrsf, cfg)
+        assert [p.participant_id for p in points] == [r.id for r in records]
+        for point, probs in zip(points, expected):
+            assert point.probs.tobytes() == probs.tobytes()
+
+    def test_loo_scoring_grows_fewer_nodes_than_the_full_fits(self, small_cohort,
+                                                              monkeypatch):
+        # the same leave-one-out jobs, grown whole by fit and only to the
+        # held-out rows' leaves by score_many, counting candidate draws (one
+        # per split attempt). A tree has one node more than twice its
+        # splits, so trees + 2 * draws bounds the nodes score_many creates.
+        cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
+        records, X_mrsf, _ = classification_windows(small_cohort, cfg)
+        jobs, real = [], tasks.score_many
+        monkeypatch.setattr(tasks, "score_many",
+                            lambda stream: real(jobs.append(job) or job for job in stream))
+        loo_points(records, X_mrsf, cfg)
+        assert len(jobs) == len(records)
+        draws, default_rng = [0], np.random.default_rng
+
+        class CountingDraws:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def choice(self, *args, **kwargs):
+                draws[0] += 1
+                return self.rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+        monkeypatch.setattr(np.random, "default_rng", CountingDraws)
+        models = [fit(*args) for args, _ in jobs]
+        full_draws, draws[0] = draws[0], 0
+        scores = list(forest.score_many(jobs))
+        trees = sum(len(m.trees) for m in models)
+        full_nodes = sum(len(t.feature) for m in models for t in m.trees)
+        assert draws[0] < full_draws
+        assert trees + 2 * draws[0] < full_nodes
+        for model, (_, rows), probs in zip(models, jobs, scores):
+            assert probs.tobytes() == model._tree_mean(rows).tobytes()
 
     def test_short_records_excluded(self):
         cohort = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=2))
