@@ -86,23 +86,12 @@ def _scores(weeks) -> np.ndarray:
     return np.stack([weeks["asrm"], weeks["qids"]], axis=-1).astype(float)
 
 
-# the most weeks, summed over its windows, that one block of a sliding
-# encoding holds: its arrays take about 100 bytes per week at level 2, so
+# the most weeks, summed over its windows, that one block of a sliding `mrsf`
+# encoding holds: its arrays take about 105 bytes per week at level 2, so
 # memory stays bounded whatever the run length. Each block is signed in one
 # Python step per week of its window, so a smaller bound is slower on long
 # windows.
 BLOCK_WEEKS = 1 << 18
-
-
-def _window_blocks(weeks, window_length):
-    """The (n, window_length, 2) float scores of every run of `window_length`
-    consecutive weeks, in order, as strided views of at most `BLOCK_WEEKS`
-    weeks (and at least one window) each; `weeks` holds at least one window."""
-    # (n_windows, 2, wl) view -> (n_windows, wl, 2)
-    windows = np.lib.stride_tricks.sliding_window_view(_scores(weeks), window_length, axis=0)
-    windows = windows.swapaxes(-1, -2)
-    step = max(BLOCK_WEEKS // window_length, 1)
-    return [windows[s:s + step] for s in range(0, len(windows), step)]
 
 
 def _fill(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,9 +181,14 @@ def mrsf(
     if len(weeks) < wl:
         # no window to encode; the encoding's arrays grow with wl
         return np.empty((0, mrsf_width(level)))
+    # (n_windows, 2, wl) view -> (n_windows, wl, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(_scores(weeks), wl, axis=0)
+    windows = windows.swapaxes(-1, -2)
+    step = max(BLOCK_WEEKS // wl, 1)
+    blocks = (windows[s:s + step] for s in range(0, len(windows), step))
     features = np.concatenate([
         stream_signature(normalize_and_cumulate(*_fill(block), wl), level).flatten()
-        for block in _window_blocks(weeks, wl)
+        for block in blocks
     ])
     return features[0] if window_length is None else features
 
@@ -204,21 +198,19 @@ def naive_features(weeks: np.recarray, window_length: int | None = None) -> np.n
 
     Sliding form as in `mrsf`: with ``window_length`` set, one row per
     window of ``window_length`` consecutive weeks, an (n_windows, 2) table
-    computed in the same blocks; fewer weeks than ``window_length`` give a
-    (0, 2) table at once.
+    whose totals and counts are differences of two prefix sums over the run,
+    each row equal to the one-window form; fewer weeks than
+    ``window_length`` give a (0, 2) table.
     """
     wl = len(weeks) if window_length is None else window_length
     if wl < 1:
         raise InsufficientDataError("window must contain at least one week")
-    if len(weeks) < wl:
-        return np.empty((0, 2))
-    means = []
-    for windows in _window_blocks(weeks, wl):
-        valid = windows != MISSING
-        # integer sums are exact in any order, so each mean is bit-exact
-        count = valid.sum(axis=-2)
-        total = np.where(valid, windows, 0.0).sum(axis=-2)
-        means.append(np.divide(total, count, out=np.zeros_like(total), where=count > 0))
-    means = np.concatenate(means)
+    scores = _scores(weeks)
+    valid = scores != MISSING
+    prefix = np.zeros((2, len(weeks) + 1, 2))
+    np.cumsum([np.where(valid, scores, 0.0), valid], axis=1, out=prefix[:, 1:])
+    # every partial sum is an integer below 2**53, so each total, count and
+    # mean is bit-exact; a negative stop would wrap, so it is clamped at 0
+    total, count = prefix[:, wl:] - prefix[:, :max(len(weeks) + 1 - wl, 0)]
+    means = np.divide(total, count, out=np.zeros_like(total), where=count > 0)
     return means[0] if window_length is None else means
-

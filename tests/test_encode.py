@@ -225,6 +225,41 @@ def test_sliding_memory_is_bounded_by_the_block_size():
         assert peak < 40 * 2**20, peak
 
 
+def _longest_run():
+    # the most weeks a participant may have, every answered week at the
+    # instrument maxima so the running sums are as large as they get; a
+    # leading gap, interior gaps (30% missing) and an all-missing stretch of
+    # 40 weeks that holds the middle row of every small window
+    def missing(t):
+        return t < 3 or t % 10 in (3, 7, 8) or 4990 <= t < 5030
+
+    return weekly(missing_week(t) if missing(t) else obs(t, 20, 27) for t in range(10_001))
+
+
+@pytest.mark.parametrize("window_length", [1, 2, 10, 5000, 10_001])
+def test_sliding_naive_rows_are_exact_on_the_longest_run(window_length):
+    weeks = _longest_run()
+    naive = naive_features(weeks, window_length)
+    n_windows = len(weeks) - window_length + 1
+    assert naive.shape == (n_windows, 2)
+    for s in (0, n_windows // 2, n_windows - 1):
+        window = weeks[s : s + window_length]
+        assert np.array_equal(naive[s], loop_naive(window))
+        assert np.array_equal(naive[s], naive_features(window))
+
+
+def test_sliding_naive_memory_is_linear_in_the_run():
+    # the windows' own weeks, summed, are 5,001 times the run
+    weeks = _longest_run()
+    tracemalloc.start()
+    try:
+        naive_features(weeks, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 class TestNaiveFeatures:
     def test_plain_mean(self):
         np.testing.assert_array_equal(
