@@ -7,13 +7,13 @@ are immutable; each tree draws from its own generator seeded by
 (master seed, tree index) so the build order never matters. That is what
 lets every fit split its trees into contiguous ranges, one per CPU the
 process may run on, grow them in one pool of worker processes and
-concatenate them in index order. One loop (`fit_many`) schedules every fit
-and keeps two fits' ranges in flight at a time; with one CPU, or no
-affinity mask, the same loop grows the trees in-process, still reading up
-to two jobs ahead.
+concatenate them in index order. One loop (`_stream`) schedules every job,
+`fit`'s one or a stream of them, keeping two jobs' ranges in flight; with
+one CPU, or no affinity mask, it grows the trees in-process, still reading
+up to two jobs ahead.
 
-The same loop serves `score_many`, for jobs that need only a fit's tree
-mean on a few rows (the leave-one-out points). Each tree is grown under
+`score_many` streams through the same loop jobs that need only a fit's
+tree mean on a few rows (the leave-one-out points). Each tree is grown under
 the same protocol, but only until every scored row sits in a leaf, since
 the nodes the depth-first order visits later draw later from the tree's
 generator and cannot move them. A worker returns the rows' leaf values,
@@ -78,11 +78,12 @@ class _Tree:
     value: np.ndarray
 
 
-# predict concatenates the nodes of consecutive trees, at most
-# _NODES_PER_GROUP of them (or one larger tree), and walks blocks of rows
-# holding at most _PAIRS_PER_BLOCK (tree, row) pairs (one row when a group
-# has more trees), so the number of rows or trees does not grow its
-# temporaries
+# the tasks predict every ensemble they fit, and a tree-at-a-time walk, same
+# bytes, took 2-5x this walk's predict time on every benchmark workload (2
+# CPUs). predict walks groups of consecutive trees of at most
+# _NODES_PER_GROUP nodes (or one larger tree) over blocks of at most
+# _PAIRS_PER_BLOCK (tree, row) pairs (one row when a group has more trees),
+# so the number of rows or trees does not grow its temporaries
 _NODES_PER_GROUP = 1 << 12
 _PAIRS_PER_BLOCK = 1 << 13
 
@@ -173,28 +174,21 @@ class TreeEnsemble:
         """Average of per-tree leaf class frequencies, rows summing to 1."""
         if self.mode != CLASSIFY:
             raise ValueError("predict_proba requires classify mode")
-        X, single = _as_matrix(x, self.feature_count)
-        probs = self._tree_mean(X)
-        return probs[0] if single else probs
+        return self._tree_mean(_as_matrix(x, self.feature_count))
 
     def predict(self, x):
         """Class label by argmax (ties toward the lowest index) or mean target."""
-        X, single = _as_matrix(x, self.feature_count)
-        mean = self._tree_mean(X)
-        out = np.argmax(mean, axis=1) if self.mode == CLASSIFY else mean[:, 0]
-        return out[0] if single else out
+        mean = self._tree_mean(_as_matrix(x, self.feature_count))
+        return np.argmax(mean, axis=1) if self.mode == CLASSIFY else mean[:, 0]
 
 
 def _as_matrix(x, feature_count):
     X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != feature_count:
-        raise ValueError(f"expected inputs with {feature_count} features")
+        raise ValueError(f"expected a (rows, {feature_count}) matrix of inputs")
     if not np.isfinite(X).all():
         raise ValueError("inputs must be finite")
-    return X, single
+    return X
 
 
 def _grow_tree(XT, stats, mode, cfg, n_candidates, rng, X_score=None):
@@ -345,7 +339,7 @@ _JOBS_IN_FLIGHT = 2
 
 def _worker_count():
     # the CPUs this process may run on; with one, or without an affinity
-    # mask (not Linux), fit_many's one loop grows the trees in-process
+    # mask (not Linux), _stream grows the trees in-process
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
@@ -446,7 +440,7 @@ def _tree_ranges(n_trees, parts):
 
 
 def _fit_job(job):
-    # a fit_many job: fit's argument tuple; its shares are lists of trees
+    # fit's one job, its argument tuple; its shares are lists of trees
     grow_args, fields = _checked(*job)
     return grow_args, (), fields["config"].n_trees, lambda shares: TreeEnsemble(
         **fields, trees=tuple(t for share in shares for t in share))
@@ -457,7 +451,7 @@ def _score_job(job):
     # as predict checks them; its shares are (trees, rows, C) leaf values
     args, rows = job
     grow_args, fields = _checked(*args)
-    X, single = _as_matrix(rows, fields["feature_count"])
+    X = _as_matrix(rows, fields["feature_count"])
     n_trees = fields["config"].n_trees
 
     def tree_mean(shares):
@@ -466,13 +460,13 @@ def _score_job(job):
         for share in shares:
             _add_in_tree_order(mean, share)
         mean /= n_trees
-        return mean[0] if single else mean
+        return mean
 
     return grow_args, (X,), n_trees, tree_mean
 
 
 def _stream(jobs, start):
-    # the one read-ahead loop of fit_many and score_many: `start(job)` checks
+    # the one read-ahead loop of fit and score_many: `start(job)` checks
     # a job and returns (grow_args, extra, n_trees, finish); each share of
     # its trees grows as _grow_trees(*grow_args, tree_ids, *extra), and
     # finish(the shares' results, in tree order) is what the job yields
@@ -518,34 +512,24 @@ def _stream(jobs, start):
         wait(futures)
 
 
-def fit_many(jobs):
-    """Fit one ensemble per job and yield them in job order.
-
-    `jobs` is an iterable of `fit` argument tuples, `(X, y, mode[, config[,
-    seed[, n_classes]]])`; each ensemble is the one `fit` returns for its
-    tuple. One loop serves every worker count and `score_many` too: each
-    job's trees are split over the workers of the one pool, or grown
-    in-process through the same loop with one worker. Jobs are read lazily,
-    at most two ahead of the ensembles already yielded. A job that fails
-    fit's checks, or a job source that raises, raises its error in the job's
-    place, after the ensembles before it. Closing the generator early
-    cancels the jobs read ahead and waits for those already growing.
-    """
-    return _stream(jobs, _fit_job)
-
-
 def score_many(jobs):
     """Yield, per job, the tree mean of `fit(*args)` on `rows`, without
     building the ensemble.
 
     `jobs` is an iterable of `(args, rows)` pairs: `args` a `fit` argument
-    tuple, `rows` a matrix (or one row) checked as `predict` checks it. Each
-    result is the per-row mean of the trees' leaf values, class fractions or
-    mean targets, so in classify mode it is byte for byte
+    tuple, `(X, y, mode[, config[, seed[, n_classes]]])`, and `rows` a
+    `(rows, features)` matrix checked as `predict` checks it. Each result is
+    the per-row mean of the trees' leaf values, class fractions or mean
+    targets, so in classify mode it is byte for byte
     `fit(*args).predict_proba(rows)`. Each tree is grown under fit's random
     protocol only until every row sits in a leaf, and a worker returns the
-    rows' leaf values instead of trees. Jobs run through `fit_many`'s loop,
-    with its read-ahead, error order and cancellation.
+    rows' leaf values instead of trees. Jobs run through `fit`'s loop, each
+    one's trees split over the pool's workers (or grown in-process with one
+    worker), and are read lazily, at most two ahead of the results yielded.
+    A job that fails fit's or predict's checks, a job source that raises, or
+    trees that fail to grow raise the error in the job's place, after the
+    results before it. Closing the generator early cancels the jobs read
+    ahead and waits for those already growing.
     """
     return _stream(jobs, _score_job)
 
@@ -557,7 +541,7 @@ def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
     mode expects integer labels in {0..n_classes-1} (n_classes inferred as
     max(y)+1 when not given); regress mode expects real targets. The trees
     are grown across the CPUs this process may run on; the result does not
-    depend on how many there are. This is the one-job case of `fit_many`.
+    depend on how many there are. It is one job of `score_many`'s loop.
     """
-    (model,) = fit_many([(X, y, mode, config, seed, n_classes)])
+    (model,) = _stream([(X, y, mode, config, seed, n_classes)], _fit_job)
     return model

@@ -106,8 +106,8 @@ class TestPredict:
         X = np.array([[0.0], [0.1], [5.0], [5.1]])
         y = np.array([0, 0, 1, 1])
         model = fit(X, y, CLASSIFY, ForestConfig(n_trees=1), seed=3)
-        probs = model.predict_proba(np.array([0.05]))
-        assert set(probs) <= {0.0, 1.0}
+        probs = model.predict_proba(np.array([[0.05]]))
+        assert set(probs[0]) <= {0.0, 1.0}
 
     def test_tie_breaks_to_lowest_class(self):
         ensemble = TreeEnsemble(
@@ -118,9 +118,9 @@ class TestPredict:
             seed=0,
             trees=(_leaf_tree([1.0, 0.0, 0.0]), _leaf_tree([0.0, 1.0, 0.0])),
         )
-        x = np.array([0.0])
-        np.testing.assert_allclose(ensemble.predict_proba(x), [0.5, 0.5, 0.0])
-        assert ensemble.predict(x) == 0
+        x = np.array([[0.0]])
+        np.testing.assert_allclose(ensemble.predict_proba(x), [[0.5, 0.5, 0.0]])
+        assert ensemble.predict(x).tolist() == [0]
 
     def test_regression_mean_of_trees(self):
         ensemble = TreeEnsemble(
@@ -131,7 +131,7 @@ class TestPredict:
             seed=0,
             trees=(_leaf_tree([4.0]), _leaf_tree([6.0])),
         )
-        assert ensemble.predict(np.array([0.0])) == 5.0
+        assert ensemble.predict(np.array([[0.0]])).tolist() == [5.0]
 
     def test_out_of_range_inputs_still_valid(self):
         rng = np.random.default_rng(7)
@@ -143,13 +143,24 @@ class TestPredict:
 
     def test_mode_mismatch(self):
         model = fit(np.arange(10.0)[:, None], np.arange(10.0), REGRESS, ForestConfig(n_trees=2))
-        with pytest.raises(ValueError):
-            model.predict_proba(np.array([1.0]))
+        with pytest.raises(ValueError, match="requires classify mode"):
+            model.predict_proba(np.array([[1.0]]))
 
     def test_nonfinite_input_rejected(self):
         model = fit(np.arange(10.0)[:, None], np.arange(10) % 2, CLASSIFY, ForestConfig(n_trees=2))
-        with pytest.raises(ValueError):
-            model.predict(np.array([np.nan]))
+        with pytest.raises(ValueError, match="must be finite"):
+            model.predict(np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("entry", ["predict", "predict_proba", "score_many"])
+    def test_a_one_dimensional_row_is_rejected(self, entry):
+        # rows are matrices only: a lone row is a (1, features) matrix
+        X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
+        args = (X, np.array([0, 1, 0, 1]), CLASSIFY, ForestConfig(n_trees=2), 0)
+        with pytest.raises(ValueError, match=r"expected a \(rows, 2\) matrix"):
+            if entry == "score_many":
+                list(forest.score_many([(args, X[0])]))
+            else:
+                getattr(fit(*args), entry)(X[0])
 
     def test_ulp_adjacent_values_never_make_empty_leaves(self):
         # midpoints of 1-ulp neighbors can round onto the upper value; the
@@ -267,10 +278,13 @@ def _stream_jobs(mode, n_jobs, pulled=None, bad=None):
         yield (X, y, mode, cfg, (9, j)) + ((3,) if mode == CLASSIFY and j % 2 else ())
 
 
-def _assert_same_ensemble(ours, base):
-    assert (ours.mode, ours.feature_count, ours.n_classes, ours.config, ours.seed) == (
-        base.mode, base.feature_count, base.n_classes, base.config, base.seed)
-    _assert_same_trees(ours.trees, base.trees)
+def _score_jobs(mode, n_jobs, bad_rows=None, **kwargs):
+    # _stream_jobs with rows to score: two training rows and a fresh one;
+    # job `bad_rows` scores rows of the wrong width
+    rng = np.random.default_rng(44)
+    for j, args in enumerate(_stream_jobs(mode, n_jobs, **kwargs)):
+        rows = np.vstack([args[0][:2], rng.normal(size=(1, 4))])
+        yield args, rows[:, :3] if j == bad_rows else rows
 
 
 def _submitted_futures(monkeypatch):
@@ -290,171 +304,54 @@ def _submitted_futures(monkeypatch):
     return futures
 
 
-@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
-def test_fit_many_equals_fit_per_job(monkeypatch, mode):
-    # 0 jobs, one job and more jobs than are read ahead, read from a
-    # generator; the per-job fits run in-process
-    n_many = forest._JOBS_IN_FLIGHT + 6
+def _expected_scores(monkeypatch, n_jobs):
+    # the first n_jobs classify jobs' predict_proba, fit in-process
     monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*job) for job in _stream_jobs(mode, n_many)]
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(forest, "_worker_count", lambda w=workers: w)
-        for n_jobs in (0, 1, n_many):
-            models = list(forest.fit_many(_stream_jobs(mode, n_jobs)))
-            assert len(models) == n_jobs
-            for ours, base in zip(models, expected):
-                _assert_same_ensemble(ours, base)
+    return [fit(*args).predict_proba(rows) for args, rows in _score_jobs(CLASSIFY, n_jobs)]
+
+
+def _assert_same_scores(got, expected):
+    assert len(got) == len(expected)
+    for ours, base in zip(got, expected):
+        _assert_same_bytes(ours, base)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_fit_many_reads_jobs_lazily(monkeypatch, workers):
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_score_many_equals_the_tree_mean_of_fit(monkeypatch, mode, workers):
+    # 0 jobs, one job and more jobs than are read ahead, read from a
+    # generator, against the tree mean of each job's in-process fit
+    n_many = forest._JOBS_IN_FLIGHT + 6
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    expected = [fit(*args)._tree_mean(rows) for args, rows in _score_jobs(mode, n_many)]
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    for n_jobs in (0, 1, n_many):
+        _assert_same_scores(list(forest.score_many(_score_jobs(mode, n_jobs))),
+                            expected[:n_jobs])
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_score_many_reads_jobs_lazily(monkeypatch, workers):
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
     bound = forest._JOBS_IN_FLIGHT
     n_jobs = bound + 6
     pulled = []
-    for taken, _ in enumerate(forest.fit_many(_stream_jobs(CLASSIFY, n_jobs, pulled)), 1):
+    stream = forest.score_many(_score_jobs(CLASSIFY, n_jobs, pulled=pulled))
+    for taken, _ in enumerate(stream, 1):
         assert len(pulled) - taken <= bound
         if taken == 1:
             assert len(pulled) < n_jobs
     assert pulled == list(range(n_jobs))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_fit_many_raises_a_bad_job_in_its_place(monkeypatch, workers):
-    # job 5 has a NaN feature: the four before it are yielded, then fit's
-    # own error; nothing read ahead is left growing, and the pool still
-    # grows the same trees as an in-process fit
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*job) for job in _stream_jobs(CLASSIFY, 4)]
-    with pytest.raises(ValueError) as fit_error:
-        fit(*list(_stream_jobs(CLASSIFY, 5, bad=4))[4])
-    futures = _submitted_futures(monkeypatch)
-    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    got = []
-    with pytest.raises(ValueError) as stream_error:
-        for model in forest.fit_many(_stream_jobs(CLASSIFY, 12, bad=4)):
-            got.append(model)
-    assert str(stream_error.value) == str(fit_error.value) == "features must be finite"
-    assert len(got) == 4
-    for ours, base in zip(got, expected):
-        _assert_same_ensemble(ours, base)
-    assert all(fut.done() for fut in futures)
-    _assert_same_ensemble(fit(*next(_stream_jobs(CLASSIFY, 1))), expected[0])
-
-
-def _failing_source(n_jobs):
-    yield from _stream_jobs(CLASSIFY, n_jobs)
-    raise RuntimeError("job source failed")
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_fit_many_raises_a_failing_job_source_in_its_place(monkeypatch, workers):
-    # the source fails after four jobs: those four are yielded, then its
-    # error, and nothing read ahead is left growing
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*job) for job in _stream_jobs(CLASSIFY, 4)]
-    futures = _submitted_futures(monkeypatch)
-    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    got = []
-    with pytest.raises(RuntimeError, match="job source failed"):
-        for model in forest.fit_many(_failing_source(4)):
-            got.append(model)
-    assert len(got) == 4
-    for ours, base in zip(got, expected):
-        _assert_same_ensemble(ours, base)
-    assert all(fut.done() for fut in futures)
-
-
-_real_grow_trees = forest._grow_trees
-
-
-def _fail_on_job_4(XT, stats, mode, cfg, n_candidates, key, tree_ids):
-    if key == (9, 4):
-        raise ValueError("cannot grow job 4")
-    return _real_grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_fit_many_raises_a_grow_error_at_its_jobs_turn(monkeypatch, workers):
-    # job 4's trees fail to grow: in-process as in a worker, the four jobs
-    # before it are yielded first. Workers forked after the patch inherit
-    # it, and none is left for later tests.
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*job) for job in _stream_jobs(CLASSIFY, 4)]
-    forest.shutdown_pool()
-    monkeypatch.setattr(forest, "_grow_trees", _fail_on_job_4)
-    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    got = []
-    try:
-        with pytest.raises(ValueError, match="cannot grow job 4"):
-            for model in forest.fit_many(_stream_jobs(CLASSIFY, 12)):
-                got.append(model)
-    finally:
-        forest.shutdown_pool()
-    assert len(got) == 4
-    for ours, base in zip(got, expected):
-        _assert_same_ensemble(ours, base)
-
-
-def test_closing_fit_many_leaves_no_work_running(monkeypatch):
-    # jobs 0 and 1 (1 and 2 trees) are read ahead: three tasks on two workers
-    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
-    futures = _submitted_futures(monkeypatch)
-    stream = forest.fit_many(_stream_jobs(REGRESS, 20))
-    next(stream)
-    stream.close()
-    assert 1 < len(futures) <= 2 * forest._JOBS_IN_FLIGHT
-    assert all(fut.done() for fut in futures)
-
-
-def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
-    # a stream's jobs are split like a lone fit's, and a later fit asking
-    # for more workers reuses the pool instead of forking another
-    forest.shutdown_pool()
-    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
-    futures = _submitted_futures(monkeypatch)
-    jobs = [(job[0], job[1], CLASSIFY, ForestConfig(n_trees=4), job[4])
-            for job in _stream_jobs(CLASSIFY, 3)]
-    assert len(list(forest.fit_many(jobs))) == 3
-    assert len(futures) == 6
-    pool = forest._pool
-    monkeypatch.setattr(forest, "_worker_count", lambda: 3)
-    fit(*jobs[0])
-    assert forest._pool is pool
-    assert len(futures) == 9
-
-
-def _score_jobs(mode, n_jobs, bad_rows=None, **kwargs):
-    # _stream_jobs with rows to score: two training rows and a fresh one;
-    # job `bad_rows` scores rows of the wrong width
-    rng = np.random.default_rng(44)
-    for j, args in enumerate(_stream_jobs(mode, n_jobs, **kwargs)):
-        rows = np.vstack([args[0][:2], rng.normal(size=(1, 4))])
-        yield args, rows[:, :3] if j == bad_rows else rows
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
-def test_score_many_equals_the_tree_mean_of_fit(monkeypatch, mode, workers):
-    # more jobs than are read ahead, read from a generator
-    n_jobs = forest._JOBS_IN_FLIGHT + 4
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*args)._tree_mean(rows) for args, rows in _score_jobs(mode, n_jobs)]
-    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    got = list(forest.score_many(_score_jobs(mode, n_jobs)))
-    assert len(got) == n_jobs
-    for ours, base in zip(got, expected):
-        _assert_same_bytes(ours, base)
-
-
 @pytest.mark.parametrize("bad", ["features", "rows"])
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_score_many_raises_a_bad_job_in_its_place(monkeypatch, workers, bad):
     # job 4 has a NaN feature, or rows of the wrong width: the four results
-    # before it are yielded, then the error fit or predict_proba raises, and
-    # nothing read ahead is left growing
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*args).predict_proba(rows) for args, rows in _score_jobs(CLASSIFY, 4)]
+    # before it are yielded, then the error fit or predict_proba raises;
+    # nothing read ahead is left growing, and the pool still scores as an
+    # in-process fit does
+    expected = _expected_scores(monkeypatch, 4)
     bad_job = {"features": dict(bad=4), "rows": dict(bad_rows=4)}[bad]
     args, rows = list(_score_jobs(CLASSIFY, 5, **bad_job))[4]
     with pytest.raises(ValueError) as direct_error:
@@ -466,10 +363,57 @@ def test_score_many_raises_a_bad_job_in_its_place(monkeypatch, workers, bad):
         for probs in forest.score_many(_score_jobs(CLASSIFY, 12, **bad_job)):
             got.append(probs)
     assert str(stream_error.value) == str(direct_error.value)
-    assert len(got) == 4
-    for ours, base in zip(got, expected):
-        _assert_same_bytes(ours, base)
+    _assert_same_scores(got, expected)
     assert all(fut.done() for fut in futures)
+    _assert_same_scores(list(forest.score_many(_score_jobs(CLASSIFY, 1))), expected[:1])
+
+
+def _failing_source(n_jobs):
+    yield from _score_jobs(CLASSIFY, n_jobs)
+    raise RuntimeError("job source failed")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_score_many_raises_a_failing_job_source_in_its_place(monkeypatch, workers):
+    # the source fails after four jobs: those four are yielded, then its
+    # error, and nothing read ahead is left growing
+    expected = _expected_scores(monkeypatch, 4)
+    futures = _submitted_futures(monkeypatch)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    got = []
+    with pytest.raises(RuntimeError, match="job source failed"):
+        for probs in forest.score_many(_failing_source(4)):
+            got.append(probs)
+    _assert_same_scores(got, expected)
+    assert all(fut.done() for fut in futures)
+
+
+_real_grow_trees = forest._grow_trees
+
+
+def _fail_on_job_4(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score=None):
+    if key == (9, 4):
+        raise ValueError("cannot grow job 4")
+    return _real_grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_score_many_raises_a_grow_error_at_its_jobs_turn(monkeypatch, workers):
+    # job 4's trees fail to grow: in-process as in a worker, the four jobs
+    # before it are yielded first. Workers forked after the patch inherit
+    # it, and none is left for later tests.
+    expected = _expected_scores(monkeypatch, 4)
+    forest.shutdown_pool()
+    monkeypatch.setattr(forest, "_grow_trees", _fail_on_job_4)
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    got = []
+    try:
+        with pytest.raises(ValueError, match="cannot grow job 4"):
+            for probs in forest.score_many(_score_jobs(CLASSIFY, 12)):
+                got.append(probs)
+    finally:
+        forest.shutdown_pool()
+    _assert_same_scores(got, expected)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -481,6 +425,23 @@ def test_closing_score_many_leaves_no_work_running(monkeypatch, workers):
     stream.close()
     assert 1 < len(futures) <= workers * forest._JOBS_IN_FLIGHT
     assert all(fut.done() for fut in futures)
+
+
+def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
+    # a stream's jobs are split like a lone fit's, and a later fit asking
+    # for more workers reuses the pool instead of forking another
+    forest.shutdown_pool()
+    monkeypatch.setattr(forest, "_worker_count", lambda: 2)
+    futures = _submitted_futures(monkeypatch)
+    jobs = [((args[0], args[1], CLASSIFY, ForestConfig(n_trees=4), args[4]), rows)
+            for args, rows in _score_jobs(CLASSIFY, 3)]
+    assert len(list(forest.score_many(jobs))) == 3
+    assert len(futures) == 6
+    pool = forest._pool
+    monkeypatch.setattr(forest, "_worker_count", lambda: 3)
+    fit(*jobs[0][0])
+    assert forest._pool is pool
+    assert len(futures) == 9
 
 
 _ULPS = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
@@ -541,10 +502,10 @@ def _assert_traversal_matches(model, X):
     if model.mode == CLASSIFY:
         expected = loop_predict_proba(model, X)
         _assert_same_bytes(model.predict_proba(X), expected)
-        _assert_same_bytes(model.predict_proba(X[0]), expected[0])
+        _assert_same_bytes(model.predict_proba(X[:1]), expected[:1])
     expected = loop_predict(model, X)
     _assert_same_bytes(model.predict(X), expected)
-    _assert_same_bytes(model.predict(X[0]), expected[0])
+    _assert_same_bytes(model.predict(X[:1]), expected[:1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -578,10 +539,8 @@ def _assert_scores_match(case, rows):
         _assert_same_bytes(expected[:, 0], loop_predict(oracle, rows))
     for workers in (1, 2):
         with mock.patch.object(forest, "_worker_count", lambda w=workers: w):
-            got = list(forest.score_many([(case, rows), (case, rows[-1:]), (case, rows[-1])]))
-        assert len(got) == 3
-        for ours, base in zip(got, (expected, expected[-1:], expected[-1])):
-            _assert_same_bytes(ours, base)
+            got = list(forest.score_many([(case, rows), (case, rows[-1:])]))
+        _assert_same_scores(got, (expected, expected[-1:]))
     return model
 
 
@@ -590,8 +549,7 @@ def _assert_scores_match(case, rows):
 def test_score_many_matches_fit_and_the_oracles(case, probe_seed):
     # training rows, rows sitting exactly on a split threshold (a training
     # row with one node's feature set to its threshold) and fresh rows, in
-    # shuffled order: all together, and the last alone as a matrix and as
-    # one row
+    # shuffled order: all together, and the last alone as a 1-row matrix
     with mock.patch.object(forest, "_worker_count", lambda: 1):
         model = fit(*case)
     X = case[0]

@@ -209,7 +209,7 @@ class TestClassification:
         monkeypatch.setattr(forest, "_worker_count", lambda: 1)
         expected = [
             fit(np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, cfg.forest,
-                (cfg.seed, 106, i), 3).predict_proba(X_mrsf[i])
+                (cfg.seed, 106, i), 3).predict_proba(X_mrsf[i : i + 1])[0]
             for i in range(len(records))
         ]
 
