@@ -7,30 +7,38 @@ are immutable; each tree draws from its own generator seeded by
 (master seed, tree index) so the build order never matters. That is what
 lets every fit split its trees into contiguous ranges, one per CPU the
 process may run on, grow them in one pool of worker processes and
-concatenate them in index order. One loop (`_stream`) schedules every job,
-`fit`'s one or a stream of them, keeping two jobs' ranges in flight; with
-one CPU, or no affinity mask, it grows the trees in-process, still reading
-up to two jobs ahead.
+concatenate them in index order. One loop (`_stream`) runs every job in
+tasks, `fit`'s one or a stream of them, keeping two tasks per worker in
+flight; with one CPU, or no affinity mask, it runs the tasks in-process,
+still reading ahead.
 
 `score_many` streams through the same loop jobs that need only a fit's
-tree mean on a few rows (the leave-one-out points). Each tree is grown under
-the same protocol, but only until every scored row sits in a leaf, since
-the nodes the depth-first order visits later draw later from the tree's
-generator and cannot move them. A worker returns the rows' leaf values,
-not trees, and they are added in tree order as prediction adds them.
+tree mean on a few rows (the leave-one-out points). Consecutive jobs of one
+table shape, mode and config share a task, and a job too large for one is
+split into ranges of trees. A task's trees grow in lockstep
+(`moodsig._lockstep`): each keeps its own generator, bootstrap draw and
+right-subtree-first order, while one pass of numpy calls scores the
+candidate splits of every tree's next node. Each tree's features are
+presorted once as dense-rank keys, whose stable radix sort is the grower's
+tie order, so a node's rows in a feature's order are filtered from that
+presort instead of sorted. A tree grows only until every scored row sits
+in a leaf, since the nodes the depth-first order visits later draw later
+from the tree's generator and cannot move them. A worker returns the rows'
+leaf values, not trees, and they are added in tree order as prediction
+adds them.
 
-A node costs a fixed, small number of numpy calls. The grower writes each
-node into preallocated arrays, one per node field, with a row for each of
-the at most 2n-1 nodes of a tree on n rows, and the tree keeps exact-size
-copies of the rows it used. A classification node never sums its rows: its
+A node of fit's grower costs a fixed, small number of numpy calls. It
+writes each node into preallocated arrays, one per node field, a row for
+each of the at most 2n-1 nodes of a tree on n rows, and the tree keeps
+exact-size copies of the rows it used. A classification node never sums its rows: its
 class counts are exact integers, taken from its parent's prefix sums at the
 split. Prediction concatenates the trees' nodes and walks every (tree, row)
 pair at once, one numpy step per tree level, in groups of consecutive trees
 of at most 2^12 nodes (or one larger tree) and blocks of rows of at most
 2^13 pairs, so its temporaries stay a few hundred KB unless one tree alone
-is larger; the per-tree results are added in tree order. Trees and
-predictions are bit for bit those of the per-node grower and the
-tree-at-a-time traversal kept in tests/oracles.py.
+is larger; the per-tree results are added in tree order. Trees,
+predictions and scores are bit for bit those of the per-node grower and
+the tree-at-a-time traversal kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -191,7 +199,7 @@ def _as_matrix(x, feature_count):
     return X
 
 
-def _grow_tree(XT, stats, mode, cfg, n_candidates, rng, X_score=None):
+def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
     # XT is the bootstrap sample transposed (features x rows), stats its
     # one-hot class rows (classes x rows, classify) or targets (regress). A
     # node gathers its candidate columns as whole feature rows, sorts each
@@ -199,13 +207,6 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng, X_score=None):
     # sum(left_stats^2)/n_left + sum(right_stats^2)/n_right, a monotone
     # equivalent of Gini gain and of variance reduction, taking the first
     # maximum in position-major order.
-    #
-    # Without X_score the whole tree is grown and returned. With rows to
-    # score, each stack entry also holds the scored rows that reach its
-    # node, and the DFS stops once no entry holds any: every scored row then
-    # sits in its leaf, and a node not yet grown would only draw later from
-    # rng, so it cannot move them. The rows' leaf values (class fractions or
-    # mean target) are returned instead of the tree.
     f, n_total = XT.shape
     min_leaf = cfg.min_leaf
     max_depth = n_total if cfg.max_depth is None else cfg.max_depth
@@ -222,22 +223,9 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng, X_score=None):
     if classify:
         np.add.reduce(stats, axis=1, out=value[0])
     n_nodes = 1
-    held = None
-    if X_score is not None:
-        # each scored row's deepest node so far, and how many scored rows
-        # the entries on the stack hold
-        held = np.arange(X_score.shape[0])
-        node_of = np.zeros(held.size, dtype=np.intp)
-        unsettled = held.size
-    stack = [(0, np.arange(n_total), 0, held)]
+    stack = [(0, np.arange(n_total), 0)]
     while stack:
-        node_id, idx, depth, held = stack.pop()
-        if held is not None:
-            if not unsettled:
-                break
-            if held.size:
-                node_of[held] = node_id
-                unsettled -= held.size
+        node_id, idx, depth = stack.pop()
         n = idx.size
         if classify:
             total = value[node_id]
@@ -283,8 +271,7 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng, X_score=None):
             # value, which would route every sample left; fall back to the
             # lower value
             thr = lo
-        best = int(cand[j])
-        feature[node_id] = best
+        feature[node_id] = cand[j]
         threshold[node_id] = thr
         child = n_nodes
         n_nodes += 2
@@ -293,37 +280,37 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng, X_score=None):
             value[child] = left_stats[:, pos, j]
             value[child + 1] = right_stats[:, pos, j]
         go_left = x_cand[:, j] <= thr
-        held_left = held_right = held
-        if held is not None and held.size:
-            # the split rule predict walks: > goes right
-            scored_left = X_score[:, best][held] <= thr
-            held_left, held_right = held[scored_left], held[~scored_left]
-            unsettled += held.size
-        stack.append((child, idx[go_left], depth + 1, held_left))
-        stack.append((child + 1, idx[~go_left], depth + 1, held_right))
+        stack.append((child, idx[go_left], depth + 1))
+        stack.append((child + 1, idx[~go_left], depth + 1))
 
-    if X_score is not None:
-        leaf_value = value[node_of]
-        if classify:
-            leaf_value /= leaf_value.sum(axis=1, keepdims=True)
-        return leaf_value
     # exact-size copies, so a tree keeps none of the 2n-1 row buffers
     return _Tree(*(a[:n_nodes].copy() for a in (feature, threshold, left, right, value)))
 
 
-def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score=None):
-    """The trees numbered tree_ids, each grown from its own (key, t)
-    generator: its bootstrap draw, then one candidate draw per node, in
-    right-subtree-first depth-first order. Given rows X_score, their leaf
-    values instead, one (rows, C) slice per tree, as one array."""
-    m = XT.shape[1]
+def _grow_trees(mode, cfg, n_candidates, n_classes, parts):
+    """The trees of each part (X, y, key, tree_ids), one list per part: tree
+    t grows from its own (key, t) generator, its bootstrap draw, then one
+    candidate draw per node, in right-subtree-first depth-first order."""
     grown = []
-    for t in tree_ids:
-        rng = np.random.default_rng((*key, t))
-        boot = rng.integers(0, m, size=m)
-        grown.append(_grow_tree(XT[:, boot], stats[..., boot], mode, cfg, n_candidates, rng,
-                                X_score))
-    return grown if X_score is None else np.array(grown)
+    for X, y, key, tree_ids in parts:
+        XT = np.ascontiguousarray(X.T)
+        stats = np.eye(n_classes)[:, y] if mode == CLASSIFY else y
+        trees = []
+        for t in tree_ids:
+            rng = np.random.default_rng((*key, t))
+            boot = rng.integers(0, len(y), size=len(y))
+            trees.append(_grow_tree(XT[:, boot], stats[..., boot], mode, cfg, n_candidates, rng))
+        grown.append(trees)
+    return grown
+
+
+def _score_trees(mode, cfg, n_candidates, n_classes, parts):
+    # score_many's task: the lockstep scorer is loaded only by the processes
+    # that score. Run from source, compiling it in this module raised
+    # classify's peak RSS by 0.45 MB, far more than its own module does.
+    from ._lockstep import _score_trees
+
+    return _score_trees(mode, cfg, n_candidates, n_classes, parts)
 
 
 # The worker pool is created by the first fit that uses more than one
@@ -332,9 +319,19 @@ def _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score=None)
 # exit for library callers).
 _pool = None
 
-# every job is split over all the workers, so two jobs read ahead give each
-# worker a task running and one queued while the consumer handles a result
-_JOBS_IN_FLIGHT = 2
+# score_many packs consecutive jobs of one table shape, mode and config
+# into tasks of at most this many cells (trees x training rows x features),
+# splitting a larger job's trees into ranges that fit; a task's arrays peak
+# at about 60 bytes a cell. Two of classify's leave-one-out jobs (37,500
+# cells each) share a task: in-process its 126 jobs took 0.98 s at one job
+# a task and 0.89 s at two or three, while each job read ahead holds its
+# table in the parent (loo_points' tracemalloc peak 220, 325 and 430 KB).
+_TASK_CELLS = 5 << 14
+
+# each worker has a task running and one queued while the consumer handles
+# a result: classify's median wall time was 1.04, 0.99 and 0.93 s at one,
+# two and three tasks a worker, and three raised its peak RSS by 0.1 MB
+_TASKS_PER_WORKER = 2
 
 
 def _worker_count():
@@ -396,8 +393,10 @@ def _seed_key(seed):
 
 
 def _checked(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
-    # fit's argument checks; returns the arguments its trees are grown from
-    # (all but the tree indices) and the fields of the ensemble they make
+    # fit's argument checks; returns what every task of the job shares
+    # (mode, config, candidates per split, classes), the job's own (X, y,
+    # seed key) and the fields of the ensemble it makes. Workers build the
+    # grower's forms of X and y, so the parent holds no copy of them.
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("X must be a matrix with at least 2 rows")
@@ -412,23 +411,19 @@ def _checked(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
             n_classes = int(y.max()) + 1
         if y.min() < 0 or y.max() >= n_classes:
             raise ValueError("labels out of range")
-        stats_all = np.eye(n_classes)[:, y]
     elif mode == REGRESS:
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (m,) or not np.isfinite(y).all():
             raise ValueError("regress mode needs m finite targets")
         n_classes = 0
-        stats_all = y
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     n_candidates = config.features_per_split or math.ceil(math.sqrt(f))
     if not 1 <= n_candidates <= f:
         raise ValueError("features_per_split out of range")
-    grow_args = (np.ascontiguousarray(X.T), stats_all, mode, config, n_candidates,
-                 _seed_key(seed))
-    return grow_args, dict(mode=mode, feature_count=f, n_classes=n_classes,
-                           config=config, seed=seed)
+    return (mode, config, n_candidates, n_classes), (X, y, _seed_key(seed)), dict(
+        mode=mode, feature_count=f, n_classes=n_classes, config=config, seed=seed)
 
 
 def _tree_ranges(n_trees, parts):
@@ -439,64 +434,121 @@ def _tree_ranges(n_trees, parts):
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _fit_job(job):
-    # fit's one job, its argument tuple; its shares are lists of trees
-    grow_args, fields = _checked(*job)
-    return grow_args, (), fields["config"].n_trees, lambda shares: TreeEnsemble(
+def _fit_parts(job, workers):
+    # fit's one job, its argument tuple: one range of trees per worker, each
+    # a task of its own (key None); its results are lists of trees
+    head, (X, y, key), fields = _checked(*job)
+    n_trees = fields["config"].n_trees
+    parts = [(None, 0, (X, y, key, r)) for r in _tree_ranges(n_trees, min(workers, n_trees))]
+    return _grow_trees, head, parts, lambda shares: TreeEnsemble(
         **fields, trees=tuple(t for share in shares for t in share))
 
 
-def _score_job(job):
+def _score_parts(job, workers):
     # a score_many job: fit's argument tuple and the rows to score, checked
-    # as predict checks them; its shares are (trees, rows, C) leaf values
+    # as predict checks them; ranges of its trees of at most _TASK_CELLS
+    # cells, which tasks pack with other jobs of its key, and results of
+    # (trees, rows, C) leaf values
     args, rows = job
-    grow_args, fields = _checked(*args)
-    X = _as_matrix(rows, fields["feature_count"])
+    head, (X, y, key), fields = _checked(*args)
+    rows = _as_matrix(rows, X.shape[1])
     n_trees = fields["config"].n_trees
+    step = max(1, _TASK_CELLS // X.size)
+    parts = [((X.shape, *head), len(r) * X.size, (X, y, key, r, rows))
+             for r in (range(lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step))]
 
     def tree_mean(shares):
         # one column per class, or one mean target (regress reads 0 classes)
-        mean = np.zeros((X.shape[0], fields["n_classes"] or 1))
+        mean = np.zeros((rows.shape[0], fields["n_classes"] or 1))
         for share in shares:
             _add_in_tree_order(mean, share)
         mean /= n_trees
         return mean
 
-    return grow_args, (X,), n_trees, tree_mean
+    return _score_trees, head, parts, tree_mean
+
+
+class _Task:
+    # one call fn(*head, parts), in the pool or in-process; parts join it
+    # until it is submitted, and `alone` holds one future per part once the
+    # call has failed
+    def __init__(self, fn, head, key):
+        self.fn, self.head, self.key = fn, head, key
+        self.parts, self.cells, self.taken = [], 0, 0
+        self.future = self.alone = None
 
 
 def _stream(jobs, start):
-    # the one read-ahead loop of fit and score_many: `start(job)` checks
-    # a job and returns (grow_args, extra, n_trees, finish); each share of
-    # its trees grows as _grow_trees(*grow_args, tree_ids, *extra), and
-    # finish(the shares' results, in tree order) is what the job yields
+    # the one read-ahead loop of fit and score_many: `start(job, workers)`
+    # checks a job and returns (fn, head, parts, finish). A part, (key,
+    # cells, args), runs in a task fn(*head, [args, ...]), which it shares
+    # with the parts read just before it while their key is the same (not
+    # None) and the task holds at most _TASK_CELLS cells; finish(the parts'
+    # results, in tree order) is what the job yields. Jobs are read until
+    # _TASKS_PER_WORKER tasks per worker are submitted and not yet taken.
     from concurrent.futures import BrokenExecutor, wait
 
     jobs = iter(jobs)
     workers = _worker_count()
-    pending = deque()  # per job read ahead: (finish, futures)
-    error = None  # of the job after those pending, raised in its place
+    waiting = deque()  # per job read ahead: (finish, [(task, part index)])
+    flight = deque()  # submitted tasks whose results are not all taken
+    packing = None  # the task the next part may join
+    error = None  # of the job after those waiting, raised in its place
     try:
         pool = _executor(workers)
+
+        def submit(task):
+            task.future = pool.submit(task.fn, *task.head, task.parts)
+            flight.append(task)
+
+        def result(task, i):
+            try:
+                return task.future.result()[i]
+            except BrokenExecutor:
+                raise
+            except Exception:
+                if len(task.parts) == 1:
+                    raise
+            # a packed task failed: its parts run again, one per task, so
+            # each job gets its own result or error
+            if task.alone is None:
+                task.alone = [pool.submit(task.fn, *task.head, [args]) for args in task.parts]
+            return task.alone[i].result()[0]
+
         while True:
-            while error is None and len(pending) < _JOBS_IN_FLIGHT:
+            while error is None and len(flight) < _TASKS_PER_WORKER * workers:
                 try:
-                    grow_args, extra, n_trees, finish = start(next(jobs))
+                    fn, head, parts, finish = start(next(jobs), workers)
                 except StopIteration:
                     break
                 except Exception as exc:
                     error = exc
                     break
-                pending.append((finish, [
-                    pool.submit(_grow_trees, *grow_args, r, *extra)
-                    for r in _tree_ranges(n_trees, min(workers, n_trees))
-                ]))
-            if not pending:
+                slots = []
+                for key, cells, args in parts:
+                    if (packing is None or key is None or key != packing.key
+                            or packing.cells + cells > _TASK_CELLS):
+                        if packing is not None:
+                            submit(packing)
+                        packing = _Task(fn, head, key)
+                    slots.append((packing, len(packing.parts)))
+                    packing.parts.append(args)
+                    packing.cells += cells
+                waiting.append((finish, slots))
+            if not waiting:
                 if error is not None:
                     raise error
                 return
-            finish, futures = pending.popleft()
-            yield finish(fut.result() for fut in futures)
+            finish, slots = waiting.popleft()
+            if slots[-1][0] is packing:
+                submit(packing)
+                packing = None
+            results = [result(task, i) for task, i in slots]
+            for task, _ in slots:
+                task.taken += 1
+            while flight and flight[0].taken == len(flight[0].parts):
+                flight.popleft()
+            yield finish(results)
     except BrokenExecutor as exc:
         # a broken pool refuses all further work; the next fit starts anew
         shutdown_pool()
@@ -504,9 +556,9 @@ def _stream(jobs, start):
             "a tree-growing worker process exited abruptly (killed, or out of memory?)"
         ) from exc
     finally:
-        # jobs read ahead of an error or of an abandoned stream: none is
+        # tasks read ahead of an error or of an abandoned stream: none is
         # left growing
-        futures = [fut for _, futs in pending for fut in futs]
+        futures = [fut for task in flight for fut in (task.future, *(task.alone or ()))]
         for fut in futures:
             fut.cancel()
         wait(futures)
@@ -522,16 +574,19 @@ def score_many(jobs):
     the per-row mean of the trees' leaf values, class fractions or mean
     targets, so in classify mode it is byte for byte
     `fit(*args).predict_proba(rows)`. Each tree is grown under fit's random
-    protocol only until every row sits in a leaf, and a worker returns the
-    rows' leaf values instead of trees. Jobs run through `fit`'s loop, each
-    one's trees split over the pool's workers (or grown in-process with one
-    worker), and are read lazily, at most two ahead of the results yielded.
-    A job that fails fit's or predict's checks, a job source that raises, or
-    trees that fail to grow raise the error in the job's place, after the
-    results before it. Closing the generator early cancels the jobs read
-    ahead and waits for those already growing.
+    protocol only until every row sits in a leaf. Consecutive jobs of one
+    table shape, mode and config share a task, whose trees grow in lockstep
+    (a job too large for one task is split into ranges of trees), and a
+    worker returns the rows' leaf values instead of trees; with one worker
+    the tasks run in-process. Jobs are read lazily: reading stops once two
+    tasks per worker are submitted and not yet taken, so at most that many
+    tasks' jobs, and the job that opened the next task, are read ahead of
+    the results yielded. A job that fails fit's or predict's checks, a job
+    source that raises, or trees that fail to grow raise the error in the
+    job's place, after the results before it. Closing the generator early
+    cancels the tasks read ahead and waits for those already growing.
     """
-    return _stream(jobs, _score_job)
+    return _stream(jobs, _score_parts)
 
 
 def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
@@ -543,5 +598,5 @@ def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):
     are grown across the CPUs this process may run on; the result does not
     depend on how many there are. It is one job of `score_many`'s loop.
     """
-    (model,) = _stream([(X, y, mode, config, seed, n_classes)], _fit_job)
+    (model,) = _stream([(X, y, mode, config, seed, n_classes)], _fit_parts)
     return model

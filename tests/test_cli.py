@@ -638,25 +638,24 @@ def test_dead_forest_worker_is_a_clean_error(tmp_path, capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-_grow_trees = forest._grow_trees
+_score_trees = forest._score_trees
 _PARENT_PID = os.getpid()
 
 
-def _die_on_loo_fits(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score=None):
-    # a worker growing a leave-one-out fit (key namespace 106, its held-out
-    # row to score) dies; were one grown in-process, the test would fail
-    # rather than end pytest
-    if key[1] == 106:
-        assert X_score is not None, "a leave-one-out fit was grown without its row to score"
-        assert os.getpid() != _PARENT_PID, "a leave-one-out fit was grown in-process"
+def _die_on_loo_fits(mode, cfg, n_candidates, n_classes, parts):
+    # a worker scoring leave-one-out fits (key namespace 106) dies; were one
+    # scored in-process, the test would fail rather than end pytest, and
+    # were they grown whole by fit's task, main would not fail
+    if any(key[1] == 106 for _, _, key, _, _ in parts):
+        assert os.getpid() != _PARENT_PID, "a leave-one-out fit was scored in-process"
         os._exit(1)
-    return _grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score)
+    return _score_trees(mode, cfg, n_candidates, n_classes, parts)
 
 
 def test_dead_worker_in_the_loo_stream_is_a_clean_error(tmp_path, capsys, monkeypatch):
     csv_path = _synth_csv(tmp_path)
     monkeypatch.setattr(forest, "_worker_count", lambda: 2)
-    monkeypatch.setattr(forest, "_grow_trees", _die_on_loo_fits)
+    monkeypatch.setattr(forest, "_score_trees", _die_on_loo_fits)
     argv = ["classify", "--input", str(csv_path), "--n-trees", "4",
             "--bootstrap-samples", "50", "-o", str(tmp_path / "runs")]
     assert main(argv) == 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -280,11 +281,30 @@ def _stream_jobs(mode, n_jobs, pulled=None, bad=None):
 
 def _score_jobs(mode, n_jobs, bad_rows=None, **kwargs):
     # _stream_jobs with rows to score: two training rows and a fresh one;
-    # job `bad_rows` scores rows of the wrong width
+    # job `bad_rows` scores rows of the wrong width. No two jobs share a
+    # table shape and config, so each is a task of its own.
     rng = np.random.default_rng(44)
     for j, args in enumerate(_stream_jobs(mode, n_jobs, **kwargs)):
         rows = np.vstack([args[0][:2], rng.normal(size=(1, 4))])
         yield args, rows[:, :3] if j == bad_rows else rows
+
+
+# the cells (trees x rows x features) of each of _packed_jobs's jobs
+_PACKED_CELLS = 4 * 20 * 4
+
+
+def _packed_jobs(mode, n_jobs, pulled=None):
+    # jobs of one table shape, mode and config, which tasks pack together,
+    # _TASK_CELLS // _PACKED_CELLS to a task; seed keys (9, j) as
+    # _stream_jobs's, and rows as _score_jobs's
+    rng = np.random.default_rng(45)
+    for j in range(n_jobs):
+        X = rng.normal(size=(20, 4))
+        y = rng.integers(0, 3, size=20) if mode == CLASSIFY else rng.normal(size=20)
+        if pulled is not None:
+            pulled.append(j)
+        yield ((X, y, mode, ForestConfig(n_trees=4), (9, j), 3 if mode == CLASSIFY else None),
+               np.vstack([X[:2], rng.normal(size=(1, 4))]))
 
 
 def _submitted_futures(monkeypatch):
@@ -320,28 +340,36 @@ def _assert_same_scores(got, expected):
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
 def test_score_many_equals_the_tree_mean_of_fit(monkeypatch, mode, workers):
     # 0 jobs, one job and more jobs than are read ahead, read from a
-    # generator, against the tree mean of each job's in-process fit
-    n_many = forest._JOBS_IN_FLIGHT + 6
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*args)._tree_mean(rows) for args, rows in _score_jobs(mode, n_many)]
-    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    for n_jobs in (0, 1, n_many):
-        _assert_same_scores(list(forest.score_many(_score_jobs(mode, n_jobs))),
-                            expected[:n_jobs])
+    # generator, against the tree mean of each job's in-process fit; jobs
+    # of varied shapes and jobs that tasks pack three at a time
+    monkeypatch.setattr(forest, "_TASK_CELLS", 3 * _PACKED_CELLS)
+    n_many = 3 * forest._TASKS_PER_WORKER * workers + 6
+    for source in (_score_jobs, _packed_jobs):
+        monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+        expected = [fit(*args)._tree_mean(rows) for args, rows in source(mode, n_many)]
+        monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+        for n_jobs in (0, 1, n_many):
+            _assert_same_scores(list(forest.score_many(source(mode, n_jobs))),
+                                expected[:n_jobs])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_score_many_reads_jobs_lazily(monkeypatch, workers):
+    # reading stops once _TASKS_PER_WORKER tasks per worker are submitted
+    # and not yet taken: jobs of varied shapes are a task each, and jobs of
+    # one shape and config pack three to a task
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    bound = forest._JOBS_IN_FLIGHT
-    n_jobs = bound + 6
-    pulled = []
-    stream = forest.score_many(_score_jobs(CLASSIFY, n_jobs, pulled=pulled))
-    for taken, _ in enumerate(stream, 1):
-        assert len(pulled) - taken <= bound
-        if taken == 1:
-            assert len(pulled) < n_jobs
-    assert pulled == list(range(n_jobs))
+    monkeypatch.setattr(forest, "_TASK_CELLS", 3 * _PACKED_CELLS)
+    for source, jobs_per_task in ((_score_jobs, 1), (_packed_jobs, 3)):
+        bound = forest._TASKS_PER_WORKER * workers * jobs_per_task
+        n_jobs = bound + 6
+        pulled = []
+        stream = forest.score_many(source(CLASSIFY, n_jobs, pulled=pulled))
+        for taken, _ in enumerate(stream, 1):
+            assert len(pulled) - taken <= bound
+            if taken == 1:
+                assert len(pulled) < n_jobs
+        assert pulled == list(range(n_jobs))
 
 
 @pytest.mark.parametrize("bad", ["features", "rows"])
@@ -388,32 +416,37 @@ def test_score_many_raises_a_failing_job_source_in_its_place(monkeypatch, worker
     assert all(fut.done() for fut in futures)
 
 
-_real_grow_trees = forest._grow_trees
+_real_score_trees = forest._score_trees
 
 
-def _fail_on_job_4(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score=None):
-    if key == (9, 4):
+def _fail_on_job_4(mode, cfg, n_candidates, n_classes, parts):
+    if any(key == (9, 4) for _, _, key, _, _ in parts):
         raise ValueError("cannot grow job 4")
-    return _real_grow_trees(XT, stats, mode, cfg, n_candidates, key, tree_ids, X_score)
+    return _real_score_trees(mode, cfg, n_candidates, n_classes, parts)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_score_many_raises_a_grow_error_at_its_jobs_turn(monkeypatch, workers):
     # job 4's trees fail to grow: in-process as in a worker, the four jobs
-    # before it are yielded first. Workers forked after the patch inherit
-    # it, and none is left for later tests.
-    expected = _expected_scores(monkeypatch, 4)
-    forest.shutdown_pool()
-    monkeypatch.setattr(forest, "_grow_trees", _fail_on_job_4)
-    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    got = []
-    try:
-        with pytest.raises(ValueError, match="cannot grow job 4"):
-            for probs in forest.score_many(_score_jobs(CLASSIFY, 12)):
-                got.append(probs)
-    finally:
+    # before it are yielded first, also when jobs 0-4 share the failing
+    # task. Workers forked after the patch inherit it, and none is left for
+    # later tests.
+    monkeypatch.setattr(forest, "_TASK_CELLS", 5 * _PACKED_CELLS)
+    for source in (_score_jobs, _packed_jobs):
+        monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+        expected = [fit(*args)._tree_mean(rows) for args, rows in source(CLASSIFY, 4)]
         forest.shutdown_pool()
-    _assert_same_scores(got, expected)
+        monkeypatch.setattr(forest, "_score_trees", _fail_on_job_4)
+        monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+        got = []
+        try:
+            with pytest.raises(ValueError, match="cannot grow job 4"):
+                for probs in forest.score_many(source(CLASSIFY, 12)):
+                    got.append(probs)
+        finally:
+            forest.shutdown_pool()
+            monkeypatch.setattr(forest, "_score_trees", _real_score_trees)
+        _assert_same_scores(got, expected)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -423,25 +456,27 @@ def test_closing_score_many_leaves_no_work_running(monkeypatch, workers):
     stream = forest.score_many(_score_jobs(REGRESS, 20))
     next(stream)
     stream.close()
-    assert 1 < len(futures) <= workers * forest._JOBS_IN_FLIGHT
+    assert 1 < len(futures) <= workers * forest._TASKS_PER_WORKER
     assert all(fut.done() for fut in futures)
 
 
 def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
-    # a stream's jobs are split like a lone fit's, and a later fit asking
-    # for more workers reuses the pool instead of forking another
+    # fit splits its trees into one task per worker, score_many packs jobs
+    # of one shape and config into one task, and a later fit asking for
+    # more workers reuses the pool instead of forking another
     forest.shutdown_pool()
     monkeypatch.setattr(forest, "_worker_count", lambda: 2)
     futures = _submitted_futures(monkeypatch)
-    jobs = [((args[0], args[1], CLASSIFY, ForestConfig(n_trees=4), args[4]), rows)
-            for args, rows in _score_jobs(CLASSIFY, 3)]
-    assert len(list(forest.score_many(jobs))) == 3
-    assert len(futures) == 6
+    jobs = list(_packed_jobs(CLASSIFY, 3))
+    fit(*jobs[0][0])
+    assert len(futures) == 2
     pool = forest._pool
+    assert len(list(forest.score_many(jobs))) == 3
+    assert len(futures) == 3
     monkeypatch.setattr(forest, "_worker_count", lambda: 3)
     fit(*jobs[0][0])
     assert forest._pool is pool
-    assert len(futures) == 9
+    assert len(futures) == 6
 
 
 _ULPS = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
@@ -561,6 +596,79 @@ def test_score_many_matches_fit_and_the_oracles(case, probe_seed):
         row[f] = thr
     rows = np.vstack([X, on_threshold, rng.normal(size=(3, X.shape[1]))])
     _assert_scores_match(case, rng.permutation(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fit_cases(), st.integers(2, 4), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
+       st.sampled_from([None, 1, 3]))
+def test_batched_scoring_matches_fit_and_the_oracles(case, n_jobs, probe_seed, workers,
+                                                     trees_per_task):
+    # a stream of jobs of the case's shape, mode and config, each with its
+    # rows shuffled, its own seed and 0-3 training or fresh rows to score,
+    # so that tasks pack them; with tasks of one or three trees' cells,
+    # jobs are also split into ranges of trees
+    X, y, mode, config, seed, n_classes = case
+    rng = np.random.default_rng(probe_seed)
+    probes = np.vstack([X, rng.normal(size=(3, X.shape[1]))])
+    jobs = []
+    for j in range(n_jobs):
+        shuffle = rng.permutation(len(X))
+        jobs.append(((X[shuffle], y[shuffle], mode, config, (seed[0], j), n_classes),
+                     probes[rng.integers(0, len(probes), size=rng.integers(0, 4))]))
+    expected = []
+    with mock.patch.object(forest, "_worker_count", lambda: 1):
+        for args, rows in jobs:
+            model = fit(*args)
+            expected.append(model._tree_mean(rows))
+            oracle = replace(model, trees=tuple(loop_fit_trees(*args)))
+            if mode == CLASSIFY:
+                _assert_same_bytes(expected[-1], loop_predict_proba(oracle, rows))
+            else:
+                _assert_same_bytes(expected[-1][:, 0], loop_predict(oracle, rows))
+    cells = trees_per_task * X.size if trees_per_task else forest._TASK_CELLS
+    with mock.patch.multiple(forest, _worker_count=lambda: workers, _TASK_CELLS=cells):
+        _assert_same_scores(list(forest.score_many(jobs)), expected)
+
+
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_a_job_over_the_task_budget_is_split_into_tree_ranges(monkeypatch, mode):
+    # 7 trees in tasks of at most two trees' cells: four tasks, the last
+    # one tree, whose results add up in tree order to fit's tree mean
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 3))
+    y = rng.integers(0, 3, size=30) if mode == CLASSIFY else rng.normal(size=30)
+    rows = np.vstack([X[:3], rng.normal(size=(2, 3))])
+    job = ((X, y, mode, ForestConfig(n_trees=7), 5), rows)
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    expected = fit(*job[0])._tree_mean(job[1])
+    monkeypatch.setattr(forest, "_TASK_CELLS", 2 * X.size)
+    for workers in (1, 2):
+        monkeypatch.setattr(forest, "_worker_count", lambda w=workers: w)
+        futures = _submitted_futures(monkeypatch)
+        _assert_same_scores(list(forest.score_many([job])), [expected])
+        assert len(futures) == 4
+
+
+def test_scoring_memory_is_bounded_by_the_task_budget(monkeypatch):
+    # one worker scores a 125x12 job of 2,000 trees (the CLI accepts up to
+    # 10,000) in tasks of at most _TASK_CELLS cells, 54 trees each. Its
+    # tracemalloc peak, about 60 bytes a cell, stays below a fixed multiple
+    # of one task's cells; all 2,000 trees at once would take 37 times that.
+    # The row to score sits right of every split, so each tree grows only
+    # its rightmost path.
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(125, 12))
+    job = ((X, rng.integers(0, 3, size=125), CLASSIFY, ForestConfig(n_trees=2000), 3),
+           X.max(axis=0, keepdims=True) + 1)
+    tracemalloc.start()
+    try:
+        (probs,) = forest.score_many([job])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * forest._TASK_CELLS
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
 
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
