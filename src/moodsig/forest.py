@@ -322,15 +322,16 @@ _pool = None
 # score_many packs consecutive jobs of one table shape, mode and config
 # into tasks of at most this many cells (trees x training rows x features),
 # splitting a larger job's trees into ranges that fit; a task's arrays peak
-# at about 60 bytes a cell. Two of classify's leave-one-out jobs (37,500
-# cells each) share a task: in-process its 126 jobs took 0.98 s at one job
-# a task and 0.89 s at two or three, while each job read ahead holds its
-# table in the parent (loo_points' tracemalloc peak 220, 325 and 430 KB).
-_TASK_CELLS = 5 << 14
+# at about 60 bytes a cell. One of classify's leave-one-out jobs (37,500
+# cells) fills a task: two a task ran its 126 jobs 10% faster in-process
+# (0.89 against 0.98 s) but raised classify's median peak RSS from 39.17 to
+# 39.28 MB (14 runs; one job a task read 39.14), as every job read ahead
+# holds its table in the parent.
+_TASK_CELLS = 1 << 16
 
 # each worker has a task running and one queued while the consumer handles
-# a result: classify's median wall time was 1.04, 0.99 and 0.93 s at one,
-# two and three tasks a worker, and three raised its peak RSS by 0.1 MB
+# a result: classify's median wall time (10 runs) was 1.21, 1.04 and 1.04 s
+# at one, two and three tasks a worker
 _TASKS_PER_WORKER = 2
 
 

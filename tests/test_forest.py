@@ -651,9 +651,9 @@ def test_a_job_over_the_task_budget_is_split_into_tree_ranges(monkeypatch, mode)
 
 def test_scoring_memory_is_bounded_by_the_task_budget(monkeypatch):
     # one worker scores a 125x12 job of 2,000 trees (the CLI accepts up to
-    # 10,000) in tasks of at most _TASK_CELLS cells, 54 trees each. Its
+    # 10,000) in tasks of at most _TASK_CELLS cells, 43 trees each. Its
     # tracemalloc peak, about 60 bytes a cell, stays below a fixed multiple
-    # of one task's cells; all 2,000 trees at once would take 37 times that.
+    # of one task's cells; all 2,000 trees at once would take 46 times that.
     # The row to score sits right of every split, so each tree grows only
     # its rightmost path.
     monkeypatch.setattr(forest, "_worker_count", lambda: 1)
