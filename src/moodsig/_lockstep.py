@@ -34,9 +34,10 @@ def _dense_ranks(X):
 def _score_trees(mode, cfg, n_candidates, n_classes, parts):
     """The leaf values that each part's rows reach in its trees, one (trees,
     rows, C) array per part (X, y, key, tree_ids, rows), all parts' tables
-    of one shape; n_classes is 0 in regress mode. A tree grows only until
-    its rows sit in leaves: a node it has not grown then would only draw
-    later from its generator."""
+    of one shape. The other arguments are those of fit's tasks; n_classes,
+    0 in regress mode, tells the mode. A tree grows only until its rows sit
+    in leaves: a node it has not grown then would only draw later from its
+    generator."""
     classify = n_classes > 0
     m, f = parts[0][0].shape
     min_leaf, nc = cfg.min_leaf, n_candidates
