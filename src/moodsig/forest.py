@@ -344,7 +344,7 @@ def _worker_count():
 
 
 class _InProcess:
-    # the pool's stand-in for one worker: submit grows the share at once and
+    # the pool's stand-in for one worker: submit runs the task at once and
     # returns a completed future, an error set on it rather than raised, so
     # the error surfaces at its job's turn, as a pool future's does
     @staticmethod
