@@ -31,38 +31,31 @@ def _dense_ranks(X):
     return ranks.T
 
 
-def _score_trees(mode, cfg, n_candidates, n_classes, parts):
-    """The leaf values that each part's rows reach in its trees, one (trees,
-    rows, C) array per part (X, y, key, tree_ids, rows), all parts' tables
-    of one shape. The other arguments are those of fit's tasks; n_classes,
-    0 in regress mode, tells the mode. A tree grows only until its rows sit
-    in leaves: a node it has not grown then would only draw later from its
-    generator."""
+def _score_trees(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows):
+    """The leaf values that `rows` reach in the trees tree_ids of the job
+    (X, y, key), one (trees, rows, C) array. The other arguments are those
+    of fit's tasks; n_classes, 0 in regress mode, tells the mode. A tree
+    grows only until the rows sit in leaves: a node it has not grown then
+    would only draw later from its generator."""
     classify = n_classes > 0
-    m, f = parts[0][0].shape
+    m, f = X.shape
     min_leaf, nc = cfg.min_leaf, n_candidates
     max_depth = m if cfg.max_depth is None else cfg.max_depth
-    out = [np.zeros((len(ids), len(rows), n_classes or 1)) for *_, ids, rows in parts]
-    # (part, index in its range) of every tree with rows to score
-    trees = [(p, k) for p, (*_, ids, rows) in enumerate(parts) if len(rows)
-             for k in range(len(ids))]
-    if not trees:
-        return out
-    T = len(trees)
-    scored = [rows.tolist() for *_, rows in parts]
-    gens = [np.random.default_rng((*parts[p][2], parts[p][3][k])) for p, k in trees]
-    row = np.concatenate([g.integers(0, m, size=m) + p * m for g, (p, _) in zip(gens, trees)])
+    T = len(tree_ids)
+    if not len(rows):
+        return np.zeros((T, 0, n_classes or 1))
+    scored = rows.tolist()
+    gens = [np.random.default_rng((*key, t)) for t in tree_ids]
+    row = np.concatenate([g.integers(0, m, size=m) for g in gens])
     # per tree, its features' ranks at its bootstrap positions; row t * f + c
     # of `order` is tree t's positions in feature c's order, as indices into
     # the flat (tree, bootstrap position) arrays `row` (the position's row
-    # of the parts' stacked tables), `y` and `node` (the node it sits in)
-    ranks = np.concatenate([_dense_ranks(X) for X, *_ in parts], axis=1)
-    keys = np.stack(np.split(ranks[:, row], T, axis=1))
+    # of X), `y` and `node` (the node it sits in)
+    keys = _dense_ranks(X)[:, row].reshape(f, T, m).swapaxes(0, 1)
     order = keys.argsort(axis=2, kind="stable")
     sorted_keys = np.take_along_axis(keys, order, 2).reshape(T * f, m)
     order = (order + np.arange(0, T * m, m)[:, None, None]).reshape(T * f, m)
-    X = np.concatenate([part[0] for part in parts])
-    y = np.concatenate([part[1] for part in parts])[row]
+    y = y[row]
     node = np.zeros(T * m, dtype=np.int32)
     next_id = 1
     roots = [None] * T
@@ -70,9 +63,9 @@ def _score_trees(mode, cfg, n_candidates, n_classes, parts):
         roots = np.bincount(np.repeat(np.arange(0, T * n_classes, n_classes), m) + y,
                             minlength=T * n_classes).reshape(T, -1).tolist()
     # a stack entry: (node, size, depth, rows held, class counts in classify mode)
-    unsettled = [len(scored[p]) for p, _ in trees]
-    stacks = [[(0, m, 0, tuple(range(n)), root)] for n, root in zip(unsettled, roots)]
-    leaves = [[None] * n for n in unsettled]
+    unsettled = [len(scored)] * T
+    stacks = [[(0, m, 0, tuple(range(len(scored))), root)] for root in roots]
+    leaves = [[None] * len(scored) for _ in range(T)]
     cand = np.empty((T, nc), dtype=np.intp)
     growing = range(T)
     while growing:
@@ -169,16 +162,13 @@ def _score_trees(mode, cfg, n_candidates, n_classes, parts):
             held_left = held_right = ()
             if held:
                 # the split rule predict walks: > goes right
-                rows = scored[trees[i][0]]
-                held_left = tuple(r for r in held if rows[r][f_] <= th)
-                held_right = tuple(r for r in held if rows[r][f_] > th)
+                held_left = tuple(r for r in held if scored[r][f_] <= th)
+                held_right = tuple(r for r in held if scored[r][f_] > th)
                 unsettled[i] += len(held)
             stacks[i] += [(ch, n_left, depth + 1, held_left, v_left),
                           (ch + 1, n - n_left, depth + 1, held_right, v_right)]
 
-    for (p, k), leaf in zip(trees, leaves):
-        out[p][k] = leaf
+    out = np.array(leaves, dtype=float)
     if classify:
-        for values in out:
-            values /= values.sum(axis=2, keepdims=True)
+        out /= out.sum(axis=2, keepdims=True)
     return out

@@ -13,12 +13,11 @@ flight; with one CPU, or no affinity mask, it runs the tasks in-process,
 still reading ahead.
 
 `score_many` streams through the same loop jobs that need only a fit's
-tree mean on a few rows (the leave-one-out points). Consecutive jobs of one
-table shape, mode and config share a task, and a job too large for one is
-split into ranges of trees. A task's trees grow in lockstep
-(`moodsig._lockstep`): each keeps its own generator, bootstrap draw and
-right-subtree-first order, while one pass of numpy calls scores the
-candidate splits of every tree's next node. Each tree's features are
+tree mean on a few rows (the leave-one-out points). A task holds one job's
+trees, or a range of them when the job is too large for one task, and its
+trees grow in lockstep (`moodsig._lockstep`): each keeps its own
+generator, bootstrap draw and right-subtree-first order, while one pass of
+numpy calls scores the candidate splits of every tree's next node. Each tree's features are
 presorted once as dense-rank keys, whose stable radix sort is the grower's
 tie order, so a node's rows in a feature's order are filtered from that
 presort instead of sorted. A tree grows only until every scored row sits
@@ -287,30 +286,27 @@ def _grow_tree(XT, stats, mode, cfg, n_candidates, rng):
     return _Tree(*(a[:n_nodes].copy() for a in (feature, threshold, left, right, value)))
 
 
-def _grow_trees(mode, cfg, n_candidates, n_classes, parts):
-    """The trees of each part (X, y, key, tree_ids), one list per part: tree
-    t grows from its own (key, t) generator, its bootstrap draw, then one
-    candidate draw per node, in right-subtree-first depth-first order."""
-    grown = []
-    for X, y, key, tree_ids in parts:
-        XT = np.ascontiguousarray(X.T)
-        stats = np.eye(n_classes)[:, y] if mode == CLASSIFY else y
-        trees = []
-        for t in tree_ids:
-            rng = np.random.default_rng((*key, t))
-            boot = rng.integers(0, len(y), size=len(y))
-            trees.append(_grow_tree(XT[:, boot], stats[..., boot], mode, cfg, n_candidates, rng))
-        grown.append(trees)
-    return grown
+def _grow_trees(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids):
+    """The trees numbered tree_ids of the job (X, y, key), each grown from
+    its own (key, t) generator: its bootstrap draw, then one candidate draw
+    per node, in right-subtree-first depth-first order."""
+    XT = np.ascontiguousarray(X.T)
+    stats = np.eye(n_classes)[:, y] if mode == CLASSIFY else y
+    trees = []
+    for t in tree_ids:
+        rng = np.random.default_rng((*key, t))
+        boot = rng.integers(0, len(y), size=len(y))
+        trees.append(_grow_tree(XT[:, boot], stats[..., boot], mode, cfg, n_candidates, rng))
+    return trees
 
 
-def _score_trees(mode, cfg, n_candidates, n_classes, parts):
+def _score_trees(*task):
     # score_many's task: the lockstep scorer is loaded only by the processes
     # that score. Run from source, compiling it in this module raised
     # classify's peak RSS by 0.45 MB, far more than its own module does.
     from ._lockstep import _score_trees
 
-    return _score_trees(mode, cfg, n_candidates, n_classes, parts)
+    return _score_trees(*task)
 
 
 # The worker pool is created by the first fit that uses more than one
@@ -319,14 +315,12 @@ def _score_trees(mode, cfg, n_candidates, n_classes, parts):
 # exit for library callers).
 _pool = None
 
-# score_many packs consecutive jobs of one table shape, mode and config
-# into tasks of at most this many cells (trees x training rows x features),
-# splitting a larger job's trees into ranges that fit; a task's arrays peak
+# score_many splits a job's trees into tasks of at most this many cells
+# (trees x training rows x features), as the lockstep scorer's arrays peak
 # at about 60 bytes a cell. One of classify's leave-one-out jobs (37,500
-# cells) fills a task: two a task ran its 126 jobs 10% faster in-process
-# (0.89 against 0.98 s) but raised classify's median peak RSS from 39.17 to
-# 39.28 MB (14 runs; one job a task read 39.14), as every job read ahead
-# holds its table in the parent.
+# cells) is one task; a scoring worker's max RSS read 33.0 MB at this
+# budget, 35.4 MB at 80 Ki and 38.7 MB at 128 Ki cells, against the
+# parent's 40.0 MB, which sets classify's peak.
 _TASK_CELLS = 1 << 16
 
 # each worker has a task running and one queued while the consumer handles
@@ -436,11 +430,11 @@ def _tree_ranges(n_trees, parts):
 
 
 def _fit_parts(job, workers):
-    # fit's one job, its argument tuple: one range of trees per worker, each
-    # a task of its own (key None); its results are lists of trees
+    # fit's one job, its argument tuple: one range of trees per worker; its
+    # results are lists of trees
     head, (X, y, key), fields = _checked(*job)
     n_trees = fields["config"].n_trees
-    parts = [(None, 0, (X, y, key, r)) for r in _tree_ranges(n_trees, min(workers, n_trees))]
+    parts = [(X, y, key, r) for r in _tree_ranges(n_trees, min(workers, n_trees))]
     return _grow_trees, head, parts, lambda shares: TreeEnsemble(
         **fields, trees=tuple(t for share in shares for t in share))
 
@@ -448,15 +442,14 @@ def _fit_parts(job, workers):
 def _score_parts(job, workers):
     # a score_many job: fit's argument tuple and the rows to score, checked
     # as predict checks them; ranges of its trees of at most _TASK_CELLS
-    # cells, which tasks pack with other jobs of its key, and results of
-    # (trees, rows, C) leaf values
+    # cells, whose results are (trees, rows, C) leaf values
     args, rows = job
     head, (X, y, key), fields = _checked(*args)
     rows = _as_matrix(rows, X.shape[1])
     n_trees = fields["config"].n_trees
     step = max(1, _TASK_CELLS // X.size)
-    parts = [((X.shape, *head), len(r) * X.size, (X, y, key, r, rows))
-             for r in (range(lo, min(lo + step, n_trees)) for lo in range(0, n_trees, step))]
+    parts = [(X, y, key, range(lo, min(lo + step, n_trees)), rows)
+             for lo in range(0, n_trees, step)]
 
     def tree_mean(shares):
         # one column per class, or one mean target (regress reads 0 classes)
@@ -469,55 +462,23 @@ def _score_parts(job, workers):
     return _score_trees, head, parts, tree_mean
 
 
-class _Task:
-    # one call fn(*head, parts), in the pool or in-process; parts join it
-    # until it is submitted, and `alone` holds one future per part once the
-    # call has failed
-    def __init__(self, fn, head, key):
-        self.fn, self.head, self.key = fn, head, key
-        self.parts, self.cells, self.taken = [], 0, 0
-        self.future = self.alone = None
-
-
 def _stream(jobs, start):
     # the one read-ahead loop of fit and score_many: `start(job, workers)`
-    # checks a job and returns (fn, head, parts, finish). A part, (key,
-    # cells, args), runs in a task fn(*head, [args, ...]), which it shares
-    # with the parts read just before it while their key is the same (not
-    # None) and the task holds at most _TASK_CELLS cells; finish(the parts'
-    # results, in tree order) is what the job yields. Jobs are read until
-    # _TASKS_PER_WORKER tasks per worker are submitted and not yet taken.
+    # checks a job and returns (fn, head, parts, finish); each part runs as
+    # one task fn(*head, *part), and finish(the parts' results, in tree
+    # order) is what the job yields. Jobs are read until _TASKS_PER_WORKER
+    # tasks per worker are submitted and not yet taken.
     from concurrent.futures import BrokenExecutor, wait
 
     jobs = iter(jobs)
     workers = _worker_count()
-    waiting = deque()  # per job read ahead: (finish, [(task, part index)])
-    flight = deque()  # submitted tasks whose results are not all taken
-    packing = None  # the task the next part may join
-    error = None  # of the job after those waiting, raised in its place
+    pending = deque()  # per job read ahead: (finish, futures)
+    error = None  # of the job after those pending, raised in its place
     try:
         pool = _executor(workers)
-
-        def submit(task):
-            task.future = pool.submit(task.fn, *task.head, task.parts)
-            flight.append(task)
-
-        def result(task, i):
-            try:
-                return task.future.result()[i]
-            except BrokenExecutor:
-                raise
-            except Exception:
-                if len(task.parts) == 1:
-                    raise
-            # a packed task failed: its parts run again, one per task, so
-            # each job gets its own result or error
-            if task.alone is None:
-                task.alone = [pool.submit(task.fn, *task.head, [args]) for args in task.parts]
-            return task.alone[i].result()[0]
-
         while True:
-            while error is None and len(flight) < _TASKS_PER_WORKER * workers:
+            while (error is None
+                   and sum(len(futs) for _, futs in pending) < _TASKS_PER_WORKER * workers):
                 try:
                     fn, head, parts, finish = start(next(jobs), workers)
                 except StopIteration:
@@ -525,31 +486,13 @@ def _stream(jobs, start):
                 except Exception as exc:
                     error = exc
                     break
-                slots = []
-                for key, cells, args in parts:
-                    if (packing is None or key is None or key != packing.key
-                            or packing.cells + cells > _TASK_CELLS):
-                        if packing is not None:
-                            submit(packing)
-                        packing = _Task(fn, head, key)
-                    slots.append((packing, len(packing.parts)))
-                    packing.parts.append(args)
-                    packing.cells += cells
-                waiting.append((finish, slots))
-            if not waiting:
+                pending.append((finish, [pool.submit(fn, *head, *part) for part in parts]))
+            if not pending:
                 if error is not None:
                     raise error
                 return
-            finish, slots = waiting.popleft()
-            if slots[-1][0] is packing:
-                submit(packing)
-                packing = None
-            results = [result(task, i) for task, i in slots]
-            for task, _ in slots:
-                task.taken += 1
-            while flight and flight[0].taken == len(flight[0].parts):
-                flight.popleft()
-            yield finish(results)
+            finish, futures = pending.popleft()
+            yield finish(fut.result() for fut in futures)
     except BrokenExecutor as exc:
         # a broken pool refuses all further work; the next fit starts anew
         shutdown_pool()
@@ -559,7 +502,7 @@ def _stream(jobs, start):
     finally:
         # tasks read ahead of an error or of an abandoned stream: none is
         # left growing
-        futures = [fut for task in flight for fut in (task.future, *(task.alone or ()))]
+        futures = [fut for _, futs in pending for fut in futs]
         for fut in futures:
             fut.cancel()
         wait(futures)
@@ -575,14 +518,12 @@ def score_many(jobs):
     the per-row mean of the trees' leaf values, class fractions or mean
     targets, so in classify mode it is byte for byte
     `fit(*args).predict_proba(rows)`. Each tree is grown under fit's random
-    protocol only until every row sits in a leaf. Consecutive jobs of one
-    table shape, mode and config share a task, whose trees grow in lockstep
-    (a job too large for one task is split into ranges of trees), and a
-    worker returns the rows' leaf values instead of trees; with one worker
-    the tasks run in-process. Jobs are read lazily: reading stops once two
-    tasks per worker are submitted and not yet taken, so at most that many
-    tasks' jobs, and the job that opened the next task, are read ahead of
-    the results yielded. A job that fails fit's or predict's checks, a job
+    protocol only until every row sits in a leaf. A job's trees are one task,
+    or several ranges of trees when the job is large, whose trees grow in
+    lockstep, and a worker returns the rows' leaf values instead of trees;
+    with one worker the tasks run in-process. Jobs are read lazily: reading
+    stops once two tasks per worker are submitted and not yet taken, so at
+    most that many jobs are read ahead of the results yielded. A job that fails fit's or predict's checks, a job
     source that raises, or trees that fail to grow raise the error in the
     job's place, after the results before it. Closing the generator early
     cancels the tasks read ahead and waits for those already growing.

@@ -642,14 +642,14 @@ _score_trees = forest._score_trees
 _PARENT_PID = os.getpid()
 
 
-def _die_on_loo_fits(mode, cfg, n_candidates, n_classes, parts):
-    # a worker scoring leave-one-out fits (key namespace 106) dies; were one
+def _die_on_loo_fits(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows):
+    # a worker scoring a leave-one-out fit (key namespace 106) dies; were one
     # scored in-process, the test would fail rather than end pytest, and
     # were they grown whole by fit's task, main would not fail
-    if any(key[1] == 106 for _, _, key, _, _ in parts):
+    if key[1] == 106:
         assert os.getpid() != _PARENT_PID, "a leave-one-out fit was scored in-process"
         os._exit(1)
-    return _score_trees(mode, cfg, n_candidates, n_classes, parts)
+    return _score_trees(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows)
 
 
 def test_dead_worker_in_the_loo_stream_is_a_clean_error(tmp_path, capsys, monkeypatch):

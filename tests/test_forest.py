@@ -281,30 +281,11 @@ def _stream_jobs(mode, n_jobs, pulled=None, bad=None):
 
 def _score_jobs(mode, n_jobs, bad_rows=None, **kwargs):
     # _stream_jobs with rows to score: two training rows and a fresh one;
-    # job `bad_rows` scores rows of the wrong width. No two jobs share a
-    # table shape and config, so each is a task of its own.
+    # job `bad_rows` scores rows of the wrong width
     rng = np.random.default_rng(44)
     for j, args in enumerate(_stream_jobs(mode, n_jobs, **kwargs)):
         rows = np.vstack([args[0][:2], rng.normal(size=(1, 4))])
         yield args, rows[:, :3] if j == bad_rows else rows
-
-
-# the cells (trees x rows x features) of each of _packed_jobs's jobs
-_PACKED_CELLS = 4 * 20 * 4
-
-
-def _packed_jobs(mode, n_jobs, pulled=None):
-    # jobs of one table shape, mode and config, which tasks pack together,
-    # _TASK_CELLS // _PACKED_CELLS to a task; seed keys (9, j) as
-    # _stream_jobs's, and rows as _score_jobs's
-    rng = np.random.default_rng(45)
-    for j in range(n_jobs):
-        X = rng.normal(size=(20, 4))
-        y = rng.integers(0, 3, size=20) if mode == CLASSIFY else rng.normal(size=20)
-        if pulled is not None:
-            pulled.append(j)
-        yield ((X, y, mode, ForestConfig(n_trees=4), (9, j), 3 if mode == CLASSIFY else None),
-               np.vstack([X[:2], rng.normal(size=(1, 4))]))
 
 
 def _submitted_futures(monkeypatch):
@@ -340,31 +321,30 @@ def _assert_same_scores(got, expected):
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
 def test_score_many_equals_the_tree_mean_of_fit(monkeypatch, mode, workers):
     # 0 jobs, one job and more jobs than are read ahead, read from a
-    # generator, against the tree mean of each job's in-process fit; jobs
-    # of varied shapes and jobs that tasks pack three at a time
-    monkeypatch.setattr(forest, "_TASK_CELLS", 3 * _PACKED_CELLS)
-    n_many = 3 * forest._TASKS_PER_WORKER * workers + 6
-    for source in (_score_jobs, _packed_jobs):
-        monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-        expected = [fit(*args)._tree_mean(rows) for args, rows in source(mode, n_many)]
-        monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    # generator, against the tree mean of each job's in-process fit; each
+    # job one task, and each tree one task
+    n_many = forest._TASKS_PER_WORKER * workers + 6
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    expected = [fit(*args)._tree_mean(rows) for args, rows in _score_jobs(mode, n_many)]
+    monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    for cells in (forest._TASK_CELLS, 1):
+        monkeypatch.setattr(forest, "_TASK_CELLS", cells)
         for n_jobs in (0, 1, n_many):
-            _assert_same_scores(list(forest.score_many(source(mode, n_jobs))),
+            _assert_same_scores(list(forest.score_many(_score_jobs(mode, n_jobs))),
                                 expected[:n_jobs])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_score_many_reads_jobs_lazily(monkeypatch, workers):
     # reading stops once _TASKS_PER_WORKER tasks per worker are submitted
-    # and not yet taken: jobs of varied shapes are a task each, and jobs of
-    # one shape and config pack three to a task
+    # and not yet taken, each job one task or, one tree a task, 1-4 tasks
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    monkeypatch.setattr(forest, "_TASK_CELLS", 3 * _PACKED_CELLS)
-    for source, jobs_per_task in ((_score_jobs, 1), (_packed_jobs, 3)):
-        bound = forest._TASKS_PER_WORKER * workers * jobs_per_task
-        n_jobs = bound + 6
+    bound = forest._TASKS_PER_WORKER * workers
+    n_jobs = bound + 6
+    for cells in (forest._TASK_CELLS, 1):
+        monkeypatch.setattr(forest, "_TASK_CELLS", cells)
         pulled = []
-        stream = forest.score_many(source(CLASSIFY, n_jobs, pulled=pulled))
+        stream = forest.score_many(_score_jobs(CLASSIFY, n_jobs, pulled=pulled))
         for taken, _ in enumerate(stream, 1):
             assert len(pulled) - taken <= bound
             if taken == 1:
@@ -419,29 +399,28 @@ def test_score_many_raises_a_failing_job_source_in_its_place(monkeypatch, worker
 _real_score_trees = forest._score_trees
 
 
-def _fail_on_job_4(mode, cfg, n_candidates, n_classes, parts):
-    if any(key == (9, 4) for _, _, key, _, _ in parts):
+def _fail_on_job_4(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows):
+    if key == (9, 4):
         raise ValueError("cannot grow job 4")
-    return _real_score_trees(mode, cfg, n_candidates, n_classes, parts)
+    return _real_score_trees(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_score_many_raises_a_grow_error_at_its_jobs_turn(monkeypatch, workers):
     # job 4's trees fail to grow: in-process as in a worker, the four jobs
-    # before it are yielded first, also when jobs 0-4 share the failing
-    # task. Workers forked after the patch inherit it, and none is left for
-    # later tests.
-    monkeypatch.setattr(forest, "_TASK_CELLS", 5 * _PACKED_CELLS)
-    for source in (_score_jobs, _packed_jobs):
-        monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-        expected = [fit(*args)._tree_mean(rows) for args, rows in source(CLASSIFY, 4)]
+    # before it are yielded first, also when every tree is a task of its own
+    # and the ten tasks of jobs 0-3 run around the failing one. Workers
+    # forked after the patch inherit it, and none is left for later tests.
+    expected = _expected_scores(monkeypatch, 4)
+    for cells in (forest._TASK_CELLS, 1):
         forest.shutdown_pool()
+        monkeypatch.setattr(forest, "_TASK_CELLS", cells)
         monkeypatch.setattr(forest, "_score_trees", _fail_on_job_4)
         monkeypatch.setattr(forest, "_worker_count", lambda: workers)
         got = []
         try:
             with pytest.raises(ValueError, match="cannot grow job 4"):
-                for probs in forest.score_many(source(CLASSIFY, 12)):
+                for probs in forest.score_many(_score_jobs(CLASSIFY, 12)):
                     got.append(probs)
         finally:
             forest.shutdown_pool()
@@ -461,22 +440,23 @@ def test_closing_score_many_leaves_no_work_running(monkeypatch, workers):
 
 
 def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
-    # fit splits its trees into one task per worker, score_many packs jobs
-    # of one shape and config into one task, and a later fit asking for
-    # more workers reuses the pool instead of forking another
+    # fit splits its trees into one task per worker, score_many makes each
+    # small job one task, and a later fit asking for more workers reuses
+    # the pool instead of forking another
     forest.shutdown_pool()
     monkeypatch.setattr(forest, "_worker_count", lambda: 2)
     futures = _submitted_futures(monkeypatch)
-    jobs = list(_packed_jobs(CLASSIFY, 3))
+    jobs = [((args[0], args[1], CLASSIFY, ForestConfig(n_trees=4), args[4]), rows)
+            for args, rows in _score_jobs(CLASSIFY, 3)]
     fit(*jobs[0][0])
     assert len(futures) == 2
     pool = forest._pool
     assert len(list(forest.score_many(jobs))) == 3
-    assert len(futures) == 3
+    assert len(futures) == 5
     monkeypatch.setattr(forest, "_worker_count", lambda: 3)
     fit(*jobs[0][0])
     assert forest._pool is pool
-    assert len(futures) == 6
+    assert len(futures) == 8
 
 
 _ULPS = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
@@ -605,8 +585,8 @@ def test_batched_scoring_matches_fit_and_the_oracles(case, n_jobs, probe_seed, w
                                                      trees_per_task):
     # a stream of jobs of the case's shape, mode and config, each with its
     # rows shuffled, its own seed and 0-3 training or fresh rows to score,
-    # so that tasks pack them; with tasks of one or three trees' cells,
-    # jobs are also split into ranges of trees
+    # each job one task or, in tasks of one or three trees' cells, split
+    # into ranges of trees
     X, y, mode, config, seed, n_classes = case
     rng = np.random.default_rng(probe_seed)
     probes = np.vstack([X, rng.normal(size=(3, X.shape[1]))])
