@@ -17,14 +17,14 @@ tree mean on a few rows (the leave-one-out points). A task holds one job's
 trees, or a range of them when the job is too large for one task, and its
 trees grow in lockstep (`moodsig._lockstep`): each keeps its own
 generator, bootstrap draw and right-subtree-first order, while one pass of
-numpy calls scores the candidate splits of every tree's next node. Each tree's features are
-presorted once as dense-rank keys, whose stable radix sort is the grower's
-tie order, so a node's rows in a feature's order are filtered from that
-presort instead of sorted. A tree grows only until every scored row sits
-in a leaf, since the nodes the depth-first order visits later draw later
-from the tree's generator and cannot move them. A worker returns the rows'
-leaf values, not trees, and they are added in tree order as prediction
-adds them.
+numpy calls scores the candidate splits of every tree's next node. Each
+tree's features are presorted once as dense-rank keys, whose stable radix
+sort is the grower's tie order, so a node's rows in a feature's order are
+filtered from that presort instead of sorted. A tree grows only until
+every scored row sits in a leaf, since the nodes the depth-first order
+visits later draw later from the tree's generator and cannot move them. A
+worker returns the rows' leaf values, not trees, and they are added in
+tree order as prediction adds them.
 
 A node of fit's grower costs a fixed, small number of numpy calls. It
 writes each node into preallocated arrays, one per node field, a row for
@@ -324,8 +324,8 @@ _pool = None
 _TASK_CELLS = 1 << 16
 
 # each worker has a task running and one queued while the consumer handles
-# a result: classify's median wall time (10 runs) was 1.21, 1.04 and 1.04 s
-# at one, two and three tasks a worker
+# a result: classify's median wall time (6 runs of 10 s, 2 CPUs) was 1.30,
+# 1.21 and 1.25 s at one, two and three tasks a worker
 _TASKS_PER_WORKER = 2
 
 
@@ -518,15 +518,16 @@ def score_many(jobs):
     the per-row mean of the trees' leaf values, class fractions or mean
     targets, so in classify mode it is byte for byte
     `fit(*args).predict_proba(rows)`. Each tree is grown under fit's random
-    protocol only until every row sits in a leaf. A job's trees are one task,
-    or several ranges of trees when the job is large, whose trees grow in
-    lockstep, and a worker returns the rows' leaf values instead of trees;
-    with one worker the tasks run in-process. Jobs are read lazily: reading
-    stops once two tasks per worker are submitted and not yet taken, so at
-    most that many jobs are read ahead of the results yielded. A job that fails fit's or predict's checks, a job
-    source that raises, or trees that fail to grow raise the error in the
-    job's place, after the results before it. Closing the generator early
-    cancels the tasks read ahead and waits for those already growing.
+    protocol only until every row sits in a leaf. A job's trees are one
+    task, or several ranges of trees when the job is large, whose trees
+    grow in lockstep, and a worker returns the rows' leaf values instead of
+    trees; with one worker the tasks run in-process. Jobs are read lazily:
+    reading stops once two tasks per worker are submitted and not yet
+    taken, so at most that many jobs are read ahead of the results yielded.
+    A job that fails fit's or predict's checks, a job source that raises,
+    or trees that fail to grow raise the error in the job's place, after
+    the results before it. Closing the generator early cancels the tasks
+    read ahead and waits for those already growing.
     """
     return _stream(jobs, _score_parts)
 
