@@ -13,31 +13,24 @@ flight; with one CPU, or no affinity mask, it runs the tasks in-process,
 still reading ahead.
 
 `score_many` streams through the same loop jobs that need only a fit's
-tree mean on a few rows (the leave-one-out points). A task holds one job's
-trees, or a range of them when the job is too large for one task, and its
-trees grow in lockstep (`moodsig._lockstep`): each keeps its own
-generator, bootstrap draw and right-subtree-first order, while one pass of
-numpy calls scores the candidate splits of every tree's next node. Each
-tree's features are presorted once as dense-rank keys, whose stable radix
-sort is the grower's tie order, so a node's rows in a feature's order are
-filtered from that presort instead of sorted. A tree grows only until
-every scored row sits in a leaf, since the nodes the depth-first order
-visits later draw later from the tree's generator and cannot move them. A
-worker returns the rows' leaf values, not trees, and they are added in
-tree order as prediction adds them.
+tree mean on a few rows of one table (the leave-one-out points), naming
+their rows by index. Consecutive jobs share one task, which ships the
+table once, and its trees grow in lockstep (`moodsig._lockstep`), each
+only until its rows sit in leaves; a worker returns the rows' leaf values,
+added in tree order as prediction adds them.
 
 A node of fit's grower costs a fixed, small number of numpy calls. It
 writes each node into preallocated arrays, one per node field, a row for
 each of the at most 2n-1 nodes of a tree on n rows, and the tree keeps
-exact-size copies of the rows it used. A classification node never sums its rows: its
-class counts are exact integers, taken from its parent's prefix sums at the
-split. Prediction concatenates the trees' nodes and walks every (tree, row)
-pair at once, one numpy step per tree level, in groups of consecutive trees
-of at most 2^12 nodes (or one larger tree) and blocks of rows of at most
-2^13 pairs, so its temporaries stay a few hundred KB unless one tree alone
-is larger; the per-tree results are added in tree order. Trees,
-predictions and scores are bit for bit those of the per-node grower and
-the tree-at-a-time traversal kept in tests/oracles.py.
+exact-size copies of the rows it used. A classification node never sums
+its rows: its class counts are exact integers, taken from its parent's
+prefix sums at the split. Prediction concatenates the trees' nodes and
+walks every (tree, row) pair at once, one numpy step per tree level, in
+groups of consecutive trees of at most 2^12 nodes (or one larger tree) and
+blocks of rows of at most 2^13 pairs, so its temporaries stay a few
+hundred KB unless one tree alone is larger; the per-tree results are added
+in tree order. Trees, predictions and scores are bit for bit those of the
+per-node grower and the tree-at-a-time traversal kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -95,15 +88,23 @@ _NODES_PER_GROUP = 1 << 12
 _PAIRS_PER_BLOCK = 1 << 13
 
 
-def _tree_groups(trees):
-    group, nodes = [], 0
-    for tree in trees:
-        if group and nodes + len(tree.feature) > _NODES_PER_GROUP:
+def _packed(items, size, budget):
+    # consecutive items in lists of at most budget in size, or one larger
+    # item; an error reading the items raises after the list before it
+    group, used = [], 0
+    try:
+        for item in items:
+            if group and used + size(item) > budget:
+                yield group
+                group, used = [], 0
+            group.append(item)
+            used += size(item)
+    except Exception:
+        if group:
             yield group
-            group, nodes = [], 0
-        group.append(tree)
-        nodes += len(tree.feature)
-    yield group
+        raise
+    if group:
+        yield group
 
 
 def _concatenated(trees, classify):
@@ -143,6 +144,7 @@ def _add_in_tree_order(sums, leaf_values):
     steps[0] = sums
     steps[1:] = leaf_values
     sums[...] = np.add.accumulate(steps, axis=0, out=steps)[-1]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ class TreeEnsemble:
         # the trees' leaf values averaged per row: one numpy step per tree
         # level walks every (tree, row) pair of a block
         out = np.zeros((X.shape[0], self.trees[0].value.shape[1]))
-        for trees in _tree_groups(self.trees):
+        for trees in _packed(self.trees, lambda t: len(t.feature), _NODES_PER_GROUP):
             roots, feature, threshold, children, leaf_value, depth = _concatenated(
                 trees, self.mode == CLASSIFY)
             step = max(1, _PAIRS_PER_BLOCK // len(trees))
@@ -315,13 +317,13 @@ def _score_trees(*task):
 # exit for library callers).
 _pool = None
 
-# score_many splits a job's trees into tasks of at most this many cells
-# (trees x training rows x features), as the lockstep scorer's arrays peak
-# at about 60 bytes a cell. One of classify's leave-one-out jobs (37,500
-# cells) is one task; a scoring worker's max RSS read 33.0 MB at this
-# budget, 35.4 MB at 80 Ki and 38.7 MB at 128 Ki cells, against the
-# parent's 40.0 MB, which sets classify's peak.
-_TASK_CELLS = 1 << 16
+# score_many packs jobs into a task while their cells (trees x training
+# rows x features), about _CELL_BYTES each in the lockstep scorer, stay
+# within _TASK_BYTES: eight of classify's leave-one-out jobs, a 4.7 MiB
+# tracemalloc peak, workers' max RSS 34.5 MB below the parent's 39.0 MB.
+# The 126 jobs took 0.90 s of CPU at one a task, 0.71-0.75 s at 4 to 8.
+_CELL_BYTES = 10
+_TASK_BYTES = 3 << 20
 
 # each worker has a task running and one queued while the consumer handles
 # a result: classify's median wall time (6 runs of 10 s, 2 CPUs) was 1.30,
@@ -435,39 +437,16 @@ def _fit_parts(job, workers):
     head, (X, y, key), fields = _checked(*job)
     n_trees = fields["config"].n_trees
     parts = [(X, y, key, r) for r in _tree_ranges(n_trees, min(workers, n_trees))]
-    return _grow_trees, head, parts, lambda shares: TreeEnsemble(
-        **fields, trees=tuple(t for share in shares for t in share))
-
-
-def _score_parts(job, workers):
-    # a score_many job: fit's argument tuple and the rows to score, checked
-    # as predict checks them; ranges of its trees of at most _TASK_CELLS
-    # cells, whose results are (trees, rows, C) leaf values
-    args, rows = job
-    head, (X, y, key), fields = _checked(*args)
-    rows = _as_matrix(rows, X.shape[1])
-    n_trees = fields["config"].n_trees
-    step = max(1, _TASK_CELLS // X.size)
-    parts = [(X, y, key, range(lo, min(lo + step, n_trees)), rows)
-             for lo in range(0, n_trees, step)]
-
-    def tree_mean(shares):
-        # one column per class, or one mean target (regress reads 0 classes)
-        mean = np.zeros((rows.shape[0], fields["n_classes"] or 1))
-        for share in shares:
-            _add_in_tree_order(mean, share)
-        mean /= n_trees
-        return mean
-
-    return _score_trees, head, parts, tree_mean
+    return _grow_trees, head, parts, lambda shares: [TreeEnsemble(
+        **fields, trees=tuple(t for share in shares for t in share))]
 
 
 def _stream(jobs, start):
     # the one read-ahead loop of fit and score_many: `start(job, workers)`
-    # checks a job and returns (fn, head, parts, finish); each part runs as
-    # one task fn(*head, *part), and finish(the parts' results, in tree
-    # order) is what the job yields. Jobs are read until _TASKS_PER_WORKER
-    # tasks per worker are submitted and not yet taken.
+    # checks a job, or takes a list of them, and returns (fn, head, parts,
+    # finish); each part runs as one task fn(*head, *part), and finish(the
+    # parts' results, in tree order) lists what the jobs yield. Jobs are read
+    # until _TASKS_PER_WORKER tasks per worker are submitted and not taken.
     from concurrent.futures import BrokenExecutor, wait
 
     jobs = iter(jobs)
@@ -492,7 +471,7 @@ def _stream(jobs, start):
                     raise error
                 return
             finish, futures = pending.popleft()
-            yield finish(fut.result() for fut in futures)
+            yield from finish(fut.result() for fut in futures)
     except BrokenExecutor as exc:
         # a broken pool refuses all further work; the next fit starts anew
         shutdown_pool()
@@ -508,28 +487,49 @@ def _stream(jobs, start):
         wait(futures)
 
 
-def score_many(jobs):
-    """Yield, per job, the tree mean of `fit(*args)` on `rows`, without
+def score_many(X, y, mode, config, jobs, n_classes=None):
+    """Yield, per job, the tree mean of a fit on rows of one table, without
     building the ensemble.
 
-    `jobs` is an iterable of `(args, rows)` pairs: `args` a `fit` argument
-    tuple, `(X, y, mode[, config[, seed[, n_classes]]])`, and `rows` a
-    `(rows, features)` matrix checked as `predict` checks it. Each result is
-    the per-row mean of the trees' leaf values, class fractions or mean
-    targets, so in classify mode it is byte for byte
-    `fit(*args).predict_proba(rows)`. Each tree is grown under fit's random
-    protocol only until every row sits in a leaf. A job's trees are one
-    task, or several ranges of trees when the job is large, whose trees
-    grow in lockstep, and a worker returns the rows' leaf values instead of
-    trees; with one worker the tasks run in-process. Jobs are read lazily:
-    reading stops once two tasks per worker are submitted and not yet
-    taken, so at most that many jobs are read ahead of the results yielded.
-    A job that fails fit's or predict's checks, a job source that raises,
-    or trees that fail to grow raise the error in the job's place, after
-    the results before it. Closing the generator early cancels the tasks
-    read ahead and waits for those already growing.
+    The table `(X, y)`, `mode`, `config` and `n_classes` are checked as
+    `fit` checks them. `jobs` is an iterable of `(train, rows, seed)`, with
+    `train` and `rows` 1-D arrays of row indices into `X`. Each result is
+    byte for byte `fit(X[train], y[train], mode, config, seed,
+    n_classes)._tree_mean(X[rows])`, `predict_proba` in classify mode.
+    Consecutive jobs of at most `_TASK_BYTES` share one task; a larger
+    job's trees are split into several. Jobs are read lazily, until two
+    tasks per worker are submitted and not yet taken. A job that fails its
+    checks, or a job source that raises, raises the error in the job's
+    place, after the results before it; trees that fail to grow raise it
+    in place of their task's first job. Closing the generator early
+    cancels the tasks read ahead and waits for those already growing.
     """
-    return _stream(jobs, _score_parts)
+    head, (X, y, _), _ = _checked(X, y, mode, config, 0, n_classes)
+    n_trees, every = config.n_trees, np.arange(len(X))
+    rows_cap = _TASK_BYTES // (_CELL_BYTES * X.shape[1])  # a task's (tree, row) pairs
+
+    def checked():
+        # each job before packing: X[train] and X[rows] as row indices
+        for train, rows, seed in jobs:
+            train, rows = every[train], every[rows]
+            if train.ndim != 1 or rows.ndim != 1 or len(train) < 2:
+                raise ValueError("a job needs 2 or more training rows and a 1-D rows index")
+            yield train, _seed_key(seed), rows, n_classes
+
+    def tree_means(shares):
+        # per job, its leaf values added in tree order, a range at a time
+        sums = [_add_in_tree_order(np.zeros(v.shape[1:]), v) for v in next(shares)]
+        for share in shares:
+            for total, leaf_values in zip(sums, share):
+                _add_in_tree_order(total, leaf_values)
+        return [total / n_trees for total in sums]
+
+    def start(chunk, workers):
+        # one task, or ranges of the trees of one job over _TASK_BYTES
+        ranges = _tree_ranges(n_trees, -(-n_trees // max(1, rows_cap // len(chunk[0][0]))))
+        return _score_trees, head + (X, y), [(chunk, trees) for trees in ranges], tree_means
+
+    return _stream(_packed(checked(), lambda job: n_trees * len(job[0]), rows_cap), start)
 
 
 def fit(X, y, mode, config=ForestConfig(), seed=0, n_classes=None):

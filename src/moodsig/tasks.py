@@ -253,15 +253,13 @@ def loo_points(records, X_mrsf, config):
     on every other row, of all groups, with seed `(seed, 106, i)`. The
     vectors are those of `fit(...).predict_proba`, but no ensemble is
     built: `score_many` grows each tree only until the held-out row sits in
-    a leaf."""
+    a leaf, and each job names its rows of the one table."""
     y = np.array([r.group.index for r in records])
     scored = [i for i, r in enumerate(records) if r.group in config.group_list]
+    every = np.arange(len(records))
     # the fits are independent, so they share the worker pool as one stream
-    probs = score_many(
-        ((np.delete(X_mrsf, i, axis=0), np.delete(y, i), CLASSIFY, config.forest,
-          (config.seed, 106, i), 3), X_mrsf[i : i + 1])
-        for i in scored
-    )
+    probs = score_many(X_mrsf, y, CLASSIFY, config.forest,
+                       ((every[every != i], [i], (config.seed, 106, i)) for i in scored), 3)
     return tuple(ProbabilityPoint(records[i].id, records[i].group, p[0])
                  for i, p in zip(scored, probs))
 

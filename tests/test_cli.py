@@ -611,8 +611,10 @@ def test_a_one_worker_scoring_run_loads_no_pool_modules():
         "from moodsig import forest\n"
         "forest._worker_count = lambda: 1\n"
         "X = np.random.default_rng(0).normal(size=(30, 3))\n"
-        "job = ((X, np.arange(30) % 2, forest.CLASSIFY, forest.ForestConfig(n_trees=3)), X[:2])\n"
-        "assert list(forest.score_many([job]))[0].shape == (2, 2)\n"
+        "jobs = [(np.arange(1, 30), [0, 1], 0), (np.arange(29), [29], 1)]\n"
+        "probs = forest.score_many(X, np.arange(30) % 2, forest.CLASSIFY,\n"
+        "                          forest.ForestConfig(n_trees=3), jobs)\n"
+        "assert [p.shape for p in probs] == [(2, 2), (1, 2)]\n"
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing',"
         " 'concurrent.futures.process'))))\n"
     )
@@ -642,14 +644,14 @@ _score_trees = forest._score_trees
 _PARENT_PID = os.getpid()
 
 
-def _die_on_loo_fits(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows):
+def _die_on_loo_fits(mode, cfg, n_candidates, n_classes, X, y, jobs, tree_ids):
     # a worker scoring a leave-one-out fit (key namespace 106) dies; were one
     # scored in-process, the test would fail rather than end pytest, and
     # were they grown whole by fit's task, main would not fail
-    if key[1] == 106:
+    if any(key[1] == 106 for _, key, *_ in jobs):
         assert os.getpid() != _PARENT_PID, "a leave-one-out fit was scored in-process"
         os._exit(1)
-    return _score_trees(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows)
+    return _score_trees(mode, cfg, n_candidates, n_classes, X, y, jobs, tree_ids)
 
 
 def test_dead_worker_in_the_loo_stream_is_a_clean_error(tmp_path, capsys, monkeypatch):

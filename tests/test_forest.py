@@ -154,13 +154,15 @@ class TestPredict:
 
     @pytest.mark.parametrize("entry", ["predict", "predict_proba", "score_many"])
     def test_a_one_dimensional_row_is_rejected(self, entry):
-        # rows are matrices only: a lone row is a (1, features) matrix
+        # rows are matrices only: a lone row is a (1, features) matrix, and
+        # score_many's lone row a 1-D index of one row
         X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]])
         args = (X, np.array([0, 1, 0, 1]), CLASSIFY, ForestConfig(n_trees=2), 0)
-        with pytest.raises(ValueError, match=r"expected a \(rows, 2\) matrix"):
-            if entry == "score_many":
-                list(forest.score_many([(args, X[0])]))
-            else:
+        if entry == "score_many":
+            with pytest.raises(ValueError, match="1-D rows index"):
+                list(forest.score_many(*args[:4], [(np.arange(4), 0, 0)]))
+        else:
+            with pytest.raises(ValueError, match=r"expected a \(rows, 2\) matrix"):
                 getattr(fit(*args), entry)(X[0])
 
     def test_ulp_adjacent_values_never_make_empty_leaves(self):
@@ -264,28 +266,57 @@ def test_probability_rows_always_normalized(seed, n_classes):
     np.testing.assert_array_equal(model.predict(X), np.argmax(model.predict_proba(X), axis=1))
 
 
-def _stream_jobs(mode, n_jobs, pulled=None, bad=None):
-    # fit argument tuples of varied shapes, tree counts and argument lengths;
-    # `pulled` records each job as it is read, and job `bad` has a NaN feature
+_STREAM_CONFIG = ForestConfig(n_trees=3)
+_TRAIN_ROWS = 20
+
+
+def _stream_table(mode):
+    # a 40-row table: jobs train on rows of the first 30, and rows 30-39 are
+    # scored but never trained on
     rng = np.random.default_rng(43)
+    X = rng.normal(size=(40, 4))
+    return X, rng.integers(0, 3, size=40) if mode == CLASSIFY else rng.normal(size=40)
+
+
+def _score_jobs(mode, n_jobs, pulled=None, bad=None, bad_rows=None):
+    # (train, rows, seed) jobs into _stream_table: 20 training rows drawn
+    # with repeats and out of order, every third job's of classes 0 and 1
+    # only, so it infers its own classes, and three rows to score: two
+    # training rows and one that no job trains on. `pulled` records each
+    # job as it is read, job `bad` trains on a row past the table and job
+    # `bad_rows` names its rows in a 2-D index.
+    _, y = _stream_table(mode)
+    rng = np.random.default_rng(44)
     for j in range(n_jobs):
-        X = rng.normal(size=(18 + j, 4))
+        pool = np.arange(30)
+        if mode == CLASSIFY and j % 3 == 1:
+            pool = np.flatnonzero(y[:30] < 2)
+        train = rng.choice(pool, size=_TRAIN_ROWS)
         if j == bad:
-            X[3, 1] = np.nan
-        y = rng.integers(0, 3, size=len(X)) if mode == CLASSIFY else rng.normal(size=len(X))
+            train[5] = len(y)
+        rows = np.array([train[0], train[1], 30 + j % 10])
         if pulled is not None:
             pulled.append(j)
-        cfg = ForestConfig(n_trees=1 + j % 4)
-        yield (X, y, mode, cfg, (9, j)) + ((3,) if mode == CLASSIFY and j % 2 else ())
+        yield train, rows[None] if j == bad_rows else rows, (9, j)
 
 
-def _score_jobs(mode, n_jobs, bad_rows=None, **kwargs):
-    # _stream_jobs with rows to score: two training rows and a fresh one;
-    # job `bad_rows` scores rows of the wrong width
-    rng = np.random.default_rng(44)
-    for j, args in enumerate(_stream_jobs(mode, n_jobs, **kwargs)):
-        rows = np.vstack([args[0][:2], rng.normal(size=(1, 4))])
-        yield args, rows[:, :3] if j == bad_rows else rows
+def _stream(mode, jobs):
+    X, y = _stream_table(mode)
+    return forest.score_many(X, y, mode, _STREAM_CONFIG, jobs)
+
+
+def _fit_scores(mode, jobs):
+    # each job's tree mean from its fit, grown in-process
+    X, y = _stream_table(mode)
+    with mock.patch.object(forest, "_worker_count", lambda: 1):
+        return [fit(X[train], y[train], mode, _STREAM_CONFIG, seed)._tree_mean(X[rows])
+                for train, rows, seed in jobs]
+
+
+def _budget(jobs_per_task):
+    # a _TASK_BYTES that packs this many of _score_jobs' jobs into a task,
+    # or, for 0, makes each tree a task of its own
+    return jobs_per_task * _STREAM_CONFIG.n_trees * _TRAIN_ROWS * 4 * forest._CELL_BYTES or 1
 
 
 def _submitted_futures(monkeypatch):
@@ -305,12 +336,6 @@ def _submitted_futures(monkeypatch):
     return futures
 
 
-def _expected_scores(monkeypatch, n_jobs):
-    # the first n_jobs classify jobs' predict_proba, fit in-process
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    return [fit(*args).predict_proba(rows) for args, rows in _score_jobs(CLASSIFY, n_jobs)]
-
-
 def _assert_same_scores(got, expected):
     assert len(got) == len(expected)
     for ours, base in zip(got, expected):
@@ -321,32 +346,34 @@ def _assert_same_scores(got, expected):
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
 def test_score_many_equals_the_tree_mean_of_fit(monkeypatch, mode, workers):
     # 0 jobs, one job and more jobs than are read ahead, read from a
-    # generator, against the tree mean of each job's in-process fit; each
-    # job one task, and each tree one task
-    n_many = forest._TASKS_PER_WORKER * workers + 6
-    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = [fit(*args)._tree_mean(rows) for args, rows in _score_jobs(mode, n_many)]
+    # generator, against the tree mean of each job's in-process fit; one
+    # job a task, three jobs a task, every job in one task, and each tree a
+    # task of its own
+    n_many = 3 * forest._TASKS_PER_WORKER * workers + 6
+    expected = _fit_scores(mode, _score_jobs(mode, n_many))
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    for cells in (forest._TASK_CELLS, 1):
-        monkeypatch.setattr(forest, "_TASK_CELLS", cells)
+    for budget in (_budget(1), _budget(3), forest._TASK_BYTES, _budget(0)):
+        monkeypatch.setattr(forest, "_TASK_BYTES", budget)
         for n_jobs in (0, 1, n_many):
-            _assert_same_scores(list(forest.score_many(_score_jobs(mode, n_jobs))),
+            _assert_same_scores(list(_stream(mode, _score_jobs(mode, n_jobs))),
                                 expected[:n_jobs])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_score_many_reads_jobs_lazily(monkeypatch, workers):
     # reading stops once _TASKS_PER_WORKER tasks per worker are submitted
-    # and not yet taken, each job one task or, one tree a task, 1-4 tasks
+    # and not yet taken: one job a task, three jobs a task, or each tree a
+    # task, so at most that many tasks' jobs are read ahead of the results
+    # taken, the job read to close the last task among them
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
     bound = forest._TASKS_PER_WORKER * workers
-    n_jobs = bound + 6
-    for cells in (forest._TASK_CELLS, 1):
-        monkeypatch.setattr(forest, "_TASK_CELLS", cells)
+    for per_task in (1, 3, 0):
+        monkeypatch.setattr(forest, "_TASK_BYTES", _budget(per_task))
+        n_jobs = bound * max(per_task, 1) + 6
         pulled = []
-        stream = forest.score_many(_score_jobs(CLASSIFY, n_jobs, pulled=pulled))
+        stream = _stream(CLASSIFY, _score_jobs(CLASSIFY, n_jobs, pulled=pulled))
         for taken, _ in enumerate(stream, 1):
-            assert len(pulled) - taken <= bound
+            assert len(pulled) - taken <= bound * max(per_task, 1)
             if taken == 1:
                 assert len(pulled) < n_jobs
         assert pulled == list(range(n_jobs))
@@ -355,25 +382,33 @@ def test_score_many_reads_jobs_lazily(monkeypatch, workers):
 @pytest.mark.parametrize("bad", ["features", "rows"])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_score_many_raises_a_bad_job_in_its_place(monkeypatch, workers, bad):
-    # job 4 has a NaN feature, or rows of the wrong width: the four results
-    # before it are yielded, then the error fit or predict_proba raises;
-    # nothing read ahead is left growing, and the pool still scores as an
-    # in-process fit does
-    expected = _expected_scores(monkeypatch, 4)
+    # job 4 trains on a row past the table, or names its rows in a 2-D
+    # index. Jobs are checked before they are packed, so with one job a
+    # task, and with three (jobs 3-5 would share one), the four results
+    # before it are yielded, then the error that X[train] raises or one
+    # naming the rows; nothing read ahead is left growing, and the pool
+    # still scores as an in-process fit does
+    expected = _fit_scores(CLASSIFY, _score_jobs(CLASSIFY, 4))
     bad_job = {"features": dict(bad=4), "rows": dict(bad_rows=4)}[bad]
-    args, rows = list(_score_jobs(CLASSIFY, 5, **bad_job))[4]
-    with pytest.raises(ValueError) as direct_error:
-        fit(*args).predict_proba(rows)
     futures = _submitted_futures(monkeypatch)
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
-    got = []
-    with pytest.raises(ValueError) as stream_error:
-        for probs in forest.score_many(_score_jobs(CLASSIFY, 12, **bad_job)):
-            got.append(probs)
-    assert str(stream_error.value) == str(direct_error.value)
-    _assert_same_scores(got, expected)
-    assert all(fut.done() for fut in futures)
-    _assert_same_scores(list(forest.score_many(_score_jobs(CLASSIFY, 1))), expected[:1])
+    for per_task in (1, 3):
+        monkeypatch.setattr(forest, "_TASK_BYTES", _budget(per_task))
+        got = []
+        with pytest.raises((IndexError, ValueError)) as stream_error:
+            for probs in _stream(CLASSIFY, _score_jobs(CLASSIFY, 12, **bad_job)):
+                got.append(probs)
+        if bad == "features":
+            X, _ = _stream_table(CLASSIFY)
+            train = list(_score_jobs(CLASSIFY, 5, **bad_job))[4][0]
+            with pytest.raises(IndexError) as direct_error:
+                X[train]
+            assert str(stream_error.value) == str(direct_error.value)
+        else:
+            assert stream_error.type is ValueError and stream_error.match("1-D rows index")
+        _assert_same_scores(got, expected)
+        assert all(fut.done() for fut in futures)
+    _assert_same_scores(list(_stream(CLASSIFY, _score_jobs(CLASSIFY, 1))), expected[:1])
 
 
 def _failing_source(n_jobs):
@@ -383,14 +418,14 @@ def _failing_source(n_jobs):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_score_many_raises_a_failing_job_source_in_its_place(monkeypatch, workers):
-    # the source fails after four jobs: those four are yielded, then its
-    # error, and nothing read ahead is left growing
-    expected = _expected_scores(monkeypatch, 4)
+    # the source fails after four jobs, packed into one task: those four
+    # are yielded, then its error, and nothing read ahead is left growing
+    expected = _fit_scores(CLASSIFY, _score_jobs(CLASSIFY, 4))
     futures = _submitted_futures(monkeypatch)
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
     got = []
     with pytest.raises(RuntimeError, match="job source failed"):
-        for probs in forest.score_many(_failing_source(4)):
+        for probs in _stream(CLASSIFY, _failing_source(4)):
             got.append(probs)
     _assert_same_scores(got, expected)
     assert all(fut.done() for fut in futures)
@@ -399,40 +434,44 @@ def test_score_many_raises_a_failing_job_source_in_its_place(monkeypatch, worker
 _real_score_trees = forest._score_trees
 
 
-def _fail_on_job_4(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows):
-    if key == (9, 4):
+def _fail_on_job_4(mode, cfg, n_candidates, n_classes, X, y, jobs, tree_ids):
+    if any(key == (9, 4) for _, key, *_ in jobs):
         raise ValueError("cannot grow job 4")
-    return _real_score_trees(mode, cfg, n_candidates, n_classes, X, y, key, tree_ids, rows)
+    return _real_score_trees(mode, cfg, n_candidates, n_classes, X, y, jobs, tree_ids)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_score_many_raises_a_grow_error_at_its_jobs_turn(monkeypatch, workers):
-    # job 4's trees fail to grow: in-process as in a worker, the four jobs
-    # before it are yielded first, also when every tree is a task of its own
-    # and the ten tasks of jobs 0-3 run around the failing one. Workers
-    # forked after the patch inherit it, and none is left for later tests.
-    expected = _expected_scores(monkeypatch, 4)
-    for cells in (forest._TASK_CELLS, 1):
+    # job 4's trees fail to grow: in-process as in a worker, the error
+    # takes the place of its task's first job, after the results before
+    # it. That is job 4 with one job a task, also when every tree is a task
+    # of its own and the tasks of jobs 0-3 run around the failing ones, and
+    # job 3 with three jobs a task. Workers forked after the patch inherit
+    # it, and none is left for later tests.
+    expected = _fit_scores(CLASSIFY, _score_jobs(CLASSIFY, 4))
+    for per_task, first in ((1, 4), (0, 4), (3, 3)):
         forest.shutdown_pool()
-        monkeypatch.setattr(forest, "_TASK_CELLS", cells)
+        monkeypatch.setattr(forest, "_TASK_BYTES", _budget(per_task))
         monkeypatch.setattr(forest, "_score_trees", _fail_on_job_4)
         monkeypatch.setattr(forest, "_worker_count", lambda: workers)
         got = []
         try:
             with pytest.raises(ValueError, match="cannot grow job 4"):
-                for probs in forest.score_many(_score_jobs(CLASSIFY, 12)):
+                for probs in _stream(CLASSIFY, _score_jobs(CLASSIFY, 12)):
                     got.append(probs)
         finally:
             forest.shutdown_pool()
             monkeypatch.setattr(forest, "_score_trees", _real_score_trees)
-        _assert_same_scores(got, expected)
+        _assert_same_scores(got, expected[:first])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_closing_score_many_leaves_no_work_running(monkeypatch, workers):
+    # one job a task, so several tasks are read ahead when the stream closes
     monkeypatch.setattr(forest, "_worker_count", lambda: workers)
+    monkeypatch.setattr(forest, "_TASK_BYTES", _budget(1))
     futures = _submitted_futures(monkeypatch)
-    stream = forest.score_many(_score_jobs(REGRESS, 20))
+    stream = _stream(REGRESS, _score_jobs(REGRESS, 20))
     next(stream)
     stream.close()
     assert 1 < len(futures) <= workers * forest._TASKS_PER_WORKER
@@ -440,23 +479,22 @@ def test_closing_score_many_leaves_no_work_running(monkeypatch, workers):
 
 
 def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
-    # fit splits its trees into one task per worker, score_many makes each
-    # small job one task, and a later fit asking for more workers reuses
-    # the pool instead of forking another
+    # fit splits its trees into one task per worker, score_many packs
+    # small jobs into one task, and a later fit asking for more workers
+    # reuses the pool instead of forking another
     forest.shutdown_pool()
     monkeypatch.setattr(forest, "_worker_count", lambda: 2)
     futures = _submitted_futures(monkeypatch)
-    jobs = [((args[0], args[1], CLASSIFY, ForestConfig(n_trees=4), args[4]), rows)
-            for args, rows in _score_jobs(CLASSIFY, 3)]
-    fit(*jobs[0][0])
+    X, y = _stream_table(CLASSIFY)
+    fit(X, y, CLASSIFY, _STREAM_CONFIG)
     assert len(futures) == 2
     pool = forest._pool
-    assert len(list(forest.score_many(jobs))) == 3
-    assert len(futures) == 5
+    assert len(list(_stream(CLASSIFY, _score_jobs(CLASSIFY, 3)))) == 3
+    assert len(futures) == 3
     monkeypatch.setattr(forest, "_worker_count", lambda: 3)
-    fit(*jobs[0][0])
+    fit(X, y, CLASSIFY, _STREAM_CONFIG)
     assert forest._pool is pool
-    assert len(futures) == 8
+    assert len(futures) == 6
 
 
 _ULPS = np.array([1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)])
@@ -540,21 +578,28 @@ def test_traversal_matches_the_tree_loop_oracle(case, pairs_per_block, nodes_per
         _assert_traversal_matches(model, probe)
 
 
-def _assert_scores_match(case, rows):
+def _assert_scores_match(case, probes):
     # score_many, grown in-process and in the pool, against the tree mean
-    # and prediction of fit's ensemble and of the per-node loop's trees
+    # and prediction of fit's ensemble and of the per-node loop's trees.
+    # The probes are rows of a table that also holds the training rows,
+    # scored by jobs that train on the training rows alone.
+    X, y, mode, config, seed, n_classes = case
     with mock.patch.object(forest, "_worker_count", lambda: 1):
         model = fit(*case)
     oracle = replace(model, trees=tuple(loop_fit_trees(*case)))
-    expected = model._tree_mean(rows)
+    expected = model._tree_mean(probes)
     if model.mode == CLASSIFY:
-        _assert_same_bytes(expected, model.predict_proba(rows))
-        _assert_same_bytes(expected, loop_predict_proba(oracle, rows))
+        _assert_same_bytes(expected, model.predict_proba(probes))
+        _assert_same_bytes(expected, loop_predict_proba(oracle, probes))
     else:
-        _assert_same_bytes(expected[:, 0], loop_predict(oracle, rows))
+        _assert_same_bytes(expected[:, 0], loop_predict(oracle, probes))
+    table, labels = np.vstack([X, probes]), np.concatenate([y, np.resize(y, len(probes))])
+    train, rows = np.arange(len(X)), np.arange(len(X), len(table))
     for workers in (1, 2):
         with mock.patch.object(forest, "_worker_count", lambda w=workers: w):
-            got = list(forest.score_many([(case, rows), (case, rows[-1:])]))
+            got = list(forest.score_many(table, labels, mode, config,
+                                         [(train, rows, seed), (train, rows[-1:], seed)],
+                                         n_classes))
         _assert_same_scores(got, (expected, expected[-1:]))
     return model
 
@@ -580,75 +625,91 @@ def test_score_many_matches_fit_and_the_oracles(case, probe_seed):
 
 @settings(max_examples=40, deadline=None)
 @given(_fit_cases(), st.integers(2, 4), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]),
-       st.sampled_from([None, 1, 3]))
-def test_batched_scoring_matches_fit_and_the_oracles(case, n_jobs, probe_seed, workers,
-                                                     trees_per_task):
-    # a stream of jobs of the case's shape, mode and config, each with its
-    # rows shuffled, its own seed and 0-3 training or fresh rows to score,
-    # each job one task or, in tasks of one or three trees' cells, split
-    # into ranges of trees
+       st.sampled_from([0, 1, 4, None]))
+def test_table_and_rows_jobs_match_fit_and_the_oracles(case, n_jobs, probe_seed, workers,
+                                                        trees_per_task):
+    # a stream of jobs into one table, the case's rows and three fresh
+    # ones. Each job trains on its own rows, drawn with repeats and out of
+    # order (in classify mode, half the time without the top class, so a
+    # job with classes inferred has fewer), scores 0-3 rows of the table
+    # and has its own seed. Tasks of one tree, of one or four trees of the
+    # table's size (several jobs, or a range of one job's trees) or of
+    # _TASK_BYTES.
     X, y, mode, config, seed, n_classes = case
     rng = np.random.default_rng(probe_seed)
-    probes = np.vstack([X, rng.normal(size=(3, X.shape[1]))])
-    jobs = []
+    table = np.vstack([X, rng.normal(size=(3, X.shape[1]))])
+    labels = np.concatenate([y, np.resize(y, 3)])
+    jobs, expected = [], []
     for j in range(n_jobs):
-        shuffle = rng.permutation(len(X))
-        jobs.append(((X[shuffle], y[shuffle], mode, config, (seed[0], j), n_classes),
-                     probes[rng.integers(0, len(probes), size=rng.integers(0, 4))]))
-    expected = []
+        pool = np.arange(len(table))
+        if mode == CLASSIFY and rng.random() < 0.5 and (labels < labels.max()).any():
+            pool = np.flatnonzero(labels < labels.max())
+        jobs.append((rng.choice(pool, size=rng.integers(2, 2 * len(table))),
+                     rng.integers(0, len(table), size=rng.integers(0, 4)), (seed[0], j)))
     with mock.patch.object(forest, "_worker_count", lambda: 1):
-        for args, rows in jobs:
+        for train, rows, job_seed in jobs:
+            args = (table[train], labels[train], mode, config, job_seed, n_classes)
             model = fit(*args)
-            expected.append(model._tree_mean(rows))
+            expected.append(model._tree_mean(table[rows]))
             oracle = replace(model, trees=tuple(loop_fit_trees(*args)))
             if mode == CLASSIFY:
-                _assert_same_bytes(expected[-1], loop_predict_proba(oracle, rows))
+                _assert_same_bytes(expected[-1], loop_predict_proba(oracle, table[rows]))
             else:
-                _assert_same_bytes(expected[-1][:, 0], loop_predict(oracle, rows))
-    cells = trees_per_task * X.size if trees_per_task else forest._TASK_CELLS
-    with mock.patch.multiple(forest, _worker_count=lambda: workers, _TASK_CELLS=cells):
-        _assert_same_scores(list(forest.score_many(jobs)), expected)
+                _assert_same_bytes(expected[-1][:, 0], loop_predict(oracle, table[rows]))
+    budget = forest._TASK_BYTES
+    if trees_per_task is not None:
+        budget = trees_per_task * len(table) * X.shape[1] * forest._CELL_BYTES or 1
+    with mock.patch.multiple(forest, _worker_count=lambda: workers, _TASK_BYTES=budget):
+        got = list(forest.score_many(table, labels, mode, config, jobs, n_classes))
+    _assert_same_scores(got, expected)
 
 
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
 def test_a_job_over_the_task_budget_is_split_into_tree_ranges(monkeypatch, mode):
-    # 7 trees in tasks of at most two trees' cells: four tasks, the last
-    # one tree, whose results add up in tree order to fit's tree mean
+    # 7 trees in tasks of at most two trees' bytes: four tasks, of 1, 2, 2
+    # and 2 trees, whose results add up in tree order to fit's tree mean
     rng = np.random.default_rng(8)
-    X = rng.normal(size=(30, 3))
-    y = rng.integers(0, 3, size=30) if mode == CLASSIFY else rng.normal(size=30)
-    rows = np.vstack([X[:3], rng.normal(size=(2, 3))])
-    job = ((X, y, mode, ForestConfig(n_trees=7), 5), rows)
+    X = rng.normal(size=(35, 3))
+    y = rng.integers(0, 3, size=35) if mode == CLASSIFY else rng.normal(size=35)
+    train, rows, config = np.arange(30), np.array([0, 1, 2, 30, 31]), ForestConfig(n_trees=7)
     monkeypatch.setattr(forest, "_worker_count", lambda: 1)
-    expected = fit(*job[0])._tree_mean(job[1])
-    monkeypatch.setattr(forest, "_TASK_CELLS", 2 * X.size)
+    expected = fit(X[train], y[train], mode, config, 5)._tree_mean(X[rows])
+    monkeypatch.setattr(forest, "_TASK_BYTES", 2 * 30 * 3 * forest._CELL_BYTES)
     for workers in (1, 2):
         monkeypatch.setattr(forest, "_worker_count", lambda w=workers: w)
         futures = _submitted_futures(monkeypatch)
-        _assert_same_scores(list(forest.score_many([job])), [expected])
+        got = list(forest.score_many(X, y, mode, config, [(train, rows, 5)]))
+        _assert_same_scores(got, [expected])
         assert len(futures) == 4
 
 
 def test_scoring_memory_is_bounded_by_the_task_budget(monkeypatch):
-    # one worker scores a 125x12 job of 2,000 trees (the CLI accepts up to
-    # 10,000) in tasks of at most _TASK_CELLS cells, 43 trees each. Its
-    # tracemalloc peak, about 60 bytes a cell, stays below a fixed multiple
-    # of one task's cells; all 2,000 trees at once would take 46 times that.
-    # The row to score sits right of every split, so each tree grows only
-    # its rightmost path.
+    # one worker scores, as classify does, leave-one-out jobs of 25 trees
+    # on a 126x12 table, eight to a task of _TASK_BYTES, and then one job
+    # of 2,000 trees (the CLI accepts up to 10,000) split into tasks of 209
+    # trees. The tracemalloc peak stays below twice the budget, the task's
+    # trees within it and each scoring step's temporaries bounded apart;
+    # all 2,000 trees at once would take about nine times the budget. The
+    # big job's row sits right of every split, so each tree grows only its
+    # rightmost path.
     monkeypatch.setattr(forest, "_worker_count", lambda: 1)
     rng = np.random.default_rng(12)
-    X = rng.normal(size=(125, 12))
-    job = ((X, rng.integers(0, 3, size=125), CLASSIFY, ForestConfig(n_trees=2000), 3),
-           X.max(axis=0, keepdims=True) + 1)
-    tracemalloc.start()
-    try:
-        (probs,) = forest.score_many([job])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 100 * forest._TASK_CELLS
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+    X = rng.normal(size=(126, 12))
+    X[125] = X[:125].max(axis=0) + 1
+    y = rng.integers(0, 3, size=126)
+    every = np.arange(126)
+    loo = [(every[every != i], [i], (3, i)) for i in range(16)]
+    for jobs, config in ((loo, ForestConfig(n_trees=25)),
+                         ([(every[:125], [125], 3)], ForestConfig(n_trees=2000))):
+        tracemalloc.start()
+        try:
+            scores = list(forest.score_many(X, y, CLASSIFY, config, jobs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * forest._TASK_BYTES
+        for probs in scores:
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
 
 @pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
@@ -661,7 +722,7 @@ def test_score_many_when_the_root_is_a_leaf(mode):
     rows = np.vstack([X[:4], rng.normal(size=(2, 3))])
     for config, most_nodes in ((ForestConfig(n_trees=5, min_leaf=16), 1),
                                (ForestConfig(n_trees=5, max_depth=1), 3)):
-        model = _assert_scores_match((X, y, mode, config, 4), rows)
+        model = _assert_scores_match((X, y, mode, config, 4, None), rows)
         assert max(len(tree.feature) for tree in model.trees) == most_nodes
 
 

@@ -143,6 +143,17 @@ def _check_insufficient_group(run):
         run(one_bpd, TaskConfig(seed=0, forest=SMALL_FOREST))
 
 
+def _counted_jobs(monkeypatch):
+    # the jobs loo_points streams to score_many, each recorded as it is read
+    jobs, real = [], tasks.score_many
+
+    def counted(X, y, mode, config, stream, n_classes=None):
+        return real(X, y, mode, config, (jobs.append(job) or job for job in stream), n_classes)
+
+    monkeypatch.setattr(tasks, "score_many", counted)
+    return jobs
+
+
 @pytest.fixture(scope="module")
 def small_cohort():
     return generate_cohort(CohortSpec(sizes=(8, 8, 8), weeks=30, seed=0))
@@ -185,12 +196,7 @@ class TestClassification:
         cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
         records, X_mrsf, _ = classification_windows(small_cohort, cfg)
         every = loo_points(records, X_mrsf, cfg)
-        jobs, real = [], tasks.score_many
-
-        def counted(stream):
-            return real(jobs.append(job) or job for job in stream)
-
-        monkeypatch.setattr(tasks, "score_many", counted)
+        jobs = _counted_jobs(monkeypatch)
         bd = loo_points(records, X_mrsf, replace(cfg, groups=(Group.BD,)))
         assert len(jobs) == len(bd) == 8
         expected = [p for p in every if p.group is Group.BD]
@@ -230,11 +236,15 @@ class TestClassification:
         # splits, so trees + 2 * draws bounds the nodes score_many creates.
         cfg = TaskConfig(seed=5, forest=SMALL_FOREST, bootstrap_samples=30)
         records, X_mrsf, _ = classification_windows(small_cohort, cfg)
-        jobs, real = [], tasks.score_many
-        monkeypatch.setattr(tasks, "score_many",
-                            lambda stream: real(jobs.append(job) or job for job in stream))
+        y = np.array([r.group.index for r in records])
+        jobs = _counted_jobs(monkeypatch)
         loo_points(records, X_mrsf, cfg)
         assert len(jobs) == len(records)
+        # each job is every other row of the one table, the held-out row and
+        # its seed
+        for i, (train, rows, seed) in enumerate(jobs):
+            assert list(train) == [k for k in range(len(records)) if k != i]
+            assert list(rows) == [i] and seed == (cfg.seed, 106, i)
         draws, default_rng = [0], np.random.default_rng
 
         class CountingDraws:
@@ -250,15 +260,16 @@ class TestClassification:
 
         monkeypatch.setattr(forest, "_worker_count", lambda: 1)
         monkeypatch.setattr(np.random, "default_rng", CountingDraws)
-        models = [fit(*args) for args, _ in jobs]
+        models = [fit(X_mrsf[train], y[train], CLASSIFY, cfg.forest, seed, 3)
+                  for train, _, seed in jobs]
         full_draws, draws[0] = draws[0], 0
-        scores = list(forest.score_many(jobs))
+        scores = list(forest.score_many(X_mrsf, y, CLASSIFY, cfg.forest, jobs, 3))
         trees = sum(len(m.trees) for m in models)
         full_nodes = sum(len(t.feature) for m in models for t in m.trees)
         assert draws[0] < full_draws
         assert trees + 2 * draws[0] < full_nodes
-        for model, (_, rows), probs in zip(models, jobs, scores):
-            assert probs.tobytes() == model._tree_mean(rows).tobytes()
+        for model, (_, rows, _), probs in zip(models, jobs, scores):
+            assert probs.tobytes() == model._tree_mean(X_mrsf[rows]).tobytes()
 
     def test_short_records_excluded(self):
         cohort = generate_cohort(CohortSpec(sizes=(4, 4, 4), weeks=30, seed=2))
