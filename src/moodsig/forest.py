@@ -90,7 +90,7 @@ _PAIRS_PER_BLOCK = 1 << 13
 
 def _packed(items, size, budget):
     # consecutive items in lists of at most budget in size, or one larger
-    # item; an error reading the items raises after the list before it
+    # item alone; an error in `items` raises after the list before it
     group, used = [], 0
     try:
         for item in items:
@@ -505,7 +505,8 @@ def score_many(X, y, mode, config, jobs, n_classes=None):
     cancels the tasks read ahead and waits for those already growing.
     """
     head, (X, y, _), _ = _checked(X, y, mode, config, 0, n_classes)
-    n_trees, every = config.n_trees, np.arange(len(X))
+    # indices in the smallest dtype, as the parent holds the pickled tasks
+    n_trees, every = config.n_trees, np.arange(len(X), dtype=np.min_scalar_type(len(X)))
     rows_cap = _TASK_BYTES // (_CELL_BYTES * X.shape[1])  # a task's (tree, row) pairs
 
     def checked():
@@ -516,8 +517,7 @@ def score_many(X, y, mode, config, jobs, n_classes=None):
                 raise ValueError("a job needs 2 or more training rows and a 1-D rows index")
             yield train, _seed_key(seed), rows, n_classes
 
-    def tree_means(shares):
-        # per job, its leaf values added in tree order, a range at a time
+    def tree_means(shares):  # per job, leaf values added in tree order
         sums = [_add_in_tree_order(np.zeros(v.shape[1:]), v) for v in next(shares)]
         for share in shares:
             for total, leaf_values in zip(sums, share):
