@@ -478,6 +478,18 @@ def test_closing_score_many_leaves_no_work_running(monkeypatch, workers):
     assert all(fut.done() for fut in futures)
 
 
+@pytest.mark.parametrize("mode", [CLASSIFY, REGRESS])
+def test_a_step_in_chunks_of_one_node_scores_the_same(monkeypatch, mode):
+    # six jobs in one task, grown in-process with each node of a step its
+    # own chunk and each tree its own presort block
+    from moodsig import _lockstep
+
+    expected = _fit_scores(mode, _score_jobs(mode, 6))
+    monkeypatch.setattr(forest, "_worker_count", lambda: 1)
+    monkeypatch.setattr(_lockstep, "_STEP_COST", 1)
+    _assert_same_scores(list(_stream(mode, _score_jobs(mode, 6))), expected)
+
+
 def test_every_job_splits_its_trees_over_one_pool(monkeypatch):
     # fit splits its trees into one task per worker, score_many packs
     # small jobs into one task, and a later fit asking for more workers
